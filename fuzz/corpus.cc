@@ -377,6 +377,96 @@ Status SetSectionLength(std::string* bytes, size_t idx, uint64_t value) {
   return Status::OK();
 }
 
+std::vector<Seed> JsonSeeds() {
+  std::vector<Seed> seeds;
+  seeds.push_back(
+      {"trace_object",
+       "{\"traceEvents\":[\n"
+       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+       "\"args\":{\"name\":\"main\"}},\n"
+       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
+       "\"args\":{\"name\":\"worker-0\"}},\n"
+       "{\"name\":\"pool.task\",\"cat\":\"autoem\",\"ph\":\"s\",\"pid\":1,"
+       "\"tid\":0,\"ts\":7217,\"id\":1},\n"
+       "{\"name\":\"pool.task\",\"cat\":\"autoem\",\"ph\":\"s\",\"pid\":1,"
+       "\"tid\":0,\"ts\":7221,\"id\":\"2\"},\n"
+       "{\"name\":\"pool.task\",\"cat\":\"autoem\",\"ph\":\"f\",\"pid\":1,"
+       "\"tid\":2,\"ts\":7303,\"id\":1,\"bp\":\"e\"},\n"
+       "{\"name\":\"features.token_cache_build\",\"cat\":\"autoem\","
+       "\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":7307,\"dur\":336,"
+       "\"args\":{\"first\":0,\"count\":15}},\n"
+       "{\"name\":\"pool.task\",\"cat\":\"autoem\",\"ph\":\"X\",\"pid\":1,"
+       "\"tid\":2,\"ts\":7302,\"dur\":342,\"args\":{\"queue_us\":84}},\n"
+       "{\"name\":\"pool.task\",\"cat\":\"autoem\",\"ph\":\"f\",\"pid\":1,"
+       "\"tid\":2,\"ts\":7646,\"id\":\"2\",\"bp\":\"e\"},\n"
+       "{\"name\":\"pool.task\",\"cat\":\"autoem\",\"ph\":\"X\",\"pid\":1,"
+       "\"tid\":2,\"ts\":7645,\"dur\":260},\n"
+       "{\"name\":\"automl.search\",\"cat\":\"autoem\",\"ph\":\"X\",\"pid\":1,"
+       "\"tid\":0,\"ts\":7000,\"dur\":1200,"
+       "\"args\":{\"checkpoint\":\"runs/caf\xc3\xa9\\u00e9.aemk\"}}\n"
+       "],\"displayTimeUnit\":\"ms\"}\n"});
+  seeds.push_back(
+      {"trace_array",
+       "[\n"
+       "{\"name\":\"automl.trial\",\"cat\":\"autoem\",\"ph\":\"X\",\"pid\":1,"
+       "\"tid\":1,\"ts\":10,\"dur\":250},\n"
+       "{\"name\":\"rf.fit\",\"cat\":\"autoem\",\"ph\":\"X\",\"pid\":1,"
+       "\"tid\":1,\"ts\":20,\"dur\":100.5}\n"
+       "]\n"});
+  seeds.push_back({"metrics_json",
+                   "{\n"
+                   "  \"counters\": {\n"
+                   "    \"automl.trials\": 4,\n"
+                   "    \"features.token_cache_hits\": 5648\n"
+                   "  },\n"
+                   "  \"gauges\": {\n"
+                   "    \"automl.best_valid_f1\": 0.93333333333333335\n"
+                   "  },\n"
+                   "  \"histograms\": {\n"
+                   "    \"automl.eval_ms\": {\"count\": 2, \"sum\": 41.5, "
+                   "\"buckets\": [{\"le\": 1, \"count\": 0}, "
+                   "{\"le\": \"inf\", \"count\": 2}]}\n"
+                   "  }\n"
+                   "}\n"});
+  seeds.push_back(
+      {"metrics_jsonl",
+       "{\"ts_s\": 0.20000000000000001, \"counters\": {\"threadpool."
+       "tasks_executed\": 12},\"gauges\": {\"threadpool.queue_depth\": 3},"
+       "\"histograms\": {}}\n"
+       "{\"ts_s\": 0.40000000000000002, \"counters\": {\"threadpool."
+       "tasks_executed\": 84,\"obs.flush_final\": 1},\"gauges\": "
+       "{\"threadpool.queue_depth\": 0},\"histograms\": {}}\n"});
+  seeds.push_back(
+      {"bench_baseline",
+       "{\"meta\":{\"cpu_model\":\"Intel(R) Xeon(R) Processor @ 2.10GHz\","
+       "\"git_sha\":\"unknown\",\"threads\":1},\"cases\":[\n"
+       "{\"name\":\"BM_ScorePairsBatched/1\",\"params\":{},\"counters\":"
+       "{\"bench_compare.runs\":3},\"seconds\":0.0068679359907474905},\n"
+       "{\"name\":\"BM_Guard\",\"params\":{},\"counters\":"
+       "{\"bench_compare.runs\":3},\"seconds\":4.0000000000000001e-08}\n"
+       "]}\n"});
+  // Inputs that broke the hand-written readers.
+  seeds.push_back({"deep_nesting",
+                   "{\"traceEvents\":[],\"ignored\":" +
+                       std::string(100, '[') + std::string(100, ']') + "}"});
+  const char* kSpan =
+      "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"tid\":1,\"ts\":0,"
+      "\"dur\":10},{\"name\":\"b\",\"ph\":\"X\",\"tid\":1,\"dur\":1,";
+  seeds.push_back({"ts_1e300", std::string(kSpan) + "\"ts\":1e300}]}"});
+  seeds.push_back({"tid_2pow32", std::string(kSpan) +
+                                     "\"ts\":2,\"tid\":4294967296}]}"});
+  seeds.push_back(
+      {"ts_string_1e5e5", std::string(kSpan) + "\"ts\":\"1e5e5\"}]}"});
+  seeds.push_back({"seconds_hex",
+                   "{\"cases\":[{\"name\":\"a\",\"seconds\":0x1p-4}]}"});
+  seeds.push_back({"seconds_neg_inf",
+                   "{\"cases\":[{\"name\":\"a\",\"seconds\":-inf}]}"});
+  seeds.push_back({"runs_1e300",
+                   "{\"cases\":[{\"name\":\"a\",\"counters\":"
+                   "{\"bench_compare.runs\":1e300},\"seconds\":0.5}]}"});
+  return seeds;
+}
+
 namespace {
 
 Status WriteSeedDir(const std::string& dir, const std::string& harness,
@@ -408,6 +498,7 @@ Status WriteSeedCorpus(const std::string& dir, bool with_model) {
   AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "checkpoint", CheckpointSeeds()));
   AUTOEM_RETURN_IF_ERROR(
       WriteSeedDir(dir, "model_io", ModelEnvelopeSeeds()));
+  AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "json", JsonSeeds()));
   if (with_model) {
     // The deep-parse seed: a real trained container, deterministic because
     // every seed below is pinned (same recipe as tests/model_io_test.cc).

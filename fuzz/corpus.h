@@ -46,6 +46,13 @@ std::vector<Seed> CheckpointSeeds();
 /// section-table reader without requiring a trained model.
 std::vector<Seed> ModelEnvelopeSeeds();
 
+/// JSON documents of every kind the repo writes and reads back — traces in
+/// both Chrome layouts, metrics JSON and JSONL, a bench baseline — plus the
+/// hostile inputs that once broke the hand-written readers (deep nesting,
+/// out-of-range and non-JSON numbers). Fixed strings, so the seeds do not
+/// drift with the writers.
+std::vector<Seed> JsonSeeds();
+
 /// A populated two-trial checkpoint with quarantine hashes and resource
 /// samples — the "rich" fixture behind CheckpointSeeds and the
 /// corruption-matrix tests.

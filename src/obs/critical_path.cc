@@ -1,7 +1,6 @@
 #include "obs/critical_path.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <map>
 #include <numeric>
@@ -225,275 +224,24 @@ class CriticalPathWalker {
 };
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader for the trace files this repo writes. Only the shapes
-// TraceJson() produces are understood deeply (an object with a "traceEvents"
-// array of flat event objects); everything else is skipped structurally, so
-// hand-edited or foreign traces at least fail cleanly.
+// Trace JSON helpers.
 
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= text_.size();
+// A numeric event field as an integer in [0, max]; fractional values
+// truncate. Some producers write flow ids as strings: accepted when the
+// string holds exactly one JSON number.
+Status ReadEventInt(const JsonValue& value, const std::string& field,
+                    double max, uint64_t* out) {
+  double number = -1;
+  if (value.is_number()) {
+    number = value.number;
+  } else if (value.is_string()) {
+    auto inner = ParseJson(value.string);
+    if (inner.ok() && inner->is_number()) number = inner->number;
   }
-
-  char Peek() {
-    SkipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
+  if (!(number >= 0 && number <= max)) {
+    return Status::InvalidArgument("trace: bad numeric field '" + field + "'");
   }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            // Keep the label readable without a full UTF-16 decoder: escape
-            // sequences outside ASCII degrade to '?'.
-            if (pos_ + 4 > text_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            out->push_back(code < 128 ? static_cast<char>(code) : '?');
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseNumber(double* out) {
-    SkipWs();
-    size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      *out = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    return true;
-  }
-
-  bool SkipLiteral(const char* lit) {
-    SkipWs();
-    size_t n = 0;
-    while (lit[n] != '\0') ++n;
-    if (text_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  // Skips one JSON value of any shape.
-  bool SkipValue() {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    if (c == '"') {
-      std::string scratch;
-      return ParseString(&scratch);
-    }
-    if (c == '{' || c == '[') {
-      char open = c;
-      char close = (c == '{') ? '}' : ']';
-      ++pos_;
-      if (Consume(close)) return true;
-      for (;;) {
-        if (open == '{') {
-          std::string key;
-          if (!ParseString(&key) || !Consume(':')) return false;
-        }
-        if (!SkipValue()) return false;
-        if (Consume(close)) return true;
-        if (!Consume(',')) return false;
-      }
-    }
-    if (c == 't') return SkipLiteral("true");
-    if (c == 'f') return SkipLiteral("false");
-    if (c == 'n') return SkipLiteral("null");
-    double scratch;
-    return ParseNumber(&scratch);
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-Status ParseTraceEventsJson(const std::string& trace_json,
-                            std::vector<TraceEvent>* out) {
-  JsonCursor cur(trace_json);
-  if (!cur.Consume('{')) {
-    return Status::InvalidArgument("trace: expected top-level JSON object");
-  }
-  bool saw_trace_events = false;
-  if (!cur.Consume('}')) {
-    for (;;) {
-      std::string key;
-      if (!cur.ParseString(&key) || !cur.Consume(':')) {
-        return Status::InvalidArgument("trace: malformed object key");
-      }
-      if (key != "traceEvents") {
-        if (!cur.SkipValue()) {
-          return Status::InvalidArgument("trace: malformed value for '" + key +
-                                         "'");
-        }
-      } else {
-        saw_trace_events = true;
-        if (!cur.Consume('[')) {
-          return Status::InvalidArgument("trace: traceEvents must be an array");
-        }
-        if (!cur.Consume(']')) {
-          for (;;) {
-            if (!cur.Consume('{')) {
-              return Status::InvalidArgument(
-                  "trace: traceEvents entry must be an object");
-            }
-            TraceEvent event;
-            event.name = nullptr;
-            event.ph = '\0';
-            event.tid = 0;
-            event.ts_us = 0;
-            if (!cur.Consume('}')) {
-              for (;;) {
-                std::string field;
-                if (!cur.ParseString(&field) || !cur.Consume(':')) {
-                  return Status::InvalidArgument("trace: malformed event key");
-                }
-                if (field == "name") {
-                  if (!cur.ParseString(&event.owned_name)) {
-                    return Status::InvalidArgument("trace: bad event name");
-                  }
-                } else if (field == "ph") {
-                  std::string ph;
-                  if (!cur.ParseString(&ph) || ph.empty()) {
-                    return Status::InvalidArgument("trace: bad event ph");
-                  }
-                  event.ph = ph[0];
-                } else if (field == "tid" || field == "ts" || field == "dur" ||
-                           field == "id") {
-                  double value = 0;
-                  bool ok;
-                  if (cur.Peek() == '"') {
-                    // Some producers emit flow ids as strings.
-                    std::string s;
-                    ok = cur.ParseString(&s);
-                    if (ok) {
-                      try {
-                        value = std::stod(s);
-                      } catch (...) {
-                        ok = false;
-                      }
-                    }
-                  } else {
-                    ok = cur.ParseNumber(&value);
-                  }
-                  if (!ok || value < 0) {
-                    return Status::InvalidArgument("trace: bad numeric field '" +
-                                                   field + "'");
-                  }
-                  if (field == "tid") {
-                    event.tid = static_cast<unsigned>(value);
-                  } else if (field == "ts") {
-                    event.ts_us = static_cast<uint64_t>(value);
-                  } else if (field == "dur") {
-                    event.dur_us = static_cast<uint64_t>(value);
-                  } else {
-                    event.flow_id = static_cast<uint64_t>(value);
-                  }
-                } else {
-                  if (!cur.SkipValue()) {
-                    return Status::InvalidArgument(
-                        "trace: malformed value for event field '" + field +
-                        "'");
-                  }
-                }
-                if (cur.Consume('}')) break;
-                if (!cur.Consume(',')) {
-                  return Status::InvalidArgument(
-                      "trace: expected ',' or '}' in event");
-                }
-              }
-            }
-            if (event.ph == 'X' || event.ph == 's' || event.ph == 'f') {
-              out->push_back(std::move(event));
-            }
-            if (cur.Consume(']')) break;
-            if (!cur.Consume(',')) {
-              return Status::InvalidArgument(
-                  "trace: expected ',' or ']' in traceEvents");
-            }
-          }
-        }
-      }
-      if (cur.Consume('}')) break;
-      if (!cur.Consume(',')) {
-        return Status::InvalidArgument("trace: expected ',' or '}'");
-      }
-    }
-  }
-  if (!cur.AtEnd()) {
-    return Status::InvalidArgument("trace: trailing data after JSON object");
-  }
-  if (!saw_trace_events) {
-    return Status::InvalidArgument("trace: no traceEvents array");
-  }
+  *out = static_cast<uint64_t>(number);
   return Status::OK();
 }
 
@@ -699,9 +447,65 @@ Result<TraceAnalysis> AnalyzeTrace(const std::vector<TraceEvent>& events) {
 }
 
 Result<TraceAnalysis> AnalyzeTraceJson(const std::string& trace_json) {
+  auto doc = ParseJson(trace_json);
+  if (!doc.ok()) {
+    return Status::InvalidArgument("trace: " + doc.status().message());
+  }
+  const JsonValue* events_json = &*doc;
+  if (doc->is_object()) {
+    events_json = doc->Find("traceEvents");
+    if (events_json == nullptr) {
+      return Status::InvalidArgument("trace: no traceEvents array");
+    }
+  }
+  if (!events_json->is_array()) {
+    return Status::InvalidArgument(
+        "trace: expected a traceEvents array or an event array");
+  }
+  // ts and dur are at most 2^53 (exact in a double), so ts + dur cannot
+  // overflow.
+  constexpr double kMaxTid = 4294967295.0;
+  constexpr double kMaxTime = 9007199254740992.0;
   std::vector<TraceEvent> events;
-  Status parsed = ParseTraceEventsJson(trace_json, &events);
-  if (!parsed.ok()) return parsed;
+  for (const JsonValue& entry : events_json->array) {
+    if (!entry.is_object()) {
+      return Status::InvalidArgument("trace: event must be an object");
+    }
+    TraceEvent event;
+    event.name = nullptr;
+    event.ph = '\0';
+    event.tid = 0;
+    event.ts_us = 0;
+    for (const auto& [field, value] : entry.object) {
+      if (field == "name") {
+        if (!value.is_string()) {
+          return Status::InvalidArgument("trace: bad event name");
+        }
+        event.owned_name = value.string;
+      } else if (field == "ph") {
+        if (!value.is_string() || value.string.empty()) {
+          return Status::InvalidArgument("trace: bad event ph");
+        }
+        event.ph = value.string[0];
+      } else if (field == "tid") {
+        uint64_t tid = 0;
+        AUTOEM_RETURN_IF_ERROR(ReadEventInt(value, field, kMaxTid, &tid));
+        event.tid = static_cast<unsigned>(tid);
+      } else if (field == "ts") {
+        AUTOEM_RETURN_IF_ERROR(
+            ReadEventInt(value, field, kMaxTime, &event.ts_us));
+      } else if (field == "dur") {
+        AUTOEM_RETURN_IF_ERROR(
+            ReadEventInt(value, field, kMaxTime, &event.dur_us));
+      } else if (field == "id") {
+        AUTOEM_RETURN_IF_ERROR(
+            ReadEventInt(value, field, kMaxTime, &event.flow_id));
+      }
+    }
+    if (event.ph == 'X' || event.ph == 's' || event.ph == 'f') {
+      events.push_back(std::move(event));
+    }
+  }
   return AnalyzeTrace(events);
 }
 

@@ -98,10 +98,14 @@ struct TraceAnalysis {
 /// path. InvalidArgument when the trace contains no complete spans.
 Result<TraceAnalysis> AnalyzeTrace(const std::vector<TraceEvent>& events);
 
-/// Parses Chrome trace_event JSON (the TraceJson / WriteTrace layout: a
-/// "traceEvents" array of objects with name/ph/tid/ts/dur/id) and analyzes
-/// it. Unknown keys and event phases are skipped; InvalidArgument on
-/// malformed JSON or a missing traceEvents array.
+/// Parses Chrome trace_event JSON with obs::ParseJson and analyzes it.
+/// Both Chrome layouts are accepted: the TraceJson / WriteTrace object
+/// with a "traceEvents" array, and a bare array of events. Events are
+/// objects with name/ph/tid/ts/dur/id; `tid` must lie in [0, 2^32-1] and
+/// `ts`/`dur`/`id` in [0, 2^53] (fractions truncate; a string holding one
+/// JSON number is accepted). Unknown keys and event phases are skipped;
+/// InvalidArgument on malformed JSON, an out-of-range field, or a missing
+/// event array.
 Result<TraceAnalysis> AnalyzeTraceJson(const std::string& trace_json);
 
 /// Human-readable "where the time went" rendering: wall clock, the ranked

@@ -1,13 +1,10 @@
 #include "obs/report.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <cstdlib>
-#include <map>
 #include <vector>
 
 #include "obs/critical_path.h"
 #include "obs/json.h"
+#include "obs/log.h"
 
 namespace autoem {
 namespace obs {
@@ -51,21 +48,14 @@ std::vector<std::string> SplitCsvRow(const std::string& line) {
   return fields;
 }
 
-/// Strict JSON-number check so CSV fields can be embedded verbatim. Hex
-/// config hashes that happen to be all decimal digits are excluded by the
-/// caller (hash/failure columns are always quoted).
-bool IsJsonNumber(const std::string& s) {
-  if (s.empty()) return false;
-  const char* p = s.c_str();
-  char* end = nullptr;
-  double v = std::strtod(p, &end);
-  if (end != p + s.size()) return false;
-  // strtod accepts "inf"/"nan", which JSON does not.
-  return v == v && v <= 1.7e308 && v >= -1.7e308 && (s[0] == '-' || s[0] == '+'
-             ? (s.size() > 1 && s[1] >= '0' && s[1] <= '9')
-             : (s[0] >= '0' && s[0] <= '9'));
+/// True when `text` is one JSON value of type `type`: the test for
+/// embedding a file's text verbatim in the payload.
+bool ParsesAs(const std::string& text, JsonValue::Type type) {
+  auto value = ParseJson(text);
+  return value.ok() && value->type == type;
 }
 
+/// Columns that are always strings, even when all digits (config hashes).
 bool QuotedColumn(const std::string& name) {
   return name == "config_hash" || name == "failure" ||
          name == "failure_message";
@@ -88,7 +78,8 @@ std::string TrajectoryToJson(const std::string& csv) {
       if (c > 0) out += ",";
       out += JsonQuote(header[c]);
       out += ":";
-      if (!QuotedColumn(header[c]) && IsJsonNumber(fields[c])) {
+      if (!QuotedColumn(header[c]) &&
+          ParsesAs(fields[c], JsonValue::Type::kNumber)) {
         out += fields[c];
       } else {
         out += JsonQuote(fields[c]);
@@ -101,9 +92,11 @@ std::string TrajectoryToJson(const std::string& csv) {
 }
 
 /// Classifies the metrics file and emits the three payload fields. Formats:
-///  * jsonl  — every nonempty line is a `{...}` snapshot -> series + final;
+///  * jsonl  — every nonempty line is a JSON object -> series + final;
 ///  * json   — one pretty object (the default end-of-run snapshot) -> final;
 ///  * openmetrics — anything else -> raw text, parsed client-side.
+/// Text is embedded verbatim only after ParseJson accepts it; a file that
+/// looks like JSON but does not parse falls back to raw text with a WARN.
 void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
   std::string trimmed = Trimmed(metrics_text);
   if (trimmed.empty()) {
@@ -117,9 +110,9 @@ void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
     std::string t = Trimmed(line);
     if (t.empty()) continue;
     lines.push_back(t);
-    if (t.front() != '{' || t.back() != '}') all_objects = false;
+    if (all_objects) all_objects = ParsesAs(t, JsonValue::Type::kObject);
   }
-  if (all_objects && !lines.empty()) {
+  if (all_objects) {
     // JSONL time series (a single snapshot line is a series of one).
     *out += "\"metrics_series\":[";
     for (size_t i = 0; i < lines.size(); ++i) {
@@ -130,66 +123,19 @@ void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
     *out += "\n],\"metrics_final\":";
     *out += lines.back();
     *out += ",\"metrics_raw\":null";
-  } else if (trimmed.front() == '{') {
+  } else if (ParsesAs(trimmed, JsonValue::Type::kObject)) {
     *out += "\"metrics_series\":null,\"metrics_final\":";
     *out += trimmed;
     *out += ",\"metrics_raw\":null";
   } else {
+    if (trimmed.front() == '{') {
+      AUTOEM_LOG(WARN) << "report: metrics file is not valid JSON; "
+                          "embedding it as raw text";
+    }
     *out += "\"metrics_series\":null,\"metrics_final\":null,"
             "\"metrics_raw\":";
     *out += JsonQuote(trimmed);
   }
-}
-
-struct SpanAgg {
-  uint64_t count = 0;
-  uint64_t total_us = 0;
-};
-
-/// Summarizes a Chrome trace produced by TraceJson: per-span-name counts
-/// and total duration. Scans our own writer's layout (`{"name":<q>,...,
-/// "dur":<n>`) rather than pulling in a JSON parser.
-std::string TraceSummaryJson(const std::string& trace_json) {
-  std::map<std::string, SpanAgg> by_name;
-  uint64_t events = 0;
-  const std::string open = "{\"name\":\"";
-  size_t pos = 0;
-  while ((pos = trace_json.find(open, pos)) != std::string::npos) {
-    pos += open.size();
-    std::string name;
-    while (pos < trace_json.size() && trace_json[pos] != '"') {
-      if (trace_json[pos] == '\\' && pos + 1 < trace_json.size()) ++pos;
-      name += trace_json[pos];
-      ++pos;
-    }
-    size_t dur = trace_json.find("\"dur\":", pos);
-    if (dur == std::string::npos) break;
-    dur += 6;
-    uint64_t dur_us = std::strtoull(trace_json.c_str() + dur, nullptr, 10);
-    SpanAgg& agg = by_name[name];
-    agg.count += 1;
-    agg.total_us += dur_us;
-    ++events;
-    pos = dur;
-  }
-  if (events == 0) return "null";
-  std::vector<std::pair<std::string, SpanAgg>> rows(by_name.begin(),
-                                                    by_name.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second.total_us > b.second.total_us;
-  });
-  if (rows.size() > 40) rows.resize(40);
-  std::string out = "{\"events\":" + std::to_string(events) + ",\"spans\":[";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\n{\"name\":" + JsonQuote(rows[i].first) +
-           ",\"count\":" + std::to_string(rows[i].second.count) +
-           ",\"total_ms\":" +
-           JsonNumber(static_cast<double>(rows[i].second.total_us) / 1000.0) +
-           "}";
-  }
-  out += "\n]}";
-  return out;
 }
 
 std::string HtmlEscape(const std::string& s) {
@@ -275,7 +221,6 @@ tr.failed td { color: #a32020; background: #fdf3f3; }
   <section><h2>Thread pool</h2><div id="poolwrap"><canvas id="pool" height="260"></canvas></div></section>
   <section><h2>Failures &amp; quarantine</h2><div id="failures"></div></section>
   <section><h2>Cache</h2><div class="cards" id="cache"></div></section>
-  <section><h2>Top spans (trace)</h2><div id="spans"></div></section>
   <section><h2>CPU flamegraph</h2><div id="flamewrap">
     <div class="empty" id="flamestatus">hover a frame for details</div>
     <canvas id="flame" height="0"></canvas>
@@ -568,22 +513,6 @@ function axes(c, x0, x1, y0, y1, yfmt) {
     card("hit rate", tot ? (100 * h / tot).toFixed(1) + "%" : "—");
 })();
 
-// ---- trace spans --------------------------------------------------------
-(function () {
-  const el = document.getElementById("spans");
-  if (!P.trace || !P.trace.spans || !P.trace.spans.length) {
-    el.innerHTML = '<div class="empty">No trace — rerun with --trace-out.</div>';
-    return;
-  }
-  let html = '<table><tr><th class="l">span</th><th>count</th>' +
-             "<th>total ms</th><th>mean ms</th></tr>";
-  for (const s of P.trace.spans) html +=
-    `<tr><td class="l mono">${esc(s.name)}</td><td>${s.count}</td>` +
-    `<td>${fmt(s.total_ms, 1)}</td><td>${fmt(s.total_ms / s.count, 2)}</td></tr>`;
-  el.innerHTML = html + "</table>" +
-    `<p class="empty">${P.trace.events} events total.</p>`;
-})();
-
 // ---- CPU flamegraph + top functions -------------------------------------
 (function () {
   const wrap = document.getElementById("flamewrap");
@@ -727,10 +656,8 @@ std::string BuildRunReportHtml(const ReportInputs& inputs) {
   payload += inputs.trajectory_csv.empty() ? "false" : "true";
   payload += ",";
   AppendMetricsJson(inputs.metrics_text, &payload);
-  payload += ",\"trace\":";
-  payload += TraceSummaryJson(inputs.trace_json);
-  // Critical-path / blame analysis (obs v4): computed from the same trace
-  // the timeline uses. null when there is no trace or it has no spans.
+  // Critical-path / blame analysis (obs v4): per-span counts and totals
+  // for the whole trace. null when there is no trace or it has no spans.
   payload += ",\"critical\":";
   if (inputs.trace_json.empty()) {
     payload += "null";

@@ -46,6 +46,36 @@ TEST(BenchCompareParseTest, RejectsMalformedJson) {
   EXPECT_FALSE(ParseBenchJson("{\"cases\":[").ok());
   EXPECT_FALSE(ParseBenchJson("not json at all").ok());
   EXPECT_FALSE(ParseBenchJson(Artifact(1, 1) + "trailing").ok());
+  // Only RFC 8259 numbers are read: a hex float or an infinity rejects the
+  // file rather than being read or skipped.
+  for (const char* seconds : {"0x1p-4", "-inf", "inf", "nan", "+1", "1.",
+                              "1e400"}) {
+    std::string text = "{\"cases\":[{\"name\":\"a\",\"seconds\":" +
+                       std::string(seconds) + "}]}";
+    EXPECT_FALSE(ParseBenchJson(text).ok()) << seconds;
+  }
+}
+
+// A run count beyond int range rejects the file instead of reaching an
+// undefined int cast (which made `--merge-out` write a count of 0).
+TEST(BenchCompareParseTest, RejectsOutOfRangeRunCount) {
+  auto with_runs = [](const std::string& runs, int copies = 1) {
+    std::string entry = "{\"name\":\"a\",\"counters\":"
+                        "{\"bench_compare.runs\":" +
+                        runs + "},\"seconds\":0.5}";
+    std::string text = "{\"cases\":[" + entry;
+    for (int i = 1; i < copies; ++i) text += "," + entry;
+    return text + "]}";
+  };
+  EXPECT_FALSE(ParseBenchJson(with_runs("1e300")).ok());
+  EXPECT_FALSE(ParseBenchJson(with_runs("2147483648")).ok());
+  BenchFile file = MustParse(with_runs("2147483647"));
+  EXPECT_EQ(file.cases.at("a").runs, 2147483647);
+  EXPECT_NE(SerializeBenchFile(file).find("\"bench_compare.runs\":2147483647"),
+            std::string::npos);
+  // Repeated cases add their run counts, saturating instead of wrapping.
+  EXPECT_EQ(MustParse(with_runs("2147483647", 2)).cases.at("a").runs,
+            2147483647);
 }
 
 TEST(BenchCompareParseTest, CaseWithoutSecondsIsDimensionless) {

@@ -5,17 +5,18 @@
 // matched by exactly one `f`, blame partition exact, critical path covering
 // the wall clock) must hold for whatever schedule the machine produced.
 #include <atomic>
-#include <cctype>
-#include <cstring>
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 #include "common/thread_pool.h"
 #include "obs/critical_path.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
@@ -23,161 +24,8 @@
 namespace autoem {
 namespace {
 
-// ---- mini JSON validator (same grammar checker as obs_test.cc) ------------
-
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : text_(text) {}
-
-  bool Valid() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        char e = text_[pos_];
-        if (e == 'u') {
-          for (int k = 1; k <= 4; ++k) {
-            if (pos_ + k >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_ + k]))) {
-              return false;
-            }
-          }
-          pos_ += 4;
-        } else if (std::strchr("\"\\/bfnrt", e) == nullptr) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
-  bool Number() {
-    size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (IsDigit(Peek())) ++pos_;
-    if (Peek() == '.') {
-      ++pos_;
-      while (IsDigit(Peek())) ++pos_;
-    }
-    if (Peek() == 'e' || Peek() == 'E') {
-      ++pos_;
-      if (Peek() == '+' || Peek() == '-') ++pos_;
-      while (IsDigit(Peek())) ++pos_;
-    }
-    return pos_ > start && IsDigit(text_[pos_ - 1]);
-  }
-
-  bool Literal(const char* word) {
-    size_t len = std::strlen(word);
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 bool IsValidJson(const std::string& text) {
-  return JsonValidator(text).Valid();
+  return obs::ParseJson(text).ok();
 }
 
 // ---- hand-built event helpers ---------------------------------------------
@@ -377,15 +225,71 @@ TEST(CriticalPathTest, RejectsMalformedAndEmptyTraces) {
   EXPECT_FALSE(obs::AnalyzeTraceJson("{").ok());
   EXPECT_FALSE(obs::AnalyzeTraceJson("[]").ok());
   EXPECT_FALSE(obs::AnalyzeTraceJson("{\"foo\":1}").ok());
+  EXPECT_FALSE(obs::AnalyzeTraceJson("[1]").ok());
+  EXPECT_FALSE(obs::AnalyzeTraceJson("\"traceEvents\"").ok());
   // Structurally valid but span-free.
   EXPECT_FALSE(obs::AnalyzeTraceJson("{\"traceEvents\":[]}").ok());
-  // Minimal valid trace.
-  auto ok = obs::AnalyzeTraceJson(
-      "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"pid\":1,\"tid\":3,"
-      "\"ts\":5,\"dur\":10}],\"displayTimeUnit\":\"ms\"}");
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->span_count, 1u);
-  EXPECT_EQ(ok->wall_us, 10u);
+  // Minimal valid trace, in both Chrome layouts: TraceJson's object and a
+  // bare event array.
+  const std::string event =
+      "{\"name\":\"a\",\"ph\":\"X\",\"pid\":1,\"tid\":3,\"ts\":5,\"dur\":10}";
+  for (const std::string& trace :
+       {"{\"traceEvents\":[" + event + "],\"displayTimeUnit\":\"ms\"}",
+        "[" + event + "]"}) {
+    auto ok = obs::AnalyzeTraceJson(trace);
+    ASSERT_TRUE(ok.ok()) << trace << ": " << ok.status().ToString();
+    EXPECT_EQ(ok->span_count, 1u);
+    EXPECT_EQ(ok->wall_us, 10u);
+  }
+}
+
+// Spans a [0,10] and b [2,3] on tid 1, with `field_json` (e.g.
+// "\"ts\":1e300") appended to b; a repeated key overrides b's default.
+std::string TraceWith(const std::string& field_json) {
+  return "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"tid\":1,"
+         "\"ts\":0,\"dur\":10},{\"name\":\"b\",\"ph\":\"X\",\"tid\":1,"
+         "\"ts\":2,\"dur\":1," +
+         field_json + "}]}";
+}
+
+// A deeply nested value under an ignored key is an error, not unbounded
+// recursion.
+TEST(CriticalPathTest, DeepNestingIsInvalidArgumentNotACrash) {
+  std::string trace = "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\","
+                      "\"tid\":1,\"ts\":0,\"dur\":10}],\"ignored\":" +
+                      std::string(200000, '[') + std::string(200000, ']') +
+                      "}";
+  auto analysis = obs::AnalyzeTraceJson(trace);
+  ASSERT_FALSE(analysis.ok());
+  EXPECT_EQ(analysis.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Numeric fields are range-checked before the integer cast (casting 1e300
+// is undefined behaviour), and a string must hold one whole JSON number.
+TEST(CriticalPathTest, RejectsOutOfRangeAndMalformedNumericFields) {
+  ASSERT_TRUE(obs::AnalyzeTraceJson(TraceWith("\"pid\":1")).ok());
+  for (const char* field :
+       {"\"ts\":1e300", "\"dur\":1e300", "\"id\":1e300",
+        "\"ts\":9007199254740994", "\"tid\":4294967296", "\"tid\":-1",
+        "\"ts\":\"1e5e5\"", "\"id\":\"7x\"", "\"ts\":true",
+        "\"ts\":0x10"}) {
+    auto analysis = obs::AnalyzeTraceJson(TraceWith(field));
+    EXPECT_FALSE(analysis.ok()) << field;
+  }
+  // The bounds themselves are accepted, fractions truncate, and a string
+  // holding one JSON number still reads.
+  auto edge = obs::AnalyzeTraceJson(
+      TraceWith("\"tid\":4294967295,\"ts\":9007199254740991,\"dur\":1"));
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->wall_us, 9007199254740992u);
+  auto fractional = obs::AnalyzeTraceJson(TraceWith("\"ts\":\"4.9\""));
+  ASSERT_TRUE(fractional.ok()) << fractional.status().ToString();
+  for (const obs::SpanNode& node : fractional->spans) {
+    if (node.name == "b") {
+      EXPECT_EQ(node.start_us, 4u);
+      EXPECT_EQ(node.parent, 0);  // nested inside a
+    }
+  }
 }
 
 TEST(CriticalPathTest, AnalysisJsonIsValidAndCarriesQueueStats) {
@@ -458,6 +362,17 @@ TEST(CausalTraceTest, ThreadNameMetadataInTraceJson) {
   obs::SetCurrentThreadName("main");
   ThreadPool pool(2);  // workers self-register as worker-0 / worker-1
   pool.ParallelFor(4, [](size_t) {});
+  // The caller may run every chunk itself before a worker has started and
+  // named itself; wait for both names rather than race them.
+  auto named = [](const std::string& want) {
+    for (const auto& [tid, name] : obs::SnapshotThreadNames()) {
+      if (name == want) return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 500 && !(named("worker-0") && named("worker-1")); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   obs::StartTracing();
   { obs::Span span("anything"); }
   obs::StopTracing();

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "automl/evaluator.h"
 #include "io/atomic_file.h"
 #include "obs/flusher.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/resource.h"
@@ -383,7 +386,8 @@ TEST(RunReportTest, IsSelfContained) {
   EXPECT_NE(html.find("<canvas"), std::string::npos);
   EXPECT_NE(html.find("<script id=\"payload\" type=\"application/json\">"),
             std::string::npos);
-  // The metrics series and trace summary made it into the payload.
+  // The metrics series and the bare-array trace's blame table made it into
+  // the payload.
   EXPECT_NE(html.find("\"metrics_series\""), std::string::npos);
   EXPECT_NE(html.find("automl.trial"), std::string::npos);
 }
@@ -401,6 +405,125 @@ TEST(RunReportTest, EscapesHostileTitleAndPayload) {
   // The only "</script>" occurrences are the document's own closing tags;
   // the payload's embedded one must be escaped to <\/script>.
   EXPECT_NE(html.find("<\\/script>"), std::string::npos);
+}
+
+// The report's embedded payload, parsed; every report must carry one that
+// the strict reader accepts.
+obs::JsonValue Payload(const std::string& html) {
+  const std::string open = "<script id=\"payload\" type=\"application/json\">";
+  size_t begin = html.find(open);
+  if (begin == std::string::npos) {
+    ADD_FAILURE() << "no payload";
+    return {};
+  }
+  begin += open.size();
+  size_t end = html.find("</script>", begin);
+  auto payload =
+      obs::ParseJson(std::string_view(html).substr(begin, end - begin));
+  if (!payload.ok()) {
+    ADD_FAILURE() << "payload rejected: " << payload.status().ToString();
+    return {};
+  }
+  return std::move(*payload);
+}
+
+// Metrics text that does not parse is embedded as a raw string, never
+// verbatim: one bad line would make the page's JSON.parse fail and blank
+// every section.
+TEST(RunReportTest, MalformedMetricsFallBackToRawText) {
+  for (const std::string metrics :
+       {"{\"counters\":{\"a\":}}",
+        "{\"counters\":{\"a\":1}}\n{\"counters\":{\"a\":}}\n"}) {
+    obs::ReportInputs inputs;
+    inputs.trajectory_csv = SerializeTrajectoryCsv(MakeTrajectory());
+    inputs.metrics_text = metrics;
+    obs::JsonValue payload = Payload(obs::BuildRunReportHtml(inputs));
+    ASSERT_TRUE(payload.is_object());
+    EXPECT_EQ(payload.Find("metrics_series")->type,
+              obs::JsonValue::Type::kNull);
+    EXPECT_EQ(payload.Find("metrics_final")->type,
+              obs::JsonValue::Type::kNull);
+    ASSERT_TRUE(payload.Find("metrics_raw")->is_string());
+    EXPECT_NE(payload.Find("metrics_raw")->string.find("\"a\":}"),
+              std::string::npos);
+  }
+}
+
+// Only fields that are JSON numbers embed unquoted; 007, 0x10, +1 and 1.
+// are not.
+TEST(RunReportTest, CsvFieldsEmbedOnlyJsonNumbers) {
+  obs::ReportInputs inputs;
+  inputs.trajectory_csv =
+      "trial,valid_f1,test_f1,fit_seconds,elapsed_seconds\n"
+      "0,007,0x10,+1,1.\n"
+      "1,0.5,-2e-3,1e400,nan\n";
+  obs::JsonValue payload = Payload(obs::BuildRunReportHtml(inputs));
+  ASSERT_TRUE(payload.is_object());
+  const std::vector<obs::JsonValue>& trials = payload.Find("trials")->array;
+  ASSERT_EQ(trials.size(), 2u);
+  EXPECT_EQ(trials[0].Find("trial")->number, 0.0);
+  EXPECT_EQ(trials[0].Find("valid_f1")->string, "007");
+  EXPECT_EQ(trials[0].Find("test_f1")->string, "0x10");
+  EXPECT_EQ(trials[0].Find("fit_seconds")->string, "+1");
+  EXPECT_EQ(trials[0].Find("elapsed_seconds")->string, "1.");
+  EXPECT_EQ(trials[1].Find("valid_f1")->number, 0.5);
+  EXPECT_EQ(trials[1].Find("test_f1")->number, -2e-3);
+  EXPECT_EQ(trials[1].Find("fit_seconds")->string, "1e400");
+  EXPECT_EQ(trials[1].Find("elapsed_seconds")->string, "nan");
+}
+
+void CollectSpanRows(const obs::JsonValue& value,
+                     std::vector<const obs::JsonValue*>* rows) {
+  if (value.Find("name") != nullptr && value.Find("count") != nullptr) {
+    rows->push_back(&value);
+  }
+  for (const obs::JsonValue& item : value.array) CollectSpanRows(item, rows);
+  for (const auto& [key, item] : value.object) CollectSpanRows(item, rows);
+}
+
+// Every span row in the payload (any object with a name and a count) must
+// carry that span's true number of ph:"X" events — thread-name metadata,
+// flow events and args objects with a "name" key included in the trace.
+TEST(RunReportTest, SpanRowsMatchTraceCounts) {
+  obs::ReportInputs inputs;
+  inputs.trace_json =
+      "{\"traceEvents\":[\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"tid\":0,"
+      "\"args\":{\"name\":\"main\"}},\n"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"tid\":2,"
+      "\"args\":{\"name\":\"worker-0\"}},\n"
+      "{\"name\":\"pool.task\",\"ph\":\"s\",\"tid\":0,\"ts\":10,\"id\":1},\n"
+      "{\"name\":\"pool.task\",\"ph\":\"s\",\"tid\":0,\"ts\":11,\"id\":2},\n"
+      "{\"name\":\"pool.task\",\"ph\":\"f\",\"tid\":2,\"ts\":20,\"id\":1},\n"
+      "{\"name\":\"rf.fit_trees\",\"ph\":\"X\",\"tid\":2,\"ts\":21,\"dur\":5,"
+      "\"args\":{\"name\":\"tree-0\"}},\n"
+      "{\"name\":\"pool.task\",\"ph\":\"X\",\"tid\":2,\"ts\":20,\"dur\":10},\n"
+      "{\"name\":\"pool.task\",\"ph\":\"f\",\"tid\":2,\"ts\":31,\"id\":2},\n"
+      "{\"name\":\"pool.task\",\"ph\":\"X\",\"tid\":2,\"ts\":31,\"dur\":10},\n"
+      "{\"name\":\"features.generate_pairs\",\"ph\":\"X\",\"tid\":0,"
+      "\"ts\":0,\"dur\":50}\n"
+      "],\"displayTimeUnit\":\"ms\"}\n";
+  const std::map<std::string, double> true_counts = {
+      {"pool.task", 2}, {"rf.fit_trees", 1}, {"features.generate_pairs", 1}};
+
+  obs::JsonValue payload = Payload(obs::BuildRunReportHtml(inputs));
+  std::vector<const obs::JsonValue*> rows;
+  CollectSpanRows(payload, &rows);
+  std::map<std::string, int> seen;
+  for (const obs::JsonValue* row : rows) {
+    const std::string& name = row->Find("name")->string;
+    EXPECT_NE(name, "thread_name");
+    auto truth = true_counts.find(name);
+    if (truth == true_counts.end()) {
+      ADD_FAILURE() << "span row '" << name << "' is not a span in the trace";
+      continue;
+    }
+    EXPECT_EQ(row->Find("count")->number, truth->second) << name;
+    ++seen[name];
+  }
+  for (const auto& [name, count] : true_counts) {
+    EXPECT_GT(seen[name], 0) << "no span row for " << name;
+  }
 }
 
 TEST(RunReportTest, MinimalTrajectoryOnlyReportStillBuilds) {

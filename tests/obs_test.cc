@@ -20,171 +20,14 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace autoem {
 namespace {
 
-// ---- mini JSON validator --------------------------------------------------
-// The repo deliberately has no JSON parser dependency; the emitted trace and
-// metrics files only need to be *checkable*, so this is a strict
-// recursive-descent validator over the JSON grammar (objects, arrays,
-// strings with escapes, numbers, true/false/null).
-
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : text_(text) {}
-
-  bool Valid() {
-    SkipWs();
-    if (!Value()) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value()) return false;
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        char e = text_[pos_];
-        if (e == 'u') {
-          for (int k = 1; k <= 4; ++k) {
-            if (pos_ + k >= text_.size() ||
-                !std::isxdigit(
-                    static_cast<unsigned char>(text_[pos_ + k]))) {
-              return false;
-            }
-          }
-          pos_ += 4;
-        } else if (std::strchr("\"\\/bfnrt", e) == nullptr) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
-  bool Number() {
-    size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (IsDigit(Peek())) ++pos_;
-    if (Peek() == '.') {
-      ++pos_;
-      while (IsDigit(Peek())) ++pos_;
-    }
-    if (Peek() == 'e' || Peek() == 'E') {
-      ++pos_;
-      if (Peek() == '+' || Peek() == '-') ++pos_;
-      while (IsDigit(Peek())) ++pos_;
-    }
-    return pos_ > start && IsDigit(text_[pos_ - 1]);
-  }
-
-  bool Literal(const char* word) {
-    size_t len = std::strlen(word);
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 bool IsValidJson(const std::string& text) {
-  return JsonValidator(text).Valid();
+  return obs::ParseJson(text).ok();
 }
 
 std::string ReadFile(const std::string& path) {
@@ -198,18 +41,103 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-// ---- JSON validator sanity ------------------------------------------------
+// ---- JSON reader ----------------------------------------------------------
 
-TEST(JsonValidatorTest, AcceptsAndRejects) {
-  EXPECT_TRUE(IsValidJson("{}"));
-  EXPECT_TRUE(IsValidJson("{\"a\":[1,2.5,-3e-2],\"b\":{\"c\":null}}"));
-  EXPECT_TRUE(IsValidJson("[\"\\u00e9\\n\",true,false]"));
-  EXPECT_FALSE(IsValidJson("{"));
-  EXPECT_FALSE(IsValidJson("{\"a\":}"));
-  EXPECT_FALSE(IsValidJson("{\"a\":1,}"));
-  EXPECT_FALSE(IsValidJson("[1 2]"));
-  EXPECT_FALSE(IsValidJson("\"unterminated"));
-  EXPECT_FALSE(IsValidJson("nan"));
+// The accept/reject table of obs::ParseJson, the one reader behind every
+// JSON consumer (trace-analyze, report, bench_compare, these tests).
+TEST(ParseJsonTest, AcceptsAndRejects) {
+  auto nested = [](size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  struct Row {
+    std::string text;
+    bool ok;
+  };
+  const Row rows[] = {
+      {"{}", true},
+      {"{\"a\":[1,2.5,-3e-2],\"b\":{\"c\":null}}", true},
+      {"[\"\\u00e9\\n\",true,false]", true},
+      {"{", false},
+      {"{\"a\":}", false},
+      {"{\"a\":1,}", false},
+      {"[1 2]", false},
+      {"\"unterminated", false},
+      {"nan", false},
+      // Numbers: RFC 8259 grammar only, and they must fit a double.
+      {"0", true},
+      {"-0", true},
+      {"1e300", true},
+      {"-1.5E+3", true},
+      {"5e-324", true},
+      {"+1", false},
+      {"007", false},
+      {"-01", false},
+      {"0x10", false},
+      {"0x1p-4", false},
+      {"1.", false},
+      {".5", false},
+      {"1e", false},
+      {"1e5e5", false},
+      {"1e+", false},
+      {"-", false},
+      {"inf", false},
+      {"-inf", false},
+      {"Infinity", false},
+      {"NaN", false},
+      {"1e400", false},
+      {"-1e400", false},
+      {"1e-400", false},
+      // Whitespace is exactly space, tab, LF, CR.
+      {" \t\r\n[ 1 , 2 ]\n", true},
+      {"\v[]", false},
+      {"\f[]", false},
+      {"[]x", false},
+      {"", false},
+      // Strings.
+      {"\"\\ud83d\\ude00\"", true},
+      {"\"caf\xc3\xa9 \xff\"", true},
+      {"\"\\/\\b\\f\\r\\t\"", true},
+      {"\"\\ud800\"", false},
+      {"\"\\udc00\"", false},
+      {"\"\\ud800\\u0041\"", false},
+      {"\"\\u12g4\"", false},
+      {"\"\\x41\"", false},
+      {"\"a\x01" "b\"", false},
+      {std::string("\"a\0b\"", 5), false},
+      {"{1:2}", false},
+      {"{\"a\" 1}", false},
+      {"tru", false},
+      // Nesting is capped at 64 arrays/objects.
+      {nested(64), true},
+      {nested(65), false},
+      {nested(200000), false},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(obs::ParseJson(row.text).ok(), row.ok)
+        << "input: " << row.text.substr(0, 60);
+  }
+}
+
+TEST(ParseJsonTest, DecodesValues) {
+  auto doc = obs::ParseJson(
+      "{\"n\":-3e-2,\"s\":\"\\u00e9\\ud83d\\ude00\xff\",\"b\":true,"
+      "\"a\":[null],\"k\":1,\"k\":2}");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_TRUE(doc->is_object());
+  EXPECT_EQ(doc->Find("n")->number, -0.03);
+  // \u escapes decode to UTF-8; raw bytes >= 0x80 pass through unchanged.
+  EXPECT_EQ(doc->Find("s")->string, "\xc3\xa9\xf0\x9f\x98\x80\xff");
+  EXPECT_TRUE(doc->Find("b")->boolean);
+  ASSERT_EQ(doc->Find("a")->array.size(), 1u);
+  EXPECT_EQ(doc->Find("a")->array[0].type, obs::JsonValue::Type::kNull);
+  EXPECT_EQ(doc->Find("k")->number, 2.0);  // the last duplicate wins
+  EXPECT_EQ(doc->Find("missing"), nullptr);
+
+  auto bad = obs::ParseJson("[1,]");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("offset 3"), std::string::npos)
+      << bad.status().message();
 }
 
 // ---- metrics --------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/json.h"
@@ -15,204 +15,26 @@ namespace tools {
 
 namespace {
 
-// ---- minimal JSON reader ---------------------------------------------------
-// The artifacts are produced by our own writers, but CI must fail with a
-// message — not UB — on a truncated upload, so this is a real (if small)
-// recursive-descent parser over the full JSON grammar.
-
-struct Json {
-  enum Type { kNull, kBool, kNumber, kString, kObject, kArray };
-  Type type = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::map<std::string, Json> object;
-  std::vector<Json> array;
-
-  const Json* Find(const std::string& key) const {
-    auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Result<Json> Parse() {
-    Json value;
-    AUTOEM_RETURN_IF_ERROR(ParseValue(&value, 0));
-    SkipSpace();
-    if (pos_ != text_.size()) return Error("trailing characters");
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  Status Error(const std::string& what) const {
-    return Status::InvalidArgument("json: " + what + " at offset " +
-                                   std::to_string(pos_));
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(Json* out, int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    SkipSpace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(out, depth);
-    if (c == '[') return ParseArray(out, depth);
-    if (c == '"') {
-      out->type = Json::kString;
-      return ParseString(&out->str);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->type = Json::kBool;
-      out->boolean = true;
-      pos_ += 4;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->type = Json::kBool;
-      out->boolean = false;
-      pos_ += 5;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      out->type = Json::kNull;
-      pos_ += 4;
-      return Status::OK();
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      const char* start = text_.c_str() + pos_;
-      char* end = nullptr;
-      out->number = std::strtod(start, &end);
-      if (end == start) return Error("malformed number");
-      out->type = Json::kNumber;
-      pos_ += static_cast<size_t>(end - start);
-      return Status::OK();
-    }
-    return Error(std::string("unexpected character '") + c + "'");
-  }
-
-  Status ParseString(std::string* out) {
-    if (!Consume('"')) return Error("expected string");
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else return Error("bad \\u escape");
-          }
-          // Bench names are ASCII; encode the BMP scalar as UTF-8 so
-          // nothing is silently dropped.
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return Error("unknown escape");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Status ParseObject(Json* out, int depth) {
-    Consume('{');
-    out->type = Json::kObject;
-    SkipSpace();
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      std::string key;
-      AUTOEM_RETURN_IF_ERROR(ParseString(&key));
-      if (!Consume(':')) return Error("expected ':'");
-      Json value;
-      AUTOEM_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->object[std::move(key)] = std::move(value);
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::OK();
-      return Error("expected ',' or '}'");
-    }
-  }
-
-  Status ParseArray(Json* out, int depth) {
-    Consume('[');
-    out->type = Json::kArray;
-    SkipSpace();
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      Json value;
-      AUTOEM_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->array.push_back(std::move(value));
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::OK();
-      return Error("expected ',' or ']'");
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-std::string JsonToString(const Json& v) {
+std::string JsonToString(const obs::JsonValue& v) {
   switch (v.type) {
-    case Json::kString: return v.str;
-    case Json::kNumber: {
+    case obs::JsonValue::Type::kString: return v.string;
+    case obs::JsonValue::Type::kNumber: {
       char buf[40];
       std::snprintf(buf, sizeof(buf), "%.17g", v.number);
       return buf;
     }
-    case Json::kBool: return v.boolean ? "true" : "false";
+    case obs::JsonValue::Type::kBool: return v.boolean ? "true" : "false";
     default: return "";
   }
+}
+
+// Min-merges one run of a case into the accumulated stat.
+void MergeCase(BenchCaseStat* into, const BenchCaseStat& run) {
+  if (run.seconds > 0 && (into->seconds == 0 || run.seconds < into->seconds)) {
+    into->seconds = run.seconds;
+  }
+  into->runs = static_cast<int>(std::min<int64_t>(
+      int64_t{into->runs} + run.runs, std::numeric_limits<int>::max()));
 }
 
 bool AllDigits(const std::string& s) {
@@ -226,50 +48,47 @@ bool AllDigits(const std::string& s) {
 }  // namespace
 
 Result<BenchFile> ParseBenchJson(const std::string& text) {
-  auto parsed = JsonParser(text).Parse();
+  auto parsed = obs::ParseJson(text);
   if (!parsed.ok()) return parsed.status();
-  const Json& root = *parsed;
-  if (root.type != Json::kObject) {
+  const obs::JsonValue& root = *parsed;
+  if (!root.is_object()) {
     return Status::InvalidArgument("bench file: root is not an object");
   }
   BenchFile file;
-  if (const Json* meta = root.Find("meta"); meta != nullptr) {
+  if (const obs::JsonValue* meta = root.Find("meta"); meta != nullptr) {
     for (const auto& [key, value] : meta->object) {
       file.meta[key] = JsonToString(value);
     }
   }
-  const Json* cases = root.Find("cases");
-  if (cases == nullptr || cases->type != Json::kArray) {
+  const obs::JsonValue* cases = root.Find("cases");
+  if (cases == nullptr || !cases->is_array()) {
     return Status::InvalidArgument("bench file: missing \"cases\" array");
   }
-  for (const Json& entry : cases->array) {
-    const Json* name = entry.Find("name");
-    if (name == nullptr || name->type != Json::kString) continue;
+  for (const obs::JsonValue& entry : cases->array) {
+    const obs::JsonValue* name = entry.Find("name");
+    if (name == nullptr || !name->is_string()) continue;
     BenchCaseStat stat;
-    stat.name = name->str;
-    if (const Json* secs = entry.Find("seconds");
-        secs != nullptr && secs->type == Json::kNumber &&
-        std::isfinite(secs->number) && secs->number > 0) {
+    stat.name = name->string;
+    if (const obs::JsonValue* secs = entry.Find("seconds");
+        secs != nullptr && secs->is_number() && secs->number > 0) {
       stat.seconds = secs->number;
     }
     stat.runs = 1;
-    if (const Json* counters = entry.Find("counters"); counters != nullptr) {
-      if (const Json* runs = counters->Find("bench_compare.runs");
-          runs != nullptr && runs->type == Json::kNumber && runs->number >= 1) {
+    if (const obs::JsonValue* counters = entry.Find("counters");
+        counters != nullptr) {
+      if (const obs::JsonValue* runs = counters->Find("bench_compare.runs");
+          runs != nullptr && runs->is_number() && runs->number >= 1) {
+        if (runs->number > std::numeric_limits<int>::max()) {
+          return Status::InvalidArgument("bench file: case '" + stat.name +
+                                         "': bench_compare.runs out of range");
+        }
         stat.runs = static_cast<int>(runs->number);
       }
     }
     // Duplicate names within one file (google-benchmark repetitions)
     // min-merge the same way multiple files do.
     auto [it, inserted] = file.cases.emplace(stat.name, stat);
-    if (!inserted) {
-      BenchCaseStat& existing = it->second;
-      if (stat.seconds > 0 &&
-          (existing.seconds == 0 || stat.seconds < existing.seconds)) {
-        existing.seconds = stat.seconds;
-      }
-      existing.runs += stat.runs;
-    }
+    if (!inserted) MergeCase(&it->second, stat);
   }
   return file;
 }
@@ -296,14 +115,7 @@ Result<BenchFile> LoadBenchFiles(const std::vector<std::string>& paths) {
     }
     for (const auto& [name, stat] : file->cases) {
       auto [it, inserted] = merged.cases.emplace(name, stat);
-      if (!inserted) {
-        BenchCaseStat& existing = it->second;
-        if (stat.seconds > 0 &&
-            (existing.seconds == 0 || stat.seconds < existing.seconds)) {
-          existing.seconds = stat.seconds;
-        }
-        existing.runs += stat.runs;
-      }
+      if (!inserted) MergeCase(&it->second, stat);
     }
   }
   return merged;

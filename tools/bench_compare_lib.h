@@ -36,9 +36,10 @@ struct BenchFile {
   std::map<std::string, BenchCaseStat> cases;
 };
 
-/// Parses one `--json-out` artifact. Tolerant of the google-benchmark tee
-/// cases and paper-figure cases alike: anything with a "name" is a case;
-/// missing "seconds" reads as 0.
+/// Parses one `--json-out` artifact (obs::ParseJson). Tolerant of the
+/// google-benchmark tee cases and paper-figure cases alike: anything with a
+/// "name" is a case; missing "seconds" reads as 0. Malformed JSON or a
+/// "bench_compare.runs" counter beyond int range is InvalidArgument.
 Result<BenchFile> ParseBenchJson(const std::string& text);
 
 /// Loads and min-merges several run files into one BenchFile (meta is taken
