@@ -486,8 +486,10 @@ void PrintUsage() {
       "                    seconds while running (live telemetry; jsonl\n"
       "                    accumulates an append-only time series)\n"
       "  --resources       attach resource probes: per-trial/fold/iteration\n"
-      "                    CPU, wall, peak-RSS delta, allocation counts\n"
-      "                    (flows into trajectory CSV, checkpoints, report)\n"
+      "                    CPU, peak-RSS delta, allocation counts, pool\n"
+      "                    wait/run split (flows into the trajectory CSV\n"
+      "                    and report; not checkpointed, so trials a\n"
+      "                    resumed run restores show as unmeasured)\n"
       "  --profile-out F   sample a CPU profile during the run and write it\n"
       "                    in collapsed-stack format (flamegraph.pl /\n"
       "                    speedscope / `report --profile` compatible);\n"

@@ -1,10 +1,9 @@
 // Fuzzes the AEMK checkpoint container (src/automl/checkpoint.cc and
 // src/active/active_checkpoint.cc): both payload kinds are parsed from the
 // same bytes, covering the envelope (magic/version/kind/size/CRC) and the
-// two payload codecs, including the v1 back-compat field set. Accepted
-// parses must be stable under one serialize/reparse round: re-encoding the
-// parsed state and parsing it again yields byte-identical re-encodings
-// (the canonical-form fixpoint; a v1 input canonicalizes to v2 bytes).
+// two payload codecs. Accepted parses must be stable under one
+// serialize/reparse round: re-encoding the parsed state and parsing it
+// again yields byte-identical re-encodings (the canonical-form fixpoint).
 #include "fuzz/fuzzer_util.h"
 
 #include "active/active_checkpoint.h"

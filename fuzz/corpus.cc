@@ -173,11 +173,6 @@ SearchCheckpoint MakeRichSearchCheckpoint() {
     record.elapsed_seconds = 1.5 * (trial + 1);
     record.failure = trial == 1 ? TrialFailure::kTimeout : TrialFailure::kNone;
     record.failure_message = trial == 1 ? "deadline exceeded" : "";
-    record.resources.sampled = true;
-    record.resources.cpu_seconds = 0.125;
-    record.resources.wall_seconds = 0.25;
-    record.resources.peak_rss_delta_kb = 1024;
-    record.resources.allocs = 4096;
     state.history.push_back(std::move(record));
   }
   state.failed_hashes = {0x1111111111111111ull, 0xFEDCBA9876543210ull};
@@ -187,9 +182,10 @@ SearchCheckpoint MakeRichSearchCheckpoint() {
 std::vector<Seed> CheckpointSeeds() {
   std::vector<Seed> seeds;
   seeds.push_back(
-      {"search_v2", SerializeSearchCheckpoint(MakeRichSearchCheckpoint())});
+      {"search", SerializeSearchCheckpoint(MakeRichSearchCheckpoint())});
 
-  // Hand-assembled v1 container (no resource fields) — the back-compat path.
+  // Hand-assembled v1 container: readers accept only the current version,
+  // so this must be rejected.
   io::Writer payload;
   payload.U64(7);          // seed
   payload.Str("13 17 19");  // rng_state
@@ -224,7 +220,7 @@ std::vector<Seed> CheckpointSeeds() {
   stats.machine_labels = 120;
   stats.iteration_model_test_f1 = 0.66;
   active.stats = {stats};
-  seeds.push_back({"active_v2", SerializeActiveCheckpoint(active)});
+  seeds.push_back({"active", SerializeActiveCheckpoint(active)});
 
   std::string truncated = seeds[0].bytes.substr(0, seeds[0].bytes.size() / 2);
   seeds.push_back({"search_truncated", truncated});

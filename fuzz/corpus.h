@@ -37,8 +37,9 @@ std::vector<Seed> ConfigSeeds();
 /// the serialize_roundtrip harness.
 std::vector<Seed> SerializeSeeds();
 
-/// Valid AEMK containers (search v2, hand-assembled search v1, active kind)
-/// plus near-valid corruptions, built through the real save codecs.
+/// Valid AEMK containers of both kinds, built through the real save
+/// codecs, plus must-reject ones: a hand-assembled v1 container and a
+/// truncation.
 std::vector<Seed> CheckpointSeeds();
 
 /// Structurally valid AEMM envelopes whose sections carry synthetic
@@ -53,8 +54,8 @@ std::vector<Seed> ModelEnvelopeSeeds();
 /// drift with the writers.
 std::vector<Seed> JsonSeeds();
 
-/// A populated two-trial checkpoint with quarantine hashes and resource
-/// samples — the "rich" fixture behind CheckpointSeeds and the
+/// A populated two-trial checkpoint with a failed trial and quarantine
+/// hashes — the "rich" fixture behind CheckpointSeeds and the
 /// corruption-matrix tests.
 SearchCheckpoint MakeRichSearchCheckpoint();
 

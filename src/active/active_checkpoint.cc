@@ -63,8 +63,8 @@ void WriteActivePayload(const ActiveCheckpoint& state, io::Writer* w) {
   }
 }
 
-Result<ActiveCheckpoint> ParseActivePayload(const CheckpointPayload& payload) {
-  io::Reader r(payload.bytes);
+Result<ActiveCheckpoint> ParseActivePayload(const std::string& payload) {
+  io::Reader r(payload);
   ActiveCheckpoint state;
   AUTOEM_RETURN_IF_ERROR(r.U64(&state.seed));
   AUTOEM_RETURN_IF_ERROR(r.Str(&state.rng_state));

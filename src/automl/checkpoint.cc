@@ -28,16 +28,15 @@ Status WriteCheckpointFile(uint8_t kind, const io::Writer& payload,
   return io::AtomicWriteFile(path, SerializeCheckpointBytes(kind, payload));
 }
 
-Result<CheckpointPayload> ReadCheckpointFile(uint8_t kind,
-                                             const std::string& path) {
+Result<std::string> ReadCheckpointFile(uint8_t kind, const std::string& path) {
   AUTOEM_FAILPOINT("checkpoint.read");
   std::string bytes;
   AUTOEM_RETURN_IF_ERROR(io::ReadFileToString(path, &bytes));
   return ParseCheckpointBytes(kind, bytes);
 }
 
-Result<CheckpointPayload> ParseCheckpointBytes(uint8_t kind,
-                                               const std::string& bytes) {
+Result<std::string> ParseCheckpointBytes(uint8_t kind,
+                                         const std::string& bytes) {
   io::Reader r(bytes);
   char magic[4];
   for (char& c : magic) {
@@ -50,12 +49,10 @@ Result<CheckpointPayload> ParseCheckpointBytes(uint8_t kind,
   }
   uint32_t version;
   AUTOEM_RETURN_IF_ERROR(r.U32(&version));
-  if (version < kCheckpointMinReadVersion ||
-      version > kCheckpointFormatVersion) {
+  if (version != kCheckpointFormatVersion) {
     return Status::InvalidArgument(
         "unsupported checkpoint format version " + std::to_string(version) +
-        " (this build reads versions " +
-        std::to_string(kCheckpointMinReadVersion) + ".." +
+        " (this build reads version " +
         std::to_string(kCheckpointFormatVersion) + ")");
   }
   uint8_t file_kind;
@@ -72,15 +69,17 @@ Result<CheckpointPayload> ParseCheckpointBytes(uint8_t kind,
   if (size != r.remaining()) {
     return Status::InvalidArgument("truncated checkpoint file");
   }
-  CheckpointPayload payload;
-  payload.bytes = bytes.substr(r.pos());
-  payload.version = version;
-  if (io::Crc32(payload.bytes) != crc) {
+  std::string payload = bytes.substr(r.pos());
+  if (io::Crc32(payload) != crc) {
     return Status::InvalidArgument("corrupt checkpoint file: CRC mismatch");
   }
   return payload;
 }
 
+namespace {
+
+// The EvalRecord fields a resumed search reads back. Telemetry is not
+// among them.
 void WriteEvalRecord(io::Writer* w, const EvalRecord& record) {
   WriteConfigurationBinary(w, record.config);
   w->F64(record.valid_f1);
@@ -90,22 +89,9 @@ void WriteEvalRecord(io::Writer* w, const EvalRecord& record) {
   w->F64(record.elapsed_seconds);
   w->U8(static_cast<uint8_t>(record.failure));
   w->Str(record.failure_message);
-  // v2 resource attribution. Written even when unsampled (all zeros +
-  // sampled=0): fixed layout keeps the codec trivially seekable and lets a
-  // resumed run tell "free" from "not measured".
-  w->U8(record.resources.sampled ? 1 : 0);
-  w->F64(record.resources.cpu_seconds);
-  w->F64(record.resources.wall_seconds);
-  w->I64(record.resources.peak_rss_delta_kb);
-  w->U64(record.resources.allocs);
-  // v3 profile attribution (0 when no profile was running).
-  w->U64(record.profile_samples);
-  // v4 pool wait/run split (0 when resource probes were off).
-  w->U64(record.pool_wait_micros);
-  w->U64(record.pool_busy_micros);
 }
 
-Status ReadEvalRecord(io::Reader* r, uint32_t version, EvalRecord* record) {
+Status ReadEvalRecord(io::Reader* r, EvalRecord* record) {
   AUTOEM_RETURN_IF_ERROR(ReadConfigurationBinary(r, &record->config));
   AUTOEM_RETURN_IF_ERROR(r->F64(&record->valid_f1));
   AUTOEM_RETURN_IF_ERROR(r->F64(&record->test_f1));
@@ -119,31 +105,8 @@ Status ReadEvalRecord(io::Reader* r, uint32_t version, EvalRecord* record) {
                                    std::to_string(failure));
   }
   record->failure = static_cast<TrialFailure>(failure);
-  AUTOEM_RETURN_IF_ERROR(r->Str(&record->failure_message));
-  record->resources = TrialResources{};
-  if (version >= 2) {
-    uint8_t sampled;
-    AUTOEM_RETURN_IF_ERROR(r->U8(&sampled));
-    record->resources.sampled = sampled != 0;
-    AUTOEM_RETURN_IF_ERROR(r->F64(&record->resources.cpu_seconds));
-    AUTOEM_RETURN_IF_ERROR(r->F64(&record->resources.wall_seconds));
-    AUTOEM_RETURN_IF_ERROR(r->I64(&record->resources.peak_rss_delta_kb));
-    AUTOEM_RETURN_IF_ERROR(r->U64(&record->resources.allocs));
-  }
-  record->profile_samples = 0;
-  if (version >= 3) {
-    AUTOEM_RETURN_IF_ERROR(r->U64(&record->profile_samples));
-  }
-  record->pool_wait_micros = 0;
-  record->pool_busy_micros = 0;
-  if (version >= 4) {
-    AUTOEM_RETURN_IF_ERROR(r->U64(&record->pool_wait_micros));
-    AUTOEM_RETURN_IF_ERROR(r->U64(&record->pool_busy_micros));
-  }
-  return Status::OK();
+  return r->Str(&record->failure_message);
 }
-
-namespace {
 
 void WriteSearchPayload(const SearchCheckpoint& state, io::Writer* payload) {
   payload->U64(state.seed);
@@ -184,8 +147,8 @@ Status SaveSearchCheckpoint(const SearchCheckpoint& state,
 
 namespace {
 
-Result<SearchCheckpoint> ParseSearchPayload(const CheckpointPayload& payload) {
-  io::Reader r(payload.bytes);
+Result<SearchCheckpoint> ParseSearchPayload(const std::string& payload) {
+  io::Reader r(payload);
   SearchCheckpoint state;
   AUTOEM_RETURN_IF_ERROR(r.U64(&state.seed));
   AUTOEM_RETURN_IF_ERROR(r.Str(&state.rng_state));
@@ -194,12 +157,12 @@ Result<SearchCheckpoint> ParseSearchPayload(const CheckpointPayload& payload) {
   state.interleave_random = interleave != 0;
   AUTOEM_RETURN_IF_ERROR(r.F64(&state.elapsed_seconds));
   uint64_t n_history;
-  // Each record is at least a config count + 3 doubles + trial + elapsed +
-  // failure byte + message length.
-  AUTOEM_RETURN_IF_ERROR(r.Len(&n_history, 8));
+  // Each record is at least a config count (8) + 3 doubles (24) + trial (4)
+  // + elapsed (8) + failure byte (1) + message length (8) = 53 bytes.
+  AUTOEM_RETURN_IF_ERROR(r.Len(&n_history, 53));
   state.history.resize(static_cast<size_t>(n_history));
   for (EvalRecord& record : state.history) {
-    AUTOEM_RETURN_IF_ERROR(ReadEvalRecord(&r, payload.version, &record));
+    AUTOEM_RETURN_IF_ERROR(ReadEvalRecord(&r, &record));
   }
   uint64_t n_failed;
   AUTOEM_RETURN_IF_ERROR(r.Len(&n_failed, 8));

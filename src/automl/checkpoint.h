@@ -12,28 +12,25 @@ namespace autoem {
 
 namespace io {
 class Writer;
-class Reader;
 }  // namespace io
 
 /// Crash-safe search checkpointing ("AEMK" container, CRC-protected,
-/// written via io::AtomicWriteFile). A checkpoint captures everything a
-/// search draws on — run history, RNG stream, phase flags, quarantined
-/// configs — so a SIGKILLed run resumed from its last checkpoint replays
-/// the exact remaining trials and reaches a bit-identical final model.
+/// written via io::AtomicWriteFile). A checkpoint holds resume state only —
+/// run history, RNG stream, phase flags, quarantined configs — so a
+/// SIGKILLed run resumed from its last checkpoint replays the exact
+/// remaining trials and reaches a bit-identical final model. Per-trial
+/// telemetry is a measurement, not state: it is not written, and restored
+/// trials come back unmeasured.
 ///
-/// Format versioned independently of the model container; readers reject
-/// unknown versions and any CRC/structure damage with InvalidArgument.
+/// Format versioned independently of the model container. Any layout
+/// change bumps the version; readers accept exactly the current one and
+/// reject every other version and any CRC/structure damage with
+/// InvalidArgument. There are no migration shims: a checkpoint only has to
+/// outlive the run it protects, and starting that run afresh is the
+/// upgrade path.
 
 inline constexpr char kCheckpointMagic[4] = {'A', 'E', 'M', 'K'};
-/// v1: original container. v2: EvalRecord carries TrialResources (per-trial
-/// CPU/wall/RSS/alloc attribution). v3: EvalRecord carries profile_samples
-/// (per-trial CPU-profile sample count). v4: EvalRecord carries the
-/// thread-pool wait/run split (pool_wait_micros, pool_busy_micros).
-/// Writers emit the current version; readers accept
-/// [kCheckpointMinReadVersion, kCheckpointFormatVersion] so a v4 build
-/// resumes a v1..v3 run (missing fields read as zero).
-inline constexpr uint32_t kCheckpointFormatVersion = 4;
-inline constexpr uint32_t kCheckpointMinReadVersion = 1;
+inline constexpr uint32_t kCheckpointFormatVersion = 5;
 
 /// Payload discriminator inside the container, so a search never resumes
 /// from an active-learning checkpoint (or vice versa).
@@ -85,27 +82,15 @@ Status WriteCheckpointFile(uint8_t kind, const io::Writer& payload,
 /// The AEMK envelope bytes for `payload` (what WriteCheckpointFile writes).
 std::string SerializeCheckpointBytes(uint8_t kind, const io::Writer& payload);
 
-/// Unwrapped checkpoint payload plus the container version it was written
-/// under, so payload codecs can apply version-specific field sets.
-struct CheckpointPayload {
-  std::string bytes;
-  uint32_t version = kCheckpointFormatVersion;
-};
-Result<CheckpointPayload> ReadCheckpointFile(uint8_t kind,
-                                             const std::string& path);
+/// Validates the envelope and returns the unwrapped payload bytes.
+Result<std::string> ReadCheckpointFile(uint8_t kind, const std::string& path);
 
 /// In-memory halves of the file API. The loaders are thin wrappers around
 /// these; fuzz harnesses and corruption tests drive them directly on raw
 /// bytes without touching the filesystem.
-Result<CheckpointPayload> ParseCheckpointBytes(uint8_t kind,
-                                               const std::string& bytes);
+Result<std::string> ParseCheckpointBytes(uint8_t kind,
+                                         const std::string& bytes);
 Result<SearchCheckpoint> DeserializeSearchCheckpoint(const std::string& bytes);
-
-/// EvalRecord codec shared by checkpoint payloads. The writer always emits
-/// the current format; the reader decodes the field set of `version`
-/// (resources are v2+, so a v1 record loads with resources.sampled=false).
-void WriteEvalRecord(io::Writer* w, const EvalRecord& record);
-Status ReadEvalRecord(io::Reader* r, uint32_t version, EvalRecord* record);
 
 }  // namespace autoem
 

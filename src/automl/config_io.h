@@ -50,13 +50,15 @@ Status ReadConfigurationBinary(io::Reader* r, Configuration* config);
 /// Serializes a search trajectory (AutoMlEmResult::trajectory) as CSV with
 /// header
 ///   trial,elapsed_seconds,fit_seconds,valid_f1,test_f1,best_f1_so_far,
-///   config_hash,cpu_seconds,peak_rss_delta_kb,allocs,failure
+///   config_hash,cpu_seconds,peak_rss_delta_kb,allocs,profile_samples,
+///   pool_wait_micros,pool_busy_micros,failure
 /// — one row per evaluation, the complete Fig. 3-style tuning curve,
 /// reproducible without re-running the search. `config_hash` is
-/// ConfigurationHash in hex. The trailing four columns are per-trial
-/// resource attribution (zeros unless the run was profiled with
-/// `--resources`) and the TrialFailureName; they ride after config_hash so
-/// the original column indices stay stable.
+/// ConfigurationHash in hex. The six columns after it are the trial's
+/// TrialTelemetry (TrialTelemetry::kColumns); a cell is empty when its
+/// source was off, and on the rows a resumed run restored from its
+/// checkpoint. `failure` is the TrialFailureName. New columns ride before
+/// `failure`, so the original column indices stay stable.
 std::string SerializeTrajectoryCsv(const std::vector<EvalRecord>& trajectory);
 Status SaveTrajectory(const std::vector<EvalRecord>& trajectory,
                       const std::string& path);

@@ -1,16 +1,49 @@
 #include "automl/evaluator.h"
 
+#include <cinttypes>
 #include <cmath>
 #include <exception>
 #include <new>
 
 #include "automl/config_io.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "fault/failpoint.h"
 #include "ml/metrics.h"
 #include "obs/obs.h"
 
 namespace autoem {
+
+namespace {
+
+/// A telemetry value in the trajectory CSV's printf format.
+std::string Format(double value) { return StrFormat("%.6f", value); }
+std::string Format(int64_t value) { return StrFormat("%" PRId64, value); }
+std::string Format(uint64_t value) { return StrFormat("%" PRIu64, value); }
+
+/// The CSV cell of one telemetry member: empty when unmeasured.
+template <auto kMember>
+std::string Cell(const TrialTelemetry& telemetry) {
+  const auto& value = telemetry.*kMember;
+  return value ? Format(*value) : std::string();
+}
+
+/// Growth of a monotone counter across a trial; 0 if it restarted (a new
+/// profiling session resets the sample count).
+uint64_t Growth(uint64_t before, uint64_t after) {
+  return after > before ? after - before : 0;
+}
+
+}  // namespace
+
+const std::array<TrialTelemetry::Column, 6> TrialTelemetry::kColumns = {{
+    {"cpu_seconds", Cell<&TrialTelemetry::cpu_seconds>},
+    {"peak_rss_delta_kb", Cell<&TrialTelemetry::peak_rss_delta_kb>},
+    {"allocs", Cell<&TrialTelemetry::allocs>},
+    {"profile_samples", Cell<&TrialTelemetry::profile_samples>},
+    {"pool_wait_micros", Cell<&TrialTelemetry::pool_wait_micros>},
+    {"pool_busy_micros", Cell<&TrialTelemetry::pool_busy_micros>},
+}};
 
 const char* TrialFailureName(TrialFailure failure) {
   switch (failure) {
@@ -95,20 +128,19 @@ EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
       obs::MetricsRegistry::Global().GetHistogram("automl.pipeline_eval_ms");
   static obs::Histogram* trial_cpu_ms =
       obs::MetricsRegistry::Global().GetHistogram("automl.trial_cpu_ms");
-  obs::Span span("automl.pipeline_eval");
-  obs::ResourceProbe probe;
-  uint64_t profile_samples_before =
-      obs::ProfilingEnabled() ? obs::ProfileSampleCount() : 0;
-  // Pool wait/run attribution (obs v4): trials run serially, so deltas of
-  // the process-wide pool counters belong to this trial, same as the
-  // profile-sample delta below.
   static obs::Counter* pool_wait =
       obs::MetricsRegistry::Global().GetCounter("threadpool.wait_micros");
   static obs::Counter* pool_busy =
       obs::MetricsRegistry::Global().GetCounter("threadpool.busy_micros");
-  const bool pool_split_sampled = obs::ResourceProbesEnabled();
-  uint64_t pool_wait_before = pool_split_sampled ? pool_wait->Total() : 0;
-  uint64_t pool_busy_before = pool_split_sampled ? pool_busy->Total() : 0;
+  obs::Span span("automl.pipeline_eval");
+  // Telemetry: snapshot each source that is on here, take the deltas after
+  // the trial. Trials run serially, so process-wide deltas are this trial's.
+  const bool probed = obs::ResourceProbesEnabled();
+  const bool profiled = obs::ProfilingEnabled();
+  obs::ResourceProbe probe(probed);
+  const uint64_t wait_before = probed ? pool_wait->Total() : 0;
+  const uint64_t busy_before = probed ? pool_busy->Total() : 0;
+  const uint64_t samples_before = profiled ? obs::ProfileSampleCount() : 0;
 
   EvalRecord record;
   record.config = config;
@@ -144,43 +176,38 @@ EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
   }
   record.fit_seconds = timer.ElapsedSeconds();
   record.elapsed_seconds = lifetime_.ElapsedSeconds() + elapsed_offset_;
-  record.resources = probe.Take();
-  if (obs::ProfilingEnabled()) {
-    uint64_t after = obs::ProfileSampleCount();
-    record.profile_samples =
-        after > profile_samples_before ? after - profile_samples_before : 0;
+  TrialTelemetry& telemetry = record.telemetry;
+  if (probed) {
+    obs::ResourceUsage used = probe.Take();
+    telemetry.cpu_seconds = used.cpu_seconds;
+    telemetry.peak_rss_delta_kb = used.peak_rss_delta_kb;
+    telemetry.allocs = used.allocs;
+    telemetry.pool_wait_micros = Growth(wait_before, pool_wait->Total());
+    telemetry.pool_busy_micros = Growth(busy_before, pool_busy->Total());
   }
-  if (pool_split_sampled) {
-    uint64_t wait_after = pool_wait->Total();
-    uint64_t busy_after = pool_busy->Total();
-    record.pool_wait_micros =
-        wait_after > pool_wait_before ? wait_after - pool_wait_before : 0;
-    record.pool_busy_micros =
-        busy_after > pool_busy_before ? busy_after - pool_busy_before : 0;
+  if (profiled) {
+    telemetry.profile_samples =
+        Growth(samples_before, obs::ProfileSampleCount());
   }
 
   trials->Add();
   eval_ms->Observe(record.fit_seconds * 1000.0);
-  if (record.resources.sampled) {
-    trial_cpu_ms->Observe(record.resources.cpu_seconds * 1000.0);
-  }
+  if (probed) trial_cpu_ms->Observe(*telemetry.cpu_seconds * 1000.0);
   if (span.active()) {
     span.Arg("trial", record.trial);
     span.Arg("config_hash", ConfigurationHash(config));
     span.Arg("valid_f1", record.valid_f1);
     span.Arg("fit_ms", record.fit_seconds * 1000.0);
     span.Arg("failure", TrialFailureName(record.failure));
-    if (record.resources.sampled) {
-      span.Arg("cpu_ms", record.resources.cpu_seconds * 1000.0);
-      span.Arg("rss_delta_kb", record.resources.peak_rss_delta_kb);
-      span.Arg("allocs", record.resources.allocs);
+    if (probed) {
+      span.Arg("cpu_ms", *telemetry.cpu_seconds * 1000.0);
+      span.Arg("rss_delta_kb", *telemetry.peak_rss_delta_kb);
+      span.Arg("allocs", *telemetry.allocs);
+      span.Arg("pool_wait_us", *telemetry.pool_wait_micros);
+      span.Arg("pool_busy_us", *telemetry.pool_busy_micros);
     }
-    if (record.profile_samples > 0) {
-      span.Arg("profile_samples", record.profile_samples);
-    }
-    if (pool_split_sampled) {
-      span.Arg("pool_wait_us", record.pool_wait_micros);
-      span.Arg("pool_busy_us", record.pool_busy_micros);
+    if (telemetry.profile_samples.value_or(0) > 0) {
+      span.Arg("profile_samples", *telemetry.profile_samples);
     }
   }
   AUTOEM_LOG(DEBUG) << "trial " << record.trial << " valid_f1="

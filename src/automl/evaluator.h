@@ -1,6 +1,9 @@
 #ifndef AUTOEM_AUTOML_EVALUATOR_H_
 #define AUTOEM_AUTOML_EVALUATOR_H_
 
+#include <array>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -8,15 +11,42 @@
 #include "common/timer.h"
 #include "fault/cancel.h"
 #include "ml/dataset.h"
-#include "obs/resource.h"
 
 namespace autoem {
 
-/// Resource attribution for one trial, captured by an obs::ResourceProbe
-/// when the run is profiled (`--resources`). `sampled == false` (all zeros)
-/// when probes were off — serialized that way so resumed runs and reports
-/// can tell "free" from "unmeasured".
-using TrialResources = obs::ResourceUsage;
+/// What one trial cost, captured around HoldoutEvaluator::Evaluate. A
+/// column holds a value only when its source was on: resource probes
+/// (`--resources`) for all but `profile_samples`, a running profiler for
+/// that one. So "unmeasured" never reads as "free". Trials run one at a
+/// time, so the process-wide counters behind allocs, profile_samples and
+/// the pool split attribute cleanly to the trial that moved them.
+struct TrialTelemetry {
+  /// CPU burned by the search thread (CLOCK_THREAD_CPUTIME_ID). Pool
+  /// workers' share shows up in pool_busy_micros instead.
+  std::optional<double> cpu_seconds;
+  /// Growth of the process peak RSS; nonzero pins which trial pushed it.
+  std::optional<int64_t> peak_rss_delta_kb;
+  /// operator-new calls across the trial (`--resources` turns on the
+  /// allocation counter along with the probes).
+  std::optional<uint64_t> allocs;
+  /// CPU-profile samples taken while the trial ran, its pool tasks
+  /// included.
+  std::optional<uint64_t> profile_samples;
+  /// Summed enqueue-to-dequeue delay and summed run time of the trial's
+  /// thread-pool tasks.
+  std::optional<uint64_t> pool_wait_micros;
+  std::optional<uint64_t> pool_busy_micros;
+
+  /// One trajectory CSV column: its header name and the cell it prints
+  /// for a trial, empty when unmeasured.
+  struct Column {
+    const char* name;
+    std::string (*cell)(const TrialTelemetry& telemetry);
+  };
+  /// Every telemetry column, in CSV order. A new column is a member above,
+  /// an entry here and its capture in Evaluate; checkpoints never change.
+  static const std::array<Column, 6> kColumns;
+};
 
 /// Why a trial was quarantined (SMAC treats failed evaluations as
 /// first-class data: worst-score imputation, never re-proposed).
@@ -51,28 +81,9 @@ struct EvalRecord {
   /// Human-readable cause for quarantined trials (Status message); empty on
   /// success. Not serialized into trajectories.
   std::string failure_message;
-  /// What the trial cost (CPU / wall / peak-RSS growth / allocations).
-  /// Measurement only — never feeds back into the search — so enabling
-  /// probes cannot change results. Flows into trajectory CSVs and v2
-  /// checkpoints.
-  TrialResources resources;
-  /// CPU-profile samples captured while this trial ran (obs v3): the delta
-  /// of obs::ProfileSampleCount() across the evaluation. Zero when no
-  /// profile was being taken. Trials run serially, so the process-wide
-  /// sample count attributes cleanly; with worker threads registered, a
-  /// trial's samples include the CPU its pool tasks burned. Joins the
-  /// trajectory CSV (`profile_samples`) and v3 checkpoints.
-  uint64_t profile_samples = 0;
-  /// Thread-pool wait/run split for this trial (obs v4): deltas of the
-  /// process-wide `threadpool.wait_micros` / `threadpool.busy_micros`
-  /// counters across the evaluation. Wait is summed enqueue→dequeue queue
-  /// delay of the trial's pool tasks; busy is their summed execution wall
-  /// time. Both zero when resource probes were off (trials run serially, so
-  /// the process-wide counters attribute cleanly, like profile_samples).
-  /// Joins the trajectory CSV (`pool_wait_micros`, `pool_busy_micros`) and
-  /// v4 checkpoints.
-  uint64_t pool_wait_micros = 0;
-  uint64_t pool_busy_micros = 0;
+  /// What the trial cost. Measurement only: never read by the search and
+  /// never checkpointed, so probes and profiling cannot change a result.
+  TrialTelemetry telemetry;
 };
 
 /// Per-trial resource limits applied by the evaluator.

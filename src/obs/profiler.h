@@ -115,7 +115,7 @@ class ProfiledThreadScope {
 
 /// Samples captured into the ring so far (monotonic within one profiling
 /// run; reset by StartProfiling). Cheap enough to read per trial — the
-/// evaluator records the per-trial delta into EvalRecord::profile_samples.
+/// evaluator records the per-trial delta as TrialTelemetry::profile_samples.
 uint64_t ProfileSampleCount();
 /// Samples dropped because the ring was full. Exact:
 /// ProfileSampleCount() + ProfileDroppedSamples() == ticks handled.

@@ -237,6 +237,8 @@ const fmt = (v, d) => (v === null || v === undefined || v === "" || isNaN(v))
     ? "—" : Number(v).toFixed(d === undefined ? 3 : d);
 const esc = s => String(s).replace(/&/g, "&amp;").replace(/</g, "&lt;")
     .replace(/>/g, "&gt;");
+// A raw table cell: "—" when the trajectory left it empty (unmeasured).
+const cell = v => (v === null || v === undefined || v === "") ? "—" : esc(v);
 
 // ---- metrics access (series / final / openmetrics fallback) -------------
 function parseOpenMetrics(text) {
@@ -636,7 +638,7 @@ function axes(c, x0, x1, y0, y1, yfmt) {
     html += `<tr${bad ? ' class="failed"' : ""}><td>${t.trial}</td>` +
       `<td>${fmt(t.valid_f1)}</td><td>${fmt(t.test_f1)}</td>` +
       `<td>${fmt(t.fit_seconds)}</td><td>${fmt(t.cpu_seconds)}</td>` +
-      `<td>${t.peak_rss_delta_kb ?? "—"}</td><td>${t.allocs ?? "—"}</td>` +
+      `<td>${cell(t.peak_rss_delta_kb)}</td><td>${cell(t.allocs)}</td>` +
       `<td class="l">${esc(t.failure ?? "")}</td>` +
       `<td class="l mono">${esc(t.config_hash ?? "")}</td></tr>`;
   }

@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "obs/trace.h"
-
 #if !defined(_WIN32)
 #include <sys/resource.h>
 #include <time.h>
@@ -87,7 +85,6 @@ ResourceProbe::ResourceProbe(bool enabled) {
   if (!enabled) return;
   active_ = true;
   start_cpu_s_ = ThreadCpuSeconds();
-  start_wall_us_ = internal::NowMicros();
   start_peak_rss_kb_ = PeakRssKb();
   start_allocs_ = AllocationCount();
 }
@@ -95,10 +92,7 @@ ResourceProbe::ResourceProbe(bool enabled) {
 ResourceUsage ResourceProbe::Take() const {
   ResourceUsage usage;
   if (!active_) return usage;
-  usage.sampled = true;
   usage.cpu_seconds = ThreadCpuSeconds() - start_cpu_s_;
-  usage.wall_seconds =
-      static_cast<double>(internal::NowMicros() - start_wall_us_) * 1e-6;
   int64_t peak_now = PeakRssKb();
   if (peak_now >= 0 && start_peak_rss_kb_ >= 0 &&
       peak_now > start_peak_rss_kb_) {

@@ -10,32 +10,30 @@ namespace obs {
 /// Per-scope resource accounting (obs v2).
 ///
 /// A ResourceProbe is the resource-side sibling of a trace Span: an RAII
-/// sampler that captures how much thread CPU time, wall time, peak RSS, and
-/// heap allocation a scope consumed. Probes are attached to every search
+/// sampler that captures how much thread CPU time, peak RSS, and heap
+/// allocation a scope consumed. Probes are attached to every search
 /// trial, CV fold, and active-learning iteration so a run can answer the
 /// question the tuning-budget experiments hinge on: *where* the time and
 /// memory actually went.
 ///
 /// Probes are off by default. A disabled probe is one relaxed atomic load
 /// plus a branch (~1 ns, proven by bench_obs_overhead) — cheap enough to
-/// construct unconditionally on hot-ish paths. Enabled, a probe costs two
+/// construct unconditionally on hot-ish paths. Enabled, a probe costs one
 /// clock_gettime + one getrusage call at each end of the scope; that is
 /// noise at trial/fold granularity and is why probes never attach per row.
 ///
-/// Resource numbers are *measurements*, not results: they flow into
-/// EvalRecord/trajectory/checkpoints but never into any model computation,
-/// so enabling probes cannot change a single output bit
-/// (parallel_determinism_test runs with probes on).
+/// Resource numbers are *measurements*, not results: they flow into trial
+/// telemetry, trajectory CSVs and span args but never into any model
+/// computation or checkpoint, so enabling probes cannot change a single
+/// output bit (parallel_determinism_test runs with probes on).
 
-/// What one probe measured. All deltas are scope-relative; `sampled` is
-/// false when the probe was disabled (every field then reads zero).
+/// What one probe measured. All deltas are scope-relative; a disabled
+/// probe reads zero everywhere.
 struct ResourceUsage {
   /// CPU seconds consumed by the *calling thread* between construction and
   /// Take() (CLOCK_THREAD_CPUTIME_ID). Work done on pool workers inside the
   /// scope shows up in the thread-pool busy counters instead.
   double cpu_seconds = 0.0;
-  /// Wall-clock seconds for the same interval.
-  double wall_seconds = 0.0;
   /// Growth of the process peak RSS (getrusage ru_maxrss) across the scope,
   /// in kilobytes. Zero once the process high-water mark stops moving —
   /// a nonzero value pins *which trial* pushed the peak.
@@ -45,9 +43,6 @@ struct ResourceUsage {
   /// time on the search thread, so the process-wide delta attributes
   /// cleanly per trial.
   uint64_t allocs = 0;
-  /// True when captured by an enabled probe. Serialized alongside the
-  /// numbers so a report can distinguish "zero cost" from "not measured".
-  bool sampled = false;
 };
 
 namespace internal {
@@ -87,14 +82,13 @@ class ResourceProbe {
 
   bool active() const { return active_; }
 
-  /// Deltas since construction. On a disabled probe this returns a
-  /// default ResourceUsage with sampled == false.
+  /// Deltas since construction; all zero on a disabled probe, so check
+  /// active() to tell "free" from "not measured".
   ResourceUsage Take() const;
 
  private:
   bool active_ = false;
   double start_cpu_s_ = 0.0;
-  uint64_t start_wall_us_ = 0;
   int64_t start_peak_rss_kb_ = 0;
   uint64_t start_allocs_ = 0;
 };

@@ -146,79 +146,62 @@ TEST(SearchCheckpointTest, RoundTripsAllFields) {
   std::remove(path.c_str());
 }
 
-TEST(SearchCheckpointTest, ResourcesRoundTrip) {
-  std::string path = TempPath("autoem_ckpt_res.aemk");
-  SearchCheckpoint state = MakeCheckpoint();
-  state.history[0].resources.sampled = true;
-  state.history[0].resources.cpu_seconds = 0.125;
-  state.history[0].resources.wall_seconds = 0.5;
-  // Negative RSS delta is legal (a trial can end below its start watermark
-  // only in delta terms after a concurrent peak); the field is signed.
-  state.history[0].resources.peak_rss_delta_kb = -64;
-  state.history[0].resources.allocs = 123456789;
-  // v4 fields: the thread-pool wait/run split.
-  state.history[0].pool_wait_micros = 4242;
-  state.history[0].pool_busy_micros = 987654321;
-  ASSERT_TRUE(SaveSearchCheckpoint(state, path).ok());
+TEST(SearchCheckpointTest, TelemetryIsNotCheckpointed) {
+  // Telemetry is a measurement, not resume state: setting it changes no
+  // checkpoint byte, and restored trials come back unmeasured.
+  SearchCheckpoint plain = MakeCheckpoint();
+  SearchCheckpoint measured = plain;
+  measured.history[0].telemetry = {0.125, -64, 123456789, 17, 4242, 987654};
+  std::string bytes = SerializeSearchCheckpoint(measured);
+  EXPECT_EQ(bytes, SerializeSearchCheckpoint(plain));
 
-  auto loaded = LoadSearchCheckpoint(path);
+  auto loaded = DeserializeSearchCheckpoint(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->history.size(), 2u);
-  EXPECT_TRUE(loaded->history[0].resources.sampled);
-  EXPECT_DOUBLE_EQ(loaded->history[0].resources.cpu_seconds, 0.125);
-  EXPECT_DOUBLE_EQ(loaded->history[0].resources.wall_seconds, 0.5);
-  EXPECT_EQ(loaded->history[0].resources.peak_rss_delta_kb, -64);
-  EXPECT_EQ(loaded->history[0].resources.allocs, 123456789u);
-  EXPECT_EQ(loaded->history[0].pool_wait_micros, 4242u);
-  EXPECT_EQ(loaded->history[0].pool_busy_micros, 987654321u);
-  EXPECT_FALSE(loaded->history[1].resources.sampled);
-  EXPECT_EQ(loaded->history[1].pool_wait_micros, 0u);
-  std::remove(path.c_str());
+  for (const EvalRecord& record : loaded->history) {
+    for (const TrialTelemetry::Column& column : TrialTelemetry::kColumns) {
+      EXPECT_EQ(column.cell(record.telemetry), "") << column.name;
+    }
+  }
 }
 
-TEST(SearchCheckpointTest, ReadsVersion1Checkpoint) {
-  // Hand-assembled v1 container (the pre-resources record layout): a v2
-  // build must load it with resources defaulting to "not sampled".
+TEST(SearchCheckpointTest, OlderVersionsRejected) {
+  // Today's layout stamped v4, the last version that carried telemetry
+  // (the version is the u32 after the magic; the CRC covers only the
+  // payload), and the fuzz corpus's hand-assembled v1 container.
+  std::string v4 = SerializeSearchCheckpoint(MakeCheckpoint());
+  fuzz::OverwriteLe(&v4, 4, 4, 4);
+  std::vector<std::string> containers = {v4};
+  for (const fuzz::Seed& seed : fuzz::CheckpointSeeds()) {
+    if (seed.name == "search_v1") containers.push_back(seed.bytes);
+  }
+  ASSERT_EQ(containers.size(), 2u);
+  for (const std::string& bytes : containers) {
+    auto loaded = DeserializeSearchCheckpoint(bytes);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("version"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(SearchCheckpointTest, HistoryCountBoundedByMinimumRecordSize) {
+  // A history record takes at least 53 bytes, so a payload declaring one
+  // record per 8 remaining bytes must fail the length check up front,
+  // before the history is allocated.
   io::Writer payload;
   payload.U64(7);           // seed
   payload.Str("13 17 19");  // rng_state
   payload.U8(0);            // interleave_random
   payload.F64(3.25);        // elapsed_seconds
-  payload.U64(1);           // one history record
-  Configuration config;
-  config["classifier:__choice__"] = std::string("random_forest");
-  config["classifier:random_forest:n_estimators"] = 32;
-  WriteConfigurationBinary(&payload, config);
-  payload.F64(0.5);   // valid_f1
-  payload.F64(0.4);   // test_f1
-  payload.F64(0.1);   // fit_seconds
-  payload.I32(0);     // trial
-  payload.F64(1.5);   // elapsed_seconds
-  payload.U8(0);      // failure = kNone
-  payload.Str("");    // failure_message
-  payload.U64(0);     // no failed hashes
-
-  io::Writer file;
-  for (char c : kCheckpointMagic) file.U8(static_cast<uint8_t>(c));
-  file.U32(1);  // version 1 — no resource fields in the records
-  file.U8(kSearchCheckpointKind);
-  file.U64(payload.size());
-  file.U32(io::Crc32(payload.data()));
-  file.Raw(payload.data());
-  std::string path = TempPath("autoem_ckpt_v1.aemk");
-  MustWriteRaw(path, file.data());
-
-  auto loaded = LoadSearchCheckpoint(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->seed, 7u);
-  EXPECT_EQ(loaded->rng_state, "13 17 19");
-  ASSERT_EQ(loaded->history.size(), 1u);
-  EXPECT_EQ(loaded->history[0].config, config);
-  EXPECT_DOUBLE_EQ(loaded->history[0].valid_f1, 0.5);
-  EXPECT_FALSE(loaded->history[0].resources.sampled);
-  EXPECT_DOUBLE_EQ(loaded->history[0].resources.cpu_seconds, 0.0);
-  EXPECT_EQ(loaded->history[0].resources.allocs, 0u);
-  std::remove(path.c_str());
+  const std::string rest(8 * 53, '\0');
+  payload.U64(rest.size() / 8);
+  payload.Raw(rest);
+  auto loaded = DeserializeSearchCheckpoint(
+      SerializeCheckpointBytes(kSearchCheckpointKind, payload));
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("declared length"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(SearchCheckpointTest, SaveIsDeterministic) {
@@ -375,15 +358,16 @@ TEST(CheckpointCorruptionTest, CrcFieldDamageRejected) {
 
 TEST(CheckpointCorruptionTest, CheckpointSeedsReplayCleanly) {
   // Every checked-in AEMK seed must produce a clean Status from both
-  // deserializers (valid seeds parse under exactly one kind).
+  // deserializers: valid seeds parse under exactly one kind, and the rest
+  // (the v1 container, the truncation) under neither.
   for (const auto& seed : fuzz::CheckpointSeeds()) {
     auto search = DeserializeSearchCheckpoint(seed.bytes);
     auto active = DeserializeActiveCheckpoint(seed.bytes);
-    if (seed.name == "search_v2" || seed.name == "search_v1") {
+    if (seed.name == "search") {
       EXPECT_TRUE(search.ok()) << seed.name << ": "
                                << search.status().ToString();
       EXPECT_FALSE(active.ok()) << seed.name;
-    } else if (seed.name == "active_v2") {
+    } else if (seed.name == "active") {
       EXPECT_FALSE(search.ok()) << seed.name;
       EXPECT_TRUE(active.ok()) << seed.name << ": "
                                << active.status().ToString();

@@ -19,6 +19,7 @@
 #include "automl/explain.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "obs/json.h"
 #include "obs/obs.h"
@@ -529,6 +530,10 @@ TEST(TrajectoryTest, SerializeTrajectoryCsvFormat) {
   b.trial = 1;
   b.elapsed_seconds = 3.0;
   b.valid_f1 = 0.75;
+  b.telemetry = {0.25, -64, 123456, 7, 42, 4242};
+  const std::string hash =
+      StrFormat("%016llx", static_cast<unsigned long long>(
+                               ConfigurationHash(a.config)));
 
   std::string csv = SerializeTrajectoryCsv({a, b});
   std::istringstream in(csv);
@@ -539,12 +544,13 @@ TEST(TrajectoryTest, SerializeTrajectoryCsvFormat) {
             "best_f1_so_far,config_hash,cpu_seconds,peak_rss_delta_kb,"
             "allocs,profile_samples,pool_wait_micros,pool_busy_micros,"
             "failure");
+  // Unmeasured telemetry leaves its six cells empty, never zero.
   ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line.substr(0, 2), "0,");
+  EXPECT_EQ(line, "0,1.500000,1.250000,0.5,-1,0.5," + hash + ",,,,,,,ok");
+  // Measured telemetry fills them; best_f1_so_far is the running max.
   ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line.substr(0, 2), "1,");
-  // best_f1_so_far is the running max.
-  EXPECT_NE(line.find("0.75"), std::string::npos);
+  EXPECT_EQ(line, "1,3.000000,1.250000,0.75,-1,0.75," + hash +
+                      ",0.250000,-64,123456,7,42,4242,ok");
   EXPECT_FALSE(std::getline(in, line) && !line.empty());
 }
 
