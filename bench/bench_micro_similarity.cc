@@ -66,6 +66,63 @@ void BM_LevenshteinReference(benchmark::State& state) {
 }
 BENCHMARK(BM_LevenshteinReference)->Arg(2)->Arg(8)->Arg(24);
 
+// The quadratic alignment kernels and Jaro, each beside its scalar oracle:
+// the 64-word rows are product-description length, where Jaro runs on
+// multi-word bitsets and NW/SW on long anti-diagonals.
+void BM_Jaro(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 3);
+  std::string b = MakeString(state.range(0), 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(JaroSimilarity(a, b));
+  }
+}
+BENCHMARK(BM_Jaro)->Arg(2)->Arg(8)->Arg(24)->Arg(64);
+
+void BM_JaroReference(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 3);
+  std::string b = MakeString(state.range(0), 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference::JaroSimilarity(a, b));
+  }
+}
+BENCHMARK(BM_JaroReference)->Arg(2)->Arg(8)->Arg(24)->Arg(64);
+
+void BM_NeedlemanWunsch(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 12);
+  std::string b = MakeString(state.range(0), 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(NeedlemanWunsch(a, b));
+  }
+}
+BENCHMARK(BM_NeedlemanWunsch)->Arg(2)->Arg(8)->Arg(24)->Arg(64);
+
+void BM_NeedlemanWunschReference(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 12);
+  std::string b = MakeString(state.range(0), 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference::NeedlemanWunsch(a, b));
+  }
+}
+BENCHMARK(BM_NeedlemanWunschReference)->Arg(2)->Arg(8)->Arg(24)->Arg(64);
+
+void BM_SmithWaterman(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 14);
+  std::string b = MakeString(state.range(0), 15);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SmithWaterman(a, b));
+  }
+}
+BENCHMARK(BM_SmithWaterman)->Arg(2)->Arg(8)->Arg(24)->Arg(64);
+
+void BM_SmithWatermanReference(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 14);
+  std::string b = MakeString(state.range(0), 15);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference::SmithWaterman(a, b));
+  }
+}
+BENCHMARK(BM_SmithWatermanReference)->Arg(2)->Arg(8)->Arg(24)->Arg(64);
+
 void BM_JaroWinkler(benchmark::State& state) {
   std::string a = MakeString(state.range(0), 3);
   std::string b = MakeString(state.range(0), 4);

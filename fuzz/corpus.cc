@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <utility>
 
 #include "active/active_checkpoint.h"
@@ -465,6 +466,49 @@ std::vector<Seed> JsonSeeds() {
 
 namespace {
 
+// kernel_fuzzer's input layout: big-endian u16 length of a, a, then b.
+Seed KernelPair(std::string name, std::string_view a, std::string_view b) {
+  std::string bytes;
+  bytes.push_back(static_cast<char>(a.size() >> 8));
+  bytes.push_back(static_cast<char>(a.size() & 0xFF));
+  bytes.append(a);
+  bytes.append(b);
+  return {std::move(name), std::move(bytes)};
+}
+
+}  // namespace
+
+std::vector<Seed> KernelSeeds() {
+  std::vector<Seed> seeds;
+  seeds.push_back(KernelPair("empty_pair", "", ""));
+  seeds.push_back(KernelPair("empty_vs_word", "", "york"));
+  seeds.push_back(KernelPair("token_in_phrase", "york", "new york city"));
+  seeds.push_back(KernelPair("transposed", "martha", "marhta"));
+  seeds.push_back(KernelPair("window_edge", "dixon", "dicksonx"));
+  seeds.push_back(KernelPair("repeated_tokens", "a a a b c", "c b b a"));
+  seeds.push_back(
+      KernelPair("word_edge_64_65", std::string(64, 'x'),
+                 std::string(32, 'x') + "y" + std::string(32, 'x')));
+  seeds.push_back(KernelPair("word_edge_128_129", std::string(128, 'y'),
+                             std::string(129, 'y')));
+  seeds.push_back(KernelPair(
+      "hostile_bytes", std::string("a\0b \t\xC3\xA9\xFF", 8),
+      std::string("\xFF\xC3\xA9\v\f\r\n b\0a", 11)));
+  seeds.push_back(KernelPair(
+      "product_descriptions",
+      "sony bravia 46 inch lcd hdtv kdl46v5100 1080p full hd 120hz motionflow "
+      "bravia engine 2 4 hdmi inputs usb port for photos and music black "
+      "high gloss finish with swivel stand",
+      "sony kdl-46v5100 46in bravia v series 1080p lcd hdtv full hd "
+      "resolution motionflow 120hz bravia engine 2 hdmi inputs x4 usb photo "
+      "viewer piano black finish"));
+  seeds.push_back(KernelPair("long_vs_short",
+                             std::string(300, 'z') + " end", "z"));
+  return seeds;
+}
+
+namespace {
+
 Status WriteSeedDir(const std::string& dir, const std::string& harness,
                     const std::vector<Seed>& seeds) {
   namespace fs = std::filesystem;
@@ -495,6 +539,7 @@ Status WriteSeedCorpus(const std::string& dir, bool with_model) {
   AUTOEM_RETURN_IF_ERROR(
       WriteSeedDir(dir, "model_io", ModelEnvelopeSeeds()));
   AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "json", JsonSeeds()));
+  AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "kernel", KernelSeeds()));
   if (with_model) {
     // The deep-parse seed: a real trained container, deterministic because
     // every seed below is pinned (same recipe as tests/model_io_test.cc).

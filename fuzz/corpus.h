@@ -54,6 +54,13 @@ std::vector<Seed> ModelEnvelopeSeeds();
 /// drift with the writers.
 std::vector<Seed> JsonSeeds();
 
+/// String pairs for the kernel differential harness, each encoded as a
+/// big-endian u16 length of the first string, the first string, then the
+/// second: empties, single tokens, transpositions, strings at the 64-bit
+/// word edges, NUL/high/whitespace bytes, and a product-description pair.
+/// Fixed strings, so the seeds never drift.
+std::vector<Seed> KernelSeeds();
+
 /// A populated two-trial checkpoint with a failed trial and quarantine
 /// hashes — the "rich" fixture behind CheckpointSeeds and the
 /// corruption-matrix tests.

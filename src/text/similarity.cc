@@ -1,7 +1,9 @@
 #include "text/similarity.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -28,6 +30,10 @@ size_t SetSize(const std::vector<std::string>& v) {
   return s.size();
 }
 
+constexpr int kMatchScore = 1;
+constexpr int kMismatchScore = -1;
+constexpr int kGapScore = -1;
+
 }  // namespace
 
 namespace reference {
@@ -52,6 +58,117 @@ int LevenshteinDistance(std::string_view a, std::string_view b) {
     }
   }
   return row[n];
+}
+
+double JaroSimilarity(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const size_t la = a.size();
+  const size_t lb = b.size();
+  const size_t match_window =
+      std::max<size_t>(1, std::max(la, lb) / 2) - 1;
+
+  std::vector<bool> a_matched(la, false);
+  std::vector<bool> b_matched(lb, false);
+  size_t matches = 0;
+  for (size_t i = 0; i < la; ++i) {
+    size_t lo = i > match_window ? i - match_window : 0;
+    size_t hi = std::min(lb, i + match_window + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (!b_matched[j] && a[i] == b[j]) {
+        a_matched[i] = true;
+        b_matched[j] = true;
+        ++matches;
+        break;
+      }
+    }
+  }
+  if (matches == 0) return 0.0;
+
+  // Count transpositions among matched characters.
+  size_t transpositions = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < la; ++i) {
+    if (!a_matched[i]) continue;
+    while (!b_matched[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  double m = static_cast<double>(matches);
+  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+}
+
+double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
+  double jaro = JaroSimilarity(a, b);
+  const double kPrefixScale = 0.1;
+  size_t prefix = 0;
+  size_t limit = std::min({a.size(), b.size(), static_cast<size_t>(4)});
+  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  return jaro + prefix * kPrefixScale * (1.0 - jaro);
+}
+
+double NeedlemanWunsch(std::string_view a, std::string_view b) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  if (n == 0 && m == 0) return 1.0;
+  std::vector<int> row(m + 1);
+  for (size_t j = 0; j <= m; ++j) row[j] = static_cast<int>(j) * kGapScore;
+  for (size_t i = 1; i <= n; ++i) {
+    int prev_diag = row[0];
+    row[0] = static_cast<int>(i) * kGapScore;
+    for (size_t j = 1; j <= m; ++j) {
+      int diag = prev_diag +
+                 (a[i - 1] == b[j - 1] ? kMatchScore : kMismatchScore);
+      int up = row[j] + kGapScore;
+      int left = row[j - 1] + kGapScore;
+      prev_diag = row[j];
+      row[j] = std::max({diag, up, left});
+    }
+  }
+  // Raw score normalized by max(n, m) lands in [-1, 1]; rescale into [0, 1]
+  // so the feature range matches every other string kernel (identical -> 1,
+  // empty-vs-nonempty and all-mismatch -> 0).
+  const double normalized =
+      static_cast<double>(row[m]) / static_cast<double>(std::max(n, m));
+  return (normalized + 1.0) / 2.0;
+}
+
+double SmithWaterman(std::string_view a, std::string_view b) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  if (n == 0 || m == 0) return (n == 0 && m == 0) ? 1.0 : 0.0;
+  std::vector<int> row(m + 1, 0);
+  int best = 0;
+  for (size_t i = 1; i <= n; ++i) {
+    int prev_diag = row[0];
+    row[0] = 0;
+    for (size_t j = 1; j <= m; ++j) {
+      int diag = prev_diag +
+                 (a[i - 1] == b[j - 1] ? kMatchScore : kMismatchScore);
+      int up = row[j] + kGapScore;
+      int left = row[j - 1] + kGapScore;
+      prev_diag = row[j];
+      row[j] = std::max({0, diag, up, left});
+      best = std::max(best, row[j]);
+    }
+  }
+  return static_cast<double>(best) / static_cast<double>(std::min(n, m));
+}
+
+double MongeElkan(std::string_view a, std::string_view b) {
+  std::vector<std::string> tokens_a = WhitespaceTokenize(a);
+  std::vector<std::string> tokens_b = WhitespaceTokenize(b);
+  if (tokens_a.empty() && tokens_b.empty()) return 1.0;
+  if (tokens_a.empty() || tokens_b.empty()) return 0.0;
+  double total = 0.0;
+  for (const auto& ta : tokens_a) {
+    double best = 0.0;
+    for (const auto& tb : tokens_b) {
+      best = std::max(best, JaroWinklerSimilarity(ta, tb));
+    }
+    total += best;
+  }
+  return total / static_cast<double>(tokens_a.size());
 }
 
 }  // namespace reference
@@ -149,6 +266,108 @@ double LevenshteinSimilarity(std::string_view a, std::string_view b) {
                    static_cast<double>(max_len);
 }
 
+namespace {
+
+// ---- Jaro: greedy matching on bitsets ---------------------------------------
+//
+// The scalar scan gives a[i] the first unmatched j inside its window with
+// b[j] == a[i]. With peq[c] the set of positions where b holds byte c, that
+// j is the lowest set bit of peq[a[i]] & ~b_matched & window, so both
+// kernels below pick the same pairs as the scan, in the same order.
+
+struct JaroCounts {
+  size_t matches = 0;
+  size_t transpositions = 0;
+};
+
+// Both strings fit in one word each.
+JaroCounts JaroCounts64(std::string_view a, std::string_view b,
+                        size_t window) {
+  uint64_t peq[256];
+  // Only the rows the two strings index are read, so only those are cleared.
+  for (const char c : a) peq[static_cast<unsigned char>(c)] = 0;
+  for (const char c : b) peq[static_cast<unsigned char>(c)] = 0;
+  for (size_t j = 0; j < b.size(); ++j) {
+    peq[static_cast<unsigned char>(b[j])] |= uint64_t{1} << j;
+  }
+  uint64_t a_matched = 0;
+  uint64_t b_matched = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = i + window + 1;  // exclusive; peq has no bit >= |b|
+    const uint64_t in_window =
+        (hi >= 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1) &
+        (~uint64_t{0} << lo);
+    const uint64_t candidates =
+        peq[static_cast<unsigned char>(a[i])] & ~b_matched & in_window;
+    if (candidates != 0) {
+      a_matched |= uint64_t{1} << i;
+      b_matched |= candidates & -candidates;
+    }
+  }
+  JaroCounts counts;
+  counts.matches = static_cast<size_t>(std::popcount(a_matched));
+  for (uint64_t am = a_matched, bm = b_matched; am != 0;
+       am &= am - 1, bm &= bm - 1) {
+    counts.transpositions +=
+        a[std::countr_zero(am)] != b[std::countr_zero(bm)];
+  }
+  return counts;
+}
+
+// Either string is longer than 64 bytes: the same scan over multi-word
+// bitsets, visiting only the words the window covers.
+JaroCounts JaroCountsBlocked(std::string_view a, std::string_view b,
+                             size_t window) {
+  const size_t la = a.size();
+  const size_t lb = b.size();
+  const size_t words = (lb + 63) / 64;
+  thread_local std::vector<uint64_t> peq;
+  thread_local std::vector<uint64_t> a_matched;
+  thread_local std::vector<uint64_t> b_matched;
+  peq.assign(256 * words, 0);
+  a_matched.assign((la + 63) / 64, 0);
+  b_matched.assign(words, 0);
+  for (size_t j = 0; j < lb; ++j) {
+    peq[static_cast<unsigned char>(b[j]) * words + j / 64] |= uint64_t{1}
+                                                              << (j % 64);
+  }
+  JaroCounts counts;
+  for (size_t i = 0; i < la; ++i) {
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = std::min(lb, i + window + 1);  // exclusive
+    if (lo >= hi) break;  // windows only move right: no later a[i] matches
+    const uint64_t* eq = &peq[static_cast<unsigned char>(a[i]) * words];
+    const size_t first = lo / 64;
+    const size_t last = (hi - 1) / 64;
+    for (size_t k = first; k <= last; ++k) {
+      uint64_t candidates = eq[k] & ~b_matched[k];
+      if (k == first) candidates &= ~uint64_t{0} << (lo % 64);
+      if (k == last) candidates &= ~uint64_t{0} >> (63 - (hi - 1) % 64);
+      if (candidates != 0) {
+        b_matched[k] |= candidates & -candidates;
+        a_matched[i / 64] |= uint64_t{1} << (i % 64);
+        ++counts.matches;
+        break;
+      }
+    }
+  }
+  // Walk both matched sets in order; they hold the same number of bits.
+  size_t kb = 0;
+  uint64_t bm = b_matched[0];
+  for (size_t ka = 0; ka < a_matched.size(); ++ka) {
+    for (uint64_t am = a_matched[ka]; am != 0; am &= am - 1) {
+      while (bm == 0) bm = b_matched[++kb];
+      counts.transpositions += a[ka * 64 + std::countr_zero(am)] !=
+                               b[kb * 64 + std::countr_zero(bm)];
+      bm &= bm - 1;
+    }
+  }
+  return counts;
+}
+
+}  // namespace
+
 double JaroSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
@@ -156,35 +375,13 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   const size_t lb = b.size();
   const size_t match_window =
       std::max<size_t>(1, std::max(la, lb) / 2) - 1;
-
-  std::vector<bool> a_matched(la, false);
-  std::vector<bool> b_matched(lb, false);
-  size_t matches = 0;
-  for (size_t i = 0; i < la; ++i) {
-    size_t lo = i > match_window ? i - match_window : 0;
-    size_t hi = std::min(lb, i + match_window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (!b_matched[j] && a[i] == b[j]) {
-        a_matched[i] = true;
-        b_matched[j] = true;
-        ++matches;
-        break;
-      }
-    }
-  }
-  if (matches == 0) return 0.0;
-
-  // Count transpositions among matched characters.
-  size_t transpositions = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < la; ++i) {
-    if (!a_matched[i]) continue;
-    while (!b_matched[j]) ++j;
-    if (a[i] != b[j]) ++transpositions;
-    ++j;
-  }
-  double m = static_cast<double>(matches);
-  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+  const JaroCounts counts = la <= 64 && lb <= 64
+                                ? JaroCounts64(a, b, match_window)
+                                : JaroCountsBlocked(a, b, match_window);
+  if (counts.matches == 0) return 0.0;
+  // The reference's expression, on the same integers.
+  double m = static_cast<double>(counts.matches);
+  return (m / la + m / lb + (m - counts.transpositions / 2.0) / m) / 3.0;
 }
 
 double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
@@ -202,69 +399,163 @@ double ExactMatch(std::string_view a, std::string_view b) {
 
 namespace {
 
-constexpr int kMatchScore = 1;
-constexpr int kMismatchScore = -1;
-constexpr int kGapScore = -1;
+// ---- NW / SW: anti-diagonal DP over 8 x int16 lanes -------------------------
+//
+// H[i][j] depends on H[i-1][j-1], H[i-1][j] and H[i][j-1], which lie on the
+// two previous anti-diagonals d-1 and d-2 (d = i + j). Indexed by i, a
+// diagonal's cells read a[i-1] and b[d-i-1]; both are contiguous in i once b
+// is reversed, so eight consecutive cells are one vector step. The lanes use
+// only the vector-extension operations GCC and Clang share.
+
+typedef int16_t Lanes __attribute__((vector_size(16)));
+constexpr size_t kLaneCount = sizeof(Lanes) / sizeof(int16_t);
+
+constexpr Lanes Splat(int16_t x) { return Lanes{x, x, x, x, x, x, x, x}; }
+
+Lanes Load(const int16_t* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void Store(int16_t* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+Lanes Max(Lanes x, Lanes y) {
+  const Lanes x_greater = x > y;
+  return (x & x_greater) | (y & ~x_greater);
+}
+
+// Per-thread buffers, grown on demand and never shrunk. Slots start at zero
+// and every value later written is a DP cell, a border cell or zero, so a
+// lane reading stale slots still sees values in [-limit, limit] and its
+// int16 arithmetic cannot overflow.
+struct AlignScratch {
+  std::vector<int16_t> a;        // a's bytes, widened
+  std::vector<int16_t> b;        // b's bytes reversed, widened
+  std::vector<int16_t> diag[3];  // three rotating diagonals, indexed by i
+};
+
+// Whether NW/SW run in lanes. Cells must fit in int16, and the shorter
+// string must span two lane steps: on shorter diagonals every step waits
+// on the previous diagonal's store, and the scalar row DP is faster.
+bool AlignsInLanes(size_t n, size_t m) {
+  return std::min(n, m) >= 2 * kLaneCount &&
+         std::max(n, m) <= kAlignmentLaneLimit;
+}
+
+// Returns H[n][m] (global, NW) or the best cell (local, SW) when
+// AlignsInLanes(|a|, |b|), equal to the reference's integer.
+template <bool kLocal>
+int AlignAntiDiagonal(std::string_view a, std::string_view b) {
+  // Both scores are symmetric. With i over the shorter string, at least
+  // half the diagonals start at i = 1, like the one before them.
+  if (a.size() > b.size()) std::swap(a, b);
+  const size_t n = a.size();
+  const size_t m = b.size();
+  thread_local AlignScratch scratch;
+  // A lane step reads up to kLaneCount - 1 slots past the last cell.
+  scratch.a.resize(std::max(scratch.a.size(), n + kLaneCount));
+  scratch.b.resize(std::max(scratch.b.size(), m + kLaneCount));
+  for (std::vector<int16_t>& d : scratch.diag) {
+    d.resize(std::max(d.size(), n + 1 + kLaneCount));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    scratch.a[i] = static_cast<unsigned char>(a[i]);
+  }
+  for (size_t j = 0; j < m; ++j) {
+    scratch.b[j] = static_cast<unsigned char>(b[m - 1 - j]);
+  }
+  const int16_t* a16 = scratch.a.data();
+  const int16_t* rb16 = scratch.b.data();
+  int16_t* h2 = scratch.diag[0].data();  // diagonal d - 2
+  int16_t* h1 = scratch.diag[1].data();  // diagonal d - 1
+  int16_t* h0 = scratch.diag[2].data();  // diagonal d
+  auto border = [](size_t d) {
+    return static_cast<int16_t>(kLocal ? 0 : kGapScore * static_cast<int>(d));
+  };
+  h2[0] = 0;                  // H[0][0]
+  h1[0] = h1[1] = border(1);  // H[0][1], H[1][0]
+  const Lanes lane_ids = {0, 1, 2, 3, 4, 5, 6, 7};
+  const Lanes substitution_step = Splat(kMatchScore - kMismatchScore);
+  Lanes best = Splat(0);
+  for (size_t d = 2; d <= n + m; ++d) {
+    const size_t lo = d > m ? d - m : 1;  // interior cells: lo <= i <= hi
+    const size_t hi = std::min(n, d - 1);
+    for (size_t i = lo; i <= hi; i += kLaneCount) {
+      // All-ones where a[i-1] == b[d-i-1] (reversed b at m + i - d).
+      const Lanes equal = Load(a16 + i - 1) == Load(rb16 + (m + i - d));
+      const Lanes diagonal = Load(h2 + i - 1) + (equal & substitution_step) +
+                             Splat(kMismatchScore);
+      Lanes cell = diagonal;
+      if constexpr (kLocal) cell = Max(cell, Splat(0));
+      // On a diagonal starting where the previous one did, Load(h1 + i - 1)
+      // straddles two of its stores and waits longest, so it comes last.
+      cell = Max(cell, Load(h1 + i) + Splat(kGapScore));
+      cell = Max(cell, Load(h1 + i - 1) + Splat(kGapScore));
+      // Lanes past the diagonal's end hold junk: zero them, so no later
+      // read can see a value outside [-limit, limit].
+      if (hi - i + 1 < kLaneCount) {
+        cell &= lane_ids < Splat(static_cast<int16_t>(hi - i + 1));
+      }
+      if constexpr (kLocal) best = Max(best, cell);
+      Store(h0 + i, cell);
+    }
+    if (d <= m) h0[0] = border(d);  // H[0][d]
+    if (d <= n) h0[d] = border(d);  // H[d][0]
+    int16_t* const oldest = h2;
+    h2 = h1;
+    h1 = h0;
+    h0 = oldest;
+  }
+  if constexpr (kLocal) {
+    int result = 0;
+    for (size_t k = 0; k < kLaneCount; ++k) {
+      result = std::max<int>(result, best[k]);
+    }
+    return result;
+  }
+  return h1[n];  // H[n][m], on the last diagonal
+}
 
 }  // namespace
 
 double NeedlemanWunsch(std::string_view a, std::string_view b) {
   const size_t n = a.size();
   const size_t m = b.size();
-  if (n == 0 && m == 0) return 1.0;
-  std::vector<int> row(m + 1);
-  for (size_t j = 0; j <= m; ++j) row[j] = static_cast<int>(j) * kGapScore;
-  for (size_t i = 1; i <= n; ++i) {
-    int prev_diag = row[0];
-    row[0] = static_cast<int>(i) * kGapScore;
-    for (size_t j = 1; j <= m; ++j) {
-      int diag = prev_diag +
-                 (a[i - 1] == b[j - 1] ? kMatchScore : kMismatchScore);
-      int up = row[j] + kGapScore;
-      int left = row[j - 1] + kGapScore;
-      prev_diag = row[j];
-      row[j] = std::max({diag, up, left});
-    }
-  }
-  // Raw score normalized by max(n, m) lands in [-1, 1]; rescale into [0, 1]
-  // so the feature range matches every other string kernel (identical -> 1,
-  // empty-vs-nonempty and all-mismatch -> 0).
+  if (!AlignsInLanes(n, m)) return reference::NeedlemanWunsch(a, b);
+  // The reference's normalization, on the same integer score.
   const double normalized =
-      static_cast<double>(row[m]) / static_cast<double>(std::max(n, m));
+      static_cast<double>(AlignAntiDiagonal<false>(a, b)) /
+      static_cast<double>(std::max(n, m));
   return (normalized + 1.0) / 2.0;
 }
 
 double SmithWaterman(std::string_view a, std::string_view b) {
   const size_t n = a.size();
   const size_t m = b.size();
-  if (n == 0 || m == 0) return (n == 0 && m == 0) ? 1.0 : 0.0;
-  std::vector<int> row(m + 1, 0);
-  int best = 0;
-  for (size_t i = 1; i <= n; ++i) {
-    int prev_diag = row[0];
-    row[0] = 0;
-    for (size_t j = 1; j <= m; ++j) {
-      int diag = prev_diag +
-                 (a[i - 1] == b[j - 1] ? kMatchScore : kMismatchScore);
-      int up = row[j] + kGapScore;
-      int left = row[j - 1] + kGapScore;
-      prev_diag = row[j];
-      row[j] = std::max({0, diag, up, left});
-      best = std::max(best, row[j]);
-    }
-  }
-  return static_cast<double>(best) / static_cast<double>(std::min(n, m));
+  if (!AlignsInLanes(n, m)) return reference::SmithWaterman(a, b);
+  return static_cast<double>(AlignAntiDiagonal<true>(a, b)) /
+         static_cast<double>(std::min(n, m));
 }
 
 double MongeElkan(std::string_view a, std::string_view b) {
-  std::vector<std::string> tokens_a = WhitespaceTokenize(a);
-  std::vector<std::string> tokens_b = WhitespaceTokenize(b);
+  // Views into a and b, valid for this call only.
+  thread_local std::vector<std::string_view> tokens_a;
+  thread_local std::vector<std::string_view> tokens_b;
+  WhitespaceTokenizeInto(a, &tokens_a);
+  WhitespaceTokenizeInto(b, &tokens_b);
   if (tokens_a.empty() && tokens_b.empty()) return 1.0;
   if (tokens_a.empty() || tokens_b.empty()) return 0.0;
   double total = 0.0;
-  for (const auto& ta : tokens_a) {
+  for (const std::string_view ta : tokens_a) {
     double best = 0.0;
-    for (const auto& tb : tokens_b) {
+    for (const std::string_view tb : tokens_b) {
+      // Jaro-Winkler is at most 1.0 and exactly 1.0 on identical tokens,
+      // so nothing later in b can raise `best` past this point.
+      if (ta == tb) {
+        best = 1.0;
+        break;
+      }
       best = std::max(best, JaroWinklerSimilarity(ta, tb));
     }
     total += best;

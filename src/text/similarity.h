@@ -1,6 +1,7 @@
 #ifndef AUTOEM_TEXT_SIMILARITY_H_
 #define AUTOEM_TEXT_SIMILARITY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -31,29 +32,47 @@ int LevenshteinDistance(std::string_view a, std::string_view b);
 /// empty strings.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
-/// Jaro similarity in [0, 1].
+/// Jaro similarity in [0, 1]. Greedy matching on bitsets: for each a[i],
+/// the lowest unmatched position of b inside the match window holding the
+/// same byte, one `uint64_t` per set when both strings fit in 64 bytes and
+/// multi-word sets above that. Picks the same matches as the scalar scan,
+/// so results are bit-identical to `reference::JaroSimilarity`.
 double JaroSimilarity(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler similarity with common-prefix boost (p = 0.1, max prefix 4).
+/// At most 1.0, and exactly 1.0 for identical strings.
 double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 
 /// 1.0 iff the strings are identical, else 0.0.
 double ExactMatch(std::string_view a, std::string_view b);
+
+/// Longest string, in bytes, the alignment kernels below run in 16-bit
+/// lanes: every DP cell then lies in [-limit, limit]. Longer inputs, and
+/// pairs whose shorter string is under 16 bytes (too short for the lanes
+/// to pay off), go to the scalar reference.
+inline constexpr size_t kAlignmentLaneLimit = 30000;
 
 /// Needleman-Wunsch global alignment score (match +1, mismatch -1, gap -1),
 /// normalized by max(|a|, |b|) and affinely rescaled from the raw [-1, 1]
 /// band into [0, 1] like every other string kernel: identical strings score
 /// 1.0, empty-vs-nonempty and all-mismatch score 0.0, and two empty strings
 /// score 1.0. Keeping the feature bounded stops alignment scores from
-/// leaking an unbounded negative range into the imputer/scaler.
+/// leaking an unbounded negative range into the imputer/scaler. The DP runs
+/// along anti-diagonals, eight int16 cells per step; the integer score, and
+/// so the double, equals `reference::NeedlemanWunsch`'s.
 double NeedlemanWunsch(std::string_view a, std::string_view b);
 
 /// Smith-Waterman local alignment score (match +1, mismatch -1, gap -1)
-/// normalized by min(|a|, |b|), in [0, 1].
+/// normalized by min(|a|, |b|), in [0, 1]. Same anti-diagonal DP as
+/// NeedlemanWunsch; bit-identical to `reference::SmithWaterman`.
 double SmithWaterman(std::string_view a, std::string_view b);
 
 /// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
 /// `b`'s tokens (whitespace tokenization), the standard hybrid measure.
+/// Not symmetric: MongeElkan("york", "new york city") is 1.0, the reverse
+/// is not. Tokenizes into views without allocating and stops scanning `b`
+/// at a token identical to the one from `a`; bit-identical to
+/// `reference::MongeElkan`.
 double MongeElkan(std::string_view a, std::string_view b);
 
 // ---- token-set measures ----------------------------------------------------
@@ -110,6 +129,20 @@ namespace reference {
 
 /// Textbook one-row dynamic program. Oracle for the bit-parallel kernel.
 int LevenshteinDistance(std::string_view a, std::string_view b);
+
+/// Window scan with per-position matched flags. Oracles for the bitset
+/// Jaro kernel and the Jaro-Winkler built on it.
+double JaroSimilarity(std::string_view a, std::string_view b);
+double JaroWinklerSimilarity(std::string_view a, std::string_view b);
+
+/// Row-at-a-time int dynamic programs, any length. Oracles for the
+/// anti-diagonal kernels.
+double NeedlemanWunsch(std::string_view a, std::string_view b);
+double SmithWaterman(std::string_view a, std::string_view b);
+
+/// Allocating tokenizer, full scan of `b`'s tokens, reference
+/// Jaro-Winkler. Oracle for the allocation-free kernel.
+double MongeElkan(std::string_view a, std::string_view b);
 
 }  // namespace reference
 

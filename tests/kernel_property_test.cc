@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -41,6 +43,27 @@ std::string RandomBytes(Rng* rng, size_t len) {
   s.reserve(len);
   for (size_t i = 0; i < len; ++i) {
     s.push_back(static_cast<char>(rng->UniformIndex(256)));
+  }
+  return s;
+}
+
+// Draws each byte from `alphabet`; repeat a byte to weight it.
+std::string RandomText(Rng* rng, size_t len, std::string_view alphabet) {
+  std::string s;
+  s.reserve(len);
+  for (size_t i = 0; i < len; ++i) {
+    s.push_back(alphabet[rng->UniformIndex(alphabet.size())]);
+  }
+  return s;
+}
+
+// Half the bytes from the ones byte-oriented kernels most often get wrong
+// (NUL, high bytes, every byte isspace() accepts), half uniform.
+std::string RandomHostileBytes(Rng* rng, size_t len) {
+  static const std::string kHostile("\0\x80\xC3\xFF \t\n\v\f\rab", 12);
+  std::string s = RandomBytes(rng, len);
+  for (char& c : s) {
+    if (rng->UniformIndex(2) == 0) c = kHostile[rng->UniformIndex(12)];
   }
   return s;
 }
@@ -136,6 +159,92 @@ TEST(KernelPropertyLevenshtein, KnownValues) {
   EXPECT_EQ(LevenshteinDistance(long_a, long_b), 1);
 }
 
+// ---- Jaro, Jaro-Winkler, NW, SW, Monge-Elkan: fast vs reference -------------
+
+using StringKernelFn = double (*)(std::string_view, std::string_view);
+
+struct KernelWithReference {
+  const char* name;
+  StringKernelFn fast;
+  StringKernelFn reference;
+};
+
+const KernelWithReference kReferencedKernels[] = {
+    {"JaroSimilarity", &JaroSimilarity, &reference::JaroSimilarity},
+    {"JaroWinklerSimilarity", &JaroWinklerSimilarity,
+     &reference::JaroWinklerSimilarity},
+    {"NeedlemanWunsch", &NeedlemanWunsch, &reference::NeedlemanWunsch},
+    {"SmithWaterman", &SmithWaterman, &reference::SmithWaterman},
+    {"MongeElkan", &MongeElkan, &reference::MongeElkan},
+};
+
+// Bit-identical doubles, not merely equal ones.
+void ExpectAllMatchReference(const std::string& a, const std::string& b) {
+  for (const auto& k : kReferencedKernels) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(k.fast(a, b)),
+              std::bit_cast<uint64_t>(k.reference(a, b)))
+        << k.name << ": " << k.fast(a, b) << " vs " << k.reference(a, b)
+        << " (len a=" << a.size() << " len b=" << b.size() << ")";
+  }
+}
+
+TEST(KernelPropertySequence, MatchesReferenceOnRandomStrings) {
+  Rng rng(83);
+  // Without whitespace every string is one Monge-Elkan token; with it,
+  // strings split into many short tokens that often repeat.
+  for (std::string_view alphabet : {"abcd", "abc  \t"}) {
+    for (int iter = 0; iter < 300; ++iter) {
+      std::string a = RandomText(&rng, rng.UniformIndex(201), alphabet);
+      std::string b = RandomText(&rng, rng.UniformIndex(201), alphabet);
+      ExpectAllMatchReference(a, b);
+    }
+  }
+}
+
+TEST(KernelPropertySequence, MatchesReferenceOnRandomBytes) {
+  Rng rng(89);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string a = RandomHostileBytes(&rng, rng.UniformIndex(201));
+    std::string b = RandomHostileBytes(&rng, rng.UniformIndex(201));
+    ExpectAllMatchReference(a, b);
+  }
+}
+
+TEST(KernelPropertySequence, MatchesReferenceOnLengthGrid) {
+  // Every length pair around the 8-lane step, the 16-byte cutoff below
+  // which NW/SW stay scalar, and the 64-bit word edges of the bitset Jaro,
+  // plus lengths many words and many lane steps long.
+  Rng rng(97);
+  const size_t lens[] = {0,   1,   2,   7,   8,   9,   15,  16,
+                         17,  31,  62,  63,  64,  65,  66,  126,
+                         127, 128, 129, 130, 192, 200, 300, 513};
+  for (size_t la : lens) {
+    for (size_t lb : lens) {
+      ExpectAllMatchReference(RandomText(&rng, la, "abc "),
+                              RandomText(&rng, lb, "abc "));
+    }
+  }
+}
+
+TEST(KernelPropertySequence, MatchesReferenceOnHostileInputs) {
+  auto hostile = HostileStrings();
+  for (const std::string& a : hostile) {
+    for (const std::string& b : hostile) ExpectAllMatchReference(a, b);
+  }
+}
+
+TEST(KernelPropertySequence, MatchesReferenceAtAndPastLaneLimit) {
+  // At the limit NW and SW still run in int16 lanes, with border cells at
+  // -limit; one byte past it they hand over to the reference.
+  Rng rng(101);
+  const std::string b = RandomText(&rng, 40, "abcd ");
+  for (size_t len : {kAlignmentLaneLimit, kAlignmentLaneLimit + 1}) {
+    const std::string a = RandomText(&rng, len, "abcd ");
+    ExpectAllMatchReference(a, b);
+    ExpectAllMatchReference(b, a);
+  }
+}
+
 // ---- string-kernel properties: symmetry, identity, range --------------------
 
 using StringKernel = double (*)(std::string_view, std::string_view);
@@ -163,7 +272,8 @@ TEST(KernelPropertyStrings, SelfSimilarityIsOne) {
   }
   for (const auto& k : kStringKernels) {
     for (const std::string& s : inputs) {
-      EXPECT_DOUBLE_EQ(k.fn(s, s), 1.0) << k.name << " len=" << s.size();
+      // Exact: Monge-Elkan's early exit relies on JW(x, x) being 1.0.
+      EXPECT_EQ(k.fn(s, s), 1.0) << k.name << " len=" << s.size();
     }
   }
 }
@@ -175,6 +285,8 @@ TEST(KernelPropertyStrings, SymmetricAndBounded) {
     inputs.push_back(RandomString(&rng, rng.UniformIndex(120), 4));
   }
   for (const auto& k : kStringKernels) {
+    // Monge-Elkan is a mean over a's tokens: see its own test below.
+    if (k.fn == &MongeElkan) continue;
     for (const std::string& a : inputs) {
       for (const std::string& b : inputs) {
         double ab = k.fn(a, b);
@@ -184,6 +296,40 @@ TEST(KernelPropertyStrings, SymmetricAndBounded) {
         EXPECT_LE(ab, 1.0 + 1e-12) << k.name;
       }
     }
+  }
+}
+
+TEST(KernelPropertyStrings, MongeElkanBoundedAndAsymmetric) {
+  // Each token of a finds itself in b, not the other way round.
+  EXPECT_EQ(MongeElkan("york", "new york city"), 1.0);
+  EXPECT_LT(MongeElkan("new york city", "york"), 1.0);
+
+  Rng rng(47);
+  std::vector<std::string> single_tokens;
+  for (const std::string& s : HostileStrings()) {
+    if (!s.empty() && std::none_of(s.begin(), s.end(), [](char c) {
+          return std::isspace(static_cast<unsigned char>(c));
+        })) {
+      single_tokens.push_back(s);
+    }
+  }
+  for (int i = 0; i < 30; ++i) {
+    single_tokens.push_back(RandomString(&rng, 1 + rng.UniformIndex(120), 4));
+  }
+  // One token each: Monge-Elkan is Jaro-Winkler, which is symmetric.
+  for (const std::string& a : single_tokens) {
+    for (const std::string& b : single_tokens) {
+      EXPECT_EQ(MongeElkan(a, b), JaroWinklerSimilarity(a, b));
+      EXPECT_DOUBLE_EQ(MongeElkan(a, b), MongeElkan(b, a));
+    }
+  }
+  // Many tokens each: still a mean of similarities in [0, 1].
+  for (int iter = 0; iter < 500; ++iter) {
+    std::string a = RandomText(&rng, rng.UniformIndex(120), "abc  \t");
+    std::string b = RandomText(&rng, rng.UniformIndex(120), "abc  \t");
+    double ab = MongeElkan(a, b);
+    EXPECT_GE(ab, 0.0);
+    EXPECT_LE(ab, 1.0);
   }
 }
 

@@ -61,26 +61,36 @@ BenchmarkData MakeBenchmark() {
 }
 
 TEST(ParallelDeterminismTest, FeatureMatrixBitIdenticalAcrossThreadCounts) {
-  BenchmarkData data = MakeBenchmark();
+  // Fodors-Zagats cells are short; Abt-Buy's 25-40-word descriptions run
+  // the multi-word Jaro sets, long alignment diagonals and the kernels'
+  // per-thread scratch.
+  auto abt_buy = GenerateBenchmarkByName("Abt-Buy", /*seed=*/7,
+                                         /*scale=*/0.02);
+  ASSERT_TRUE(abt_buy.ok()) << abt_buy.status().ToString();
+  const std::pair<const char*, BenchmarkData> legs[] = {
+      {"Fodors-Zagats", MakeBenchmark()}, {"Abt-Buy", std::move(*abt_buy)}};
+  for (const auto& [name, data] : legs) {
+    // TF-IDF features included so the whitespace-token cache path that
+    // backs them is exercised alongside the q-gram and sequence-measure
+    // paths.
+    AutoMlEmFeatureGenerator baseline_gen(/*include_tfidf=*/true);
+    baseline_gen.set_parallelism(Parallelism::Serial());
+    ASSERT_TRUE(baseline_gen.Plan(data.train.left, data.train.right).ok());
+    Dataset baseline = baseline_gen.Generate(data.train);
+    ASSERT_GT(baseline.size(), 0u) << name;
+    ASSERT_GT(baseline.num_features(), 0u) << name;
 
-  // TF-IDF features included so the whitespace-token cache path that backs
-  // them is exercised alongside the q-gram and sequence-measure paths.
-  AutoMlEmFeatureGenerator baseline_gen(/*include_tfidf=*/true);
-  baseline_gen.set_parallelism(Parallelism::Serial());
-  ASSERT_TRUE(baseline_gen.Plan(data.train.left, data.train.right).ok());
-  Dataset baseline = baseline_gen.Generate(data.train);
-  ASSERT_GT(baseline.size(), 0u);
-  ASSERT_GT(baseline.num_features(), 0u);
-
-  for (int threads : kThreadCounts) {
-    AutoMlEmFeatureGenerator gen(/*include_tfidf=*/true);
-    gen.set_parallelism(Parallelism::Threads(threads));
-    ASSERT_TRUE(gen.Plan(data.train.left, data.train.right).ok());
-    Dataset got = gen.Generate(data.train);
-    ExpectBitIdentical(baseline.X, got.X,
-                       "feature matrix @" + std::to_string(threads));
-    EXPECT_EQ(baseline.y, got.y) << "labels @" << threads;
-    EXPECT_EQ(baseline.feature_names, got.feature_names);
+    for (int threads : kThreadCounts) {
+      AutoMlEmFeatureGenerator gen(/*include_tfidf=*/true);
+      gen.set_parallelism(Parallelism::Threads(threads));
+      ASSERT_TRUE(gen.Plan(data.train.left, data.train.right).ok());
+      Dataset got = gen.Generate(data.train);
+      ExpectBitIdentical(baseline.X, got.X,
+                         std::string(name) + " feature matrix @" +
+                             std::to_string(threads));
+      EXPECT_EQ(baseline.y, got.y) << name << " labels @" << threads;
+      EXPECT_EQ(baseline.feature_names, got.feature_names) << name;
+    }
   }
 }
 
