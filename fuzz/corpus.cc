@@ -1,7 +1,9 @@
 #include "fuzz/corpus.h"
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -509,6 +511,97 @@ std::vector<Seed> KernelSeeds() {
 
 namespace {
 
+// tree_fuzzer's input layout: rows, cols, the flags byte (bit 0 entropy,
+// bits 1-2 weight mode, bit 3 random thresholds), min_samples_leaf,
+// min_samples_split, max_depth, max_features and min_impurity_decrease
+// bytes, the tree seed, then per row a label byte, a weight byte and one
+// palette byte per cell. `cell(r, c)` returns the cell's bytes.
+template <typename CellFn>
+Seed TreeCase(std::string name, uint8_t rows, uint8_t cols, uint8_t flags,
+              uint8_t min_leaf, uint8_t max_features, CellFn cell) {
+  std::string bytes;
+  for (uint8_t b : {static_cast<uint8_t>(rows - 2),
+                    static_cast<uint8_t>(cols - 1), flags,
+                    static_cast<uint8_t>(min_leaf - 1), uint8_t{0},
+                    uint8_t{0}, static_cast<uint8_t>(max_features - 1),
+                    uint8_t{0}, uint8_t{7}}) {
+    bytes.push_back(static_cast<char>(b));
+  }
+  for (uint8_t r = 0; r < rows; ++r) {
+    // Labels follow the row's first cell with every fifth flipped; weight
+    // bytes cycle so every mode sees zeros and repeats.
+    const std::string first = cell(r, 0);
+    bytes.push_back(static_cast<char>((first[0] + (r % 5 == 0)) & 1));
+    bytes.push_back(static_cast<char>(r * 7 + 3));
+    for (uint8_t c = 0; c < cols; ++c) bytes += cell(r, c);
+  }
+  return {std::move(name), std::move(bytes)};
+}
+
+// A raw cell: the 0x80 escape, then the double's bits big-endian.
+std::string RawCell(double v) {
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  std::string out(1, static_cast<char>(0x80));
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>((bits >> shift) & 0xFF));
+  }
+  return out;
+}
+
+std::string PaletteCell(int index) {
+  return std::string(1, static_cast<char>(index));
+}
+
+}  // namespace
+
+std::vector<Seed> TreeSeeds() {
+  std::vector<Seed> seeds;
+  // Palette indices (tree_fuzzer.cc): 0 NaN, 1 -0, 2 +0, 3 -inf, 4 +inf,
+  // 5/6 ±denorm_min, 7/8 ±DBL_MAX, 9.. small reals.
+  seeds.push_back(TreeCase("signed_zero_below_inf", 24, 1, 0, 1, 8,
+                           [](int r, int) {
+                             return PaletteCell(r % 3 == 0 ? 4 : 1 + r % 2);
+                           }));
+  seeds.push_back(TreeCase("signed_zero_below_inf_fractional", 24, 1, 4, 1, 8,
+                           [](int r, int) {
+                             return PaletteCell(r % 3 == 0 ? 4 : 1 + r % 2);
+                           }));
+  seeds.push_back(TreeCase("nan_and_infinities", 40, 3, 0, 1, 8,
+                           [](int r, int c) {
+                             return PaletteCell((r * 3 + c * 5) % 5);
+                           }));
+  seeds.push_back(TreeCase("heavy_ties_bootstrap", 64, 4, 2, 1, 4,
+                           [](int r, int c) {
+                             return PaletteCell(9 + (r * (c + 2)) % 4);
+                           }));
+  seeds.push_back(TreeCase("class_weight_fractions", 64, 4, 5, 2, 8,
+                           [](int r, int c) {
+                             return PaletteCell((r * (c + 3) + c) % 16);
+                           }));
+  seeds.push_back(TreeCase("huge_whole_weights", 48, 3, 6, 1, 8,
+                           [](int r, int c) {
+                             return PaletteCell(9 + (r + c * r) % 7);
+                           }));
+  seeds.push_back(TreeCase("overflowing_midpoint", 32, 2, 0, 1, 8,
+                           [](int r, int c) {
+                             return PaletteCell(7 + (r + c) % 2);
+                           }));
+  seeds.push_back(TreeCase("raw_denormals", 30, 2, 2, 1, 8, [](int r, int c) {
+    return RawCell(std::numeric_limits<double>::denorm_min() * (r % 6) *
+                   (c + 1));
+  }));
+  seeds.push_back(TreeCase("zero_weights", 8, 1, 2, 1, 8, [](int, int) {
+    return PaletteCell(9);
+  }));
+  seeds.push_back(TreeCase("random_thresholds", 40, 3, 8, 1, 6,
+                           [](int r, int c) {
+                             return PaletteCell((r * 5 + c) % 16);
+                           }));
+  return seeds;
+}
+
+namespace {
+
 Status WriteSeedDir(const std::string& dir, const std::string& harness,
                     const std::vector<Seed>& seeds) {
   namespace fs = std::filesystem;
@@ -540,6 +633,7 @@ Status WriteSeedCorpus(const std::string& dir, bool with_model) {
       WriteSeedDir(dir, "model_io", ModelEnvelopeSeeds()));
   AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "json", JsonSeeds()));
   AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "kernel", KernelSeeds()));
+  AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "tree", TreeSeeds()));
   if (with_model) {
     // The deep-parse seed: a real trained container, deterministic because
     // every seed below is pinned (same recipe as tests/model_io_test.cc).

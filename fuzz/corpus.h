@@ -61,6 +61,13 @@ std::vector<Seed> JsonSeeds();
 /// Fixed strings, so the seeds never drift.
 std::vector<Seed> KernelSeeds();
 
+/// Small training problems for the tree differential harness, in
+/// tree_fuzzer's layout: a ±0 group below +inf (the threshold-sign
+/// corner), NaN and infinities, heavy ties under bootstrap counts, class
+/// weight fractions, whole weights too large to sum exactly, overflowing
+/// midpoints, raw denormal cells, all-zero weights, and random thresholds.
+std::vector<Seed> TreeSeeds();
+
 /// A populated two-trial checkpoint with a failed trial and quarantine
 /// hashes — the "rich" fixture behind CheckpointSeeds and the
 /// corruption-matrix tests.

@@ -1,0 +1,110 @@
+// Differential fuzzing of the CART split search (src/ml/models/
+// decision_tree.h): the input decodes to a small matrix, labels, weights
+// and tree options, and DecisionTreeClassifier::Fit must return the same
+// status and the same node array, bit for bit, as
+// reference::FitClassifierTree.
+#include "fuzz/fuzzer_util.h"
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "ml/models/decision_tree.h"
+
+namespace {
+
+// Cell palette: one byte picks a value the split search must treat
+// carefully (NaN, both zeros, both infinities, denormals, overflowing
+// midpoints) or a small real. Few values, so ties are the norm.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kPalette[16] = {
+    std::numeric_limits<double>::quiet_NaN(),
+    -0.0,
+    0.0,
+    -kInf,
+    kInf,
+    std::numeric_limits<double>::denorm_min(),
+    -std::numeric_limits<double>::denorm_min(),
+    std::numeric_limits<double>::max(),
+    -std::numeric_limits<double>::max(),
+    1.0,
+    2.0,
+    3.0,
+    -1.0,
+    0.5,
+    0.25,
+    -2.5,
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  using namespace autoem;
+  // Layout (fuzz::TreeSeeds): rows, cols, a flags byte (bit 0 entropy,
+  // bits 1-2 weight mode, bit 3 random thresholds), min_samples_leaf,
+  // min_samples_split, max_depth, max_features, min_impurity_decrease,
+  // the tree seed; then per row a label byte, a weight byte, and one byte
+  // per cell (a palette index, or 0x80 followed by a raw big-endian double).
+  fuzz::FuzzInput in(data, size);
+  const size_t rows = 2 + in.Byte() % 63;
+  const size_t cols = 1 + in.Byte() % 6;
+  const uint8_t flags = in.Byte();
+  TreeOptions opt;
+  opt.criterion = (flags & 1) ? "entropy" : "gini";
+  const int weight_mode = (flags >> 1) & 3;
+  opt.random_thresholds = (flags & 8) != 0;
+  opt.min_samples_leaf = 1 + in.Byte() % 5;
+  opt.min_samples_split = 2 + in.Byte() % 10;
+  opt.max_depth = in.Byte() % 8;
+  opt.max_features = (1 + in.Byte() % 8) / 8.0;
+  opt.min_impurity_decrease = (in.Byte() % 4) / 64.0;
+  opt.seed = in.Byte();
+
+  Matrix X(rows, cols);
+  std::vector<int> y(rows);
+  std::vector<double> w(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    y[r] = in.Byte() & 1;
+    const uint8_t b = in.Byte();
+    switch (weight_mode) {
+      case 1:  // whole numbers: bootstrap counts
+        w[r] = b % 4;
+        break;
+      case 2:  // fractions: class weights, summed in sort order
+        w[r] = (b % 16) / 3.0;
+        break;
+      case 3:  // whole numbers too large to sum exactly
+        w[r] = b % 4 == 3 ? 0.0 : (b % 4) * 4503599627370496.0 + 1.0;
+        break;
+      default:
+        break;
+    }
+    for (size_t c = 0; c < cols; ++c) {
+      const uint8_t cell = in.Byte();
+      X.At(r, c) = (cell & 0x80) ? std::bit_cast<double>(in.U64())
+                                 : kPalette[cell % 16];
+    }
+  }
+  const std::vector<double>* weights = weight_mode == 0 ? nullptr : &w;
+
+  DecisionTreeClassifier tree(opt);
+  const Status st = tree.Fit(X, y, weights);
+  const auto ref = reference::FitClassifierTree(opt, X, y, weights);
+  AUTOEM_FUZZ_ASSERT(st.code() == ref.status().code());
+  if (!st.ok()) return 0;
+  const auto& fast = tree.nodes();
+  AUTOEM_FUZZ_ASSERT(fast.size() == ref->size());
+  for (size_t k = 0; k < fast.size(); ++k) {
+    const auto& a = fast[k];
+    const auto& b = (*ref)[k];
+    AUTOEM_FUZZ_ASSERT(a.feature == b.feature);
+    AUTOEM_FUZZ_ASSERT(Bits(a.threshold) == Bits(b.threshold));
+    AUTOEM_FUZZ_ASSERT(a.left == b.left && a.right == b.right);
+    AUTOEM_FUZZ_ASSERT(Bits(a.prob_positive) == Bits(b.prob_positive));
+  }
+  return 0;
+}

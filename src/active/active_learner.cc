@@ -247,8 +247,7 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
 
     // Confidence of every unlabeled pair under the current model.
     Dataset u_data = pool.SelectRows(unlabeled);
-    std::vector<double> conf = model.VoteConfidence(u_data.X);
-    std::vector<double> proba = model.PredictProba(u_data.X);
+    auto [proba, conf] = model.PredictProbaAndConfidence(u_data.X);
 
     // Query priority: smaller = queried earlier. Self-training always uses
     // the committee confidence for its high-confidence end.

@@ -1,6 +1,7 @@
 #ifndef AUTOEM_ML_MODEL_H_
 #define AUTOEM_ML_MODEL_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,6 +88,23 @@ class Classifier {
   }
 };
 
+/// Optional per-row weights must cover every row and be finite: a NaN or
+/// infinite weight turns every impurity and leaf probability it touches
+/// into NaN.
+inline Status ValidateSampleWeights(const std::vector<double>* w,
+                                    size_t rows) {
+  if (w == nullptr) return Status::OK();
+  if (w->size() != rows) {
+    return Status::InvalidArgument("sample_weights size != y size");
+  }
+  for (double v : *w) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("sample_weights must be finite");
+    }
+  }
+  return Status::OK();
+}
+
 /// Validates (X, y, weights) agreement; shared by Fit implementations.
 inline Status ValidateFitInputs(const Matrix& X, const std::vector<int>& y,
                                 const std::vector<double>* w) {
@@ -96,10 +114,7 @@ inline Status ValidateFitInputs(const Matrix& X, const std::vector<int>& y,
   if (X.rows() != y.size()) {
     return Status::InvalidArgument("X rows != y size");
   }
-  if (w != nullptr && w->size() != y.size()) {
-    return Status::InvalidArgument("sample_weights size != y size");
-  }
-  return Status::OK();
+  return ValidateSampleWeights(w, y.size());
 }
 
 }  // namespace autoem

@@ -40,11 +40,17 @@ Status AdaBoostClassifier::Fit(const Matrix& X, const std::vector<int>& y,
   TreeOptions tree_opt;
   tree_opt.max_depth = options_.base_max_depth;
   tree_opt.min_samples_leaf = 1;
+  // Every round refits the same X under new weights, so the split ranks
+  // are built once.
+  if (n > FeatureRanks::kMaxRows) {
+    return Status::InvalidArgument("adaboost: too many rows");
+  }
+  const FeatureRanks ranks(X);
 
   for (int t = 0; t < options_.n_estimators; ++t) {
     tree_opt.seed = rng.engine()();
     DecisionTreeClassifier tree(tree_opt);
-    Status st = tree.Fit(X, y, &w);
+    Status st = tree.Fit(X, ranks, y, &w);
     if (!st.ok()) break;
     std::vector<int> pred = tree.Predict(X);
 
@@ -76,7 +82,7 @@ Status AdaBoostClassifier::Fit(const Matrix& X, const std::vector<int>& y,
     tree_opt.seed = rng.engine()();
     trees_.emplace_back(tree_opt);
     alphas_.push_back(1.0);
-    AUTOEM_RETURN_IF_ERROR(trees_.back().Fit(X, y, sample_weights));
+    AUTOEM_RETURN_IF_ERROR(trees_.back().Fit(X, ranks, y, sample_weights));
   }
   return Status::OK();
 }

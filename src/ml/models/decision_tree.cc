@@ -39,7 +39,351 @@ size_t NumFeaturesToTry(double max_features, size_t n_features) {
   return std::clamp<size_t>(out, 1, n_features);
 }
 
+// Extra-Trees split of one feature: a single threshold drawn uniformly
+// between the finite min and max of `vals`. Returns false when the feature
+// is constant there or a child would fall below `min_leaf`.
+bool RandomThresholdSplit(const std::vector<std::pair<double, size_t>>& vals,
+                          const std::vector<int>& y,
+                          const std::vector<double>& w, double w_total,
+                          double w_pos, double parent_impurity,
+                          double (*impurity)(double, double), size_t min_leaf,
+                          Rng* rng, double* decrease_out,
+                          double* threshold_out) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const auto& [v, i] : vals) {
+    if (std::isfinite(v)) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+  }
+  if (!(lo < hi)) return false;
+  double threshold = rng->Uniform(lo, hi);
+  double wl = 0.0, wl_pos = 0.0;
+  size_t nl = 0;
+  for (const auto& [v, i] : vals) {
+    if (v <= threshold) {
+      wl += w[i];
+      if (y[i] == 1) wl_pos += w[i];
+      ++nl;
+    }
+  }
+  size_t nr = vals.size() - nl;
+  if (nl < min_leaf || nr < min_leaf) return false;
+  double wr = w_total - wl;
+  double wr_pos = w_pos - wl_pos;
+  *decrease_out = parent_impurity - (wl / w_total) * impurity(wl_pos, wl) -
+                  (wr / w_total) * impurity(wr_pos, wr);
+  *threshold_out = threshold;
+  return true;
+}
+
+// With whole weights a node's feature is scanned by counting rank buckets
+// when its distinct count D is at most this many times the node's rows m,
+// and by the key sort otherwise. Clearing and visiting a bucket costs a
+// fraction of what sorting a row costs, so counting wins until D is
+// several times m (measured with bench_forest_fit on its Abt-Buy pool).
+constexpr size_t kCountingMaxDistinctPerRow = 8;
+
+// True when every weight of `rows` is a whole number and their total stays
+// below 2^53. Every partial sum of any subset, in any order, is then an
+// integer below 2^53, so each addition is exact and the split search may
+// sum a node's weights in any order it likes.
+bool WholeWeights(const std::vector<double>& w,
+                  const std::vector<uint32_t>& rows) {
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  double total = 0.0;
+  for (uint32_t i : rows) {
+    if (w[i] != std::floor(w[i])) return false;
+    total += w[i];
+    if (total >= kExactLimit) return false;
+  }
+  return true;
+}
+
+// The rank-based CART builder (DESIGN.md §13). A node's rows live in
+// rows_[begin, end) in ascending order, like the reference's index vectors:
+// the root takes every row with positive weight in order, and the stable
+// partition keeps each child's rows in order.
+class RankTreeBuilder {
+ public:
+  using Node = DecisionTreeClassifier::Node;
+
+  RankTreeBuilder(const TreeOptions& options, const Matrix& X,
+                  const FeatureRanks* ranks, const std::vector<int>& y,
+                  const std::vector<double>& w, std::vector<uint32_t> rows,
+                  std::vector<Node>* nodes)
+      : options_(options),
+        X_(X),
+        ranks_(ranks),
+        y_(y),
+        w_(w),
+        rows_(std::move(rows)),
+        nodes_(nodes),
+        whole_(WholeWeights(w, rows_)),
+        impurity_(options.criterion == "entropy" ? &EntropyImpurity
+                                                 : &GiniImpurity),
+        min_leaf_(static_cast<size_t>(options.min_samples_leaf)) {
+    if (ranks_ == nullptr) return;
+    uint32_t max_distinct = 0;
+    for (size_t f = 0; f < X.cols(); ++f) {
+      max_distinct = std::max(max_distinct, ranks_->Distinct(f));
+    }
+    buckets_.resize(max_distinct);
+    keys_.resize(rows_.size());
+  }
+
+  void Build(Rng* rng) { BuildNode(0, rows_.size(), 0, rng); }
+
+ private:
+  struct Bucket {
+    double w = 0.0;
+    double w_pos = 0.0;
+    uint32_t n = 0;
+    uint32_t row = 0;  // any row of the bucket
+  };
+
+  // A node's split search state: the sums every cut is scored against and
+  // the best cut so far.
+  struct Search {
+    size_t m;
+    double w_total;
+    double w_pos;
+    double parent_impurity;
+    double best_decrease;
+    int best_feature = -1;
+    uint32_t lo_row = 0;  // a row on either side of the best cut
+    uint32_t hi_row = 0;
+    double random_threshold = 0.0;  // random-threshold mode only
+  };
+
+  // Scores the cut that puts `nl` rows with weight `wl` (`wl_pos` positive)
+  // on the left of feature f, between the values of rows lo and hi. The
+  // same checks and expressions as the reference's scan, so the same cut
+  // wins.
+  void Consider(Search* s, size_t f, double wl, double wl_pos, size_t nl,
+                uint32_t lo, uint32_t hi) const {
+    size_t nr = s->m - nl;
+    if (nl < min_leaf_ || nr < min_leaf_) return;
+    double wr = s->w_total - wl;
+    double wr_pos = s->w_pos - wl_pos;
+    double decrease = s->parent_impurity -
+                      (wl / s->w_total) * impurity_(wl_pos, wl) -
+                      (wr / s->w_total) * impurity_(wr_pos, wr);
+    if (decrease > s->best_decrease) {
+      s->best_decrease = decrease;
+      s->best_feature = static_cast<int>(f);
+      s->lo_row = lo;
+      s->hi_row = hi;
+    }
+  }
+
+  // Whole weights, few distinct values: sum each rank's rows into a bucket,
+  // then cut between consecutive non-empty buckets.
+  void CountingScan(Search* s, size_t f, const uint32_t* rows) {
+    const uint32_t* rank = ranks_->Ranks(f);
+    const uint32_t distinct = ranks_->Distinct(f);
+    std::fill_n(buckets_.begin(), distinct, Bucket{});
+    for (size_t k = 0; k < s->m; ++k) {
+      const uint32_t i = rows[k];
+      Bucket& b = buckets_[rank[i]];
+      b.w += w_[i];
+      if (y_[i] == 1) b.w_pos += w_[i];
+      ++b.n;
+      b.row = i;
+    }
+    double wl = 0.0, wl_pos = 0.0;
+    size_t nl = 0;
+    uint32_t prev = 0;
+    for (uint32_t r = 0; nl < s->m; ++r) {
+      const Bucket& b = buckets_[r];
+      if (b.n == 0) continue;
+      if (nl > 0) Consider(s, f, wl, wl_pos, nl, prev, b.row);
+      wl += b.w;
+      wl_pos += b.w_pos;
+      nl += b.n;
+      prev = b.row;
+    }
+  }
+
+  // Any weights: sort (rank << 32 | row) keys by rank alone, starting from
+  // the reference's row order. Each comparison has the outcome of the
+  // reference's value comparison, so std::sort makes the same moves and
+  // fractional weights are summed in the reference's order.
+  void KeySortScan(Search* s, size_t f, const uint32_t* rows) {
+    const uint32_t* rank = ranks_->Ranks(f);
+    const auto keys = keys_.begin();
+    const auto keys_end = keys + static_cast<ptrdiff_t>(s->m);
+    for (size_t k = 0; k < s->m; ++k) {
+      keys[k] = uint64_t{rank[rows[k]]} << 32 | rows[k];
+    }
+    std::sort(keys, keys_end,
+              [](uint64_t a, uint64_t b) { return (a >> 32) < (b >> 32); });
+    double wl = 0.0, wl_pos = 0.0;
+    for (size_t k = 0; k + 1 < s->m; ++k) {
+      const uint32_t i = static_cast<uint32_t>(keys[k]);
+      wl += w_[i];
+      if (y_[i] == 1) wl_pos += w_[i];
+      if ((keys[k] >> 32) == (keys[k + 1] >> 32)) continue;  // ties
+      Consider(s, f, wl, wl_pos, k + 1, i, static_cast<uint32_t>(keys[k + 1]));
+    }
+  }
+
+  // The reference's threshold for the cut between the values of rows lo
+  // and hi of feature f: their midpoint, or the lower value when that is
+  // -inf or the midpoint overflows.
+  double Threshold(size_t f, const uint32_t* rows, size_t m, uint32_t lo,
+                   uint32_t hi) const {
+    double lo_v = SplitValue(X_.At(lo, f));
+    const double hi_v = SplitValue(X_.At(hi, f));
+    double threshold = std::isinf(lo_v) ? lo_v : (lo_v + hi_v) / 2.0;
+    if (std::isfinite(threshold)) return threshold;
+    if (lo_v != 0.0) return lo_v;
+    // A ±0 group below +inf: the reference's threshold is the zero its sort
+    // left last in the group, so its sign depends on the sort's tie order.
+    // Replay that sort; the corner is rare enough that its cost is moot.
+    std::vector<std::pair<double, size_t>> vals;
+    for (size_t k = 0; k < m; ++k) {
+      vals.emplace_back(SplitValue(X_.At(rows[k], f)), rows[k]);
+    }
+    std::sort(vals.begin(), vals.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [v, i] : vals) {
+      if (v == 0.0) lo_v = v;
+    }
+    return lo_v;
+  }
+
+  int BuildNode(size_t begin, size_t end, int depth, Rng* rng) {
+    uint32_t* const rows = rows_.data() + begin;
+    const size_t m = end - begin;
+    double w_total = 0.0;
+    double w_pos = 0.0;
+    for (size_t k = 0; k < m; ++k) {
+      w_total += w_[rows[k]];
+      if (y_[rows[k]] == 1) w_pos += w_[rows[k]];
+    }
+
+    int node_id = static_cast<int>(nodes_->size());
+    nodes_->emplace_back();
+    (*nodes_)[node_id].prob_positive = w_total > 0.0 ? w_pos / w_total : 0.0;
+
+    // Once the trial deadline fires, stop splitting: the subtree collapses
+    // to this leaf and Fit reports DeadlineExceeded. One check per node
+    // keeps the poll cost far below the split-search work it gates.
+    if (options_.cancel.Cancelled()) return node_id;
+
+    const bool is_pure = (w_pos <= 0.0 || w_pos >= w_total);
+    const bool depth_capped =
+        options_.max_depth > 0 && depth >= options_.max_depth;
+    if (is_pure || depth_capped ||
+        m < static_cast<size_t>(options_.min_samples_split) ||
+        m < 2 * min_leaf_) {
+      return node_id;
+    }
+
+    Search s{m, w_total, w_pos, impurity_(w_pos, w_total),
+             options_.min_impurity_decrease};
+    size_t n_try = NumFeaturesToTry(options_.max_features, X_.cols());
+    std::vector<size_t> features =
+        rng->SampleWithoutReplacement(X_.cols(), n_try);
+
+    std::vector<std::pair<double, size_t>> vals;
+    for (size_t f : features) {
+      if (options_.random_thresholds) {
+        vals.clear();
+        for (size_t k = 0; k < m; ++k) {
+          vals.emplace_back(SplitValue(X_.At(rows[k], f)), rows[k]);
+        }
+        double decrease, threshold;
+        if (RandomThresholdSplit(vals, y_, w_, w_total, w_pos,
+                                 s.parent_impurity, impurity_, min_leaf_, rng,
+                                 &decrease, &threshold) &&
+            decrease > s.best_decrease) {
+          s.best_decrease = decrease;
+          s.best_feature = static_cast<int>(f);
+          s.random_threshold = threshold;
+        }
+        continue;
+      }
+      if (whole_ && ranks_->Distinct(f) <= kCountingMaxDistinctPerRow * m) {
+        CountingScan(&s, f, rows);
+      } else {
+        KeySortScan(&s, f, rows);
+      }
+    }
+
+    if (s.best_feature < 0) return node_id;
+    const size_t best_feature = static_cast<size_t>(s.best_feature);
+    const double threshold =
+        options_.random_thresholds
+            ? s.random_threshold
+            : Threshold(best_feature, rows, m, s.lo_row, s.hi_row);
+
+    // Stable partition by value, as the reference routes rows.
+    scratch_.clear();
+    size_t nl = 0;
+    for (size_t k = 0; k < m; ++k) {
+      const uint32_t i = rows[k];
+      if (SplitValue(X_.At(i, best_feature)) <= threshold) {
+        rows[nl++] = i;
+      } else {
+        scratch_.push_back(i);
+      }
+    }
+    std::copy(scratch_.begin(), scratch_.end(), rows + nl);
+    if (nl == 0 || nl == m) return node_id;  // degenerate
+
+    int left_id = BuildNode(begin, begin + nl, depth + 1, rng);
+    int right_id = BuildNode(begin + nl, end, depth + 1, rng);
+    Node& node = (*nodes_)[node_id];
+    node.feature = s.best_feature;
+    node.threshold = threshold;
+    node.left = left_id;
+    node.right = right_id;
+    return node_id;
+  }
+
+  const TreeOptions& options_;
+  const Matrix& X_;
+  const FeatureRanks* ranks_;
+  const std::vector<int>& y_;
+  const std::vector<double>& w_;
+  std::vector<uint32_t> rows_;
+  std::vector<Node>* nodes_;
+  const bool whole_;
+  double (*const impurity_)(double, double);
+  const size_t min_leaf_;
+  std::vector<Bucket> buckets_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> scratch_;
+};
+
 }  // namespace
+
+// ---- FeatureRanks -----------------------------------------------------------
+
+FeatureRanks::FeatureRanks(const Matrix& X)
+    : rows_(X.rows()), ranks_(X.rows() * X.cols()), distinct_(X.cols(), 0) {
+  AUTOEM_CHECK(rows_ <= kMaxRows);
+  std::vector<std::pair<double, uint32_t>> vals(rows_);
+  for (size_t f = 0; f < X.cols(); ++f) {
+    for (size_t i = 0; i < rows_; ++i) {
+      vals[i] = {SplitValue(X.At(i, f)), static_cast<uint32_t>(i)};
+    }
+    // NaN is already -inf, so this is a strict weak order, and -0 and +0
+    // tie on value: a rank is exactly a class of values that compare equal.
+    std::sort(vals.begin(), vals.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    uint32_t* rank = ranks_.data() + f * rows_;
+    uint32_t r = 0;
+    for (size_t j = 0; j < rows_; ++j) {
+      if (j > 0 && vals[j].first != vals[j - 1].first) ++r;
+      rank[vals[j].second] = r;
+    }
+    distinct_[f] = rows_ == 0 ? 0 : r + 1;
+  }
+}
 
 // ---- DecisionTreeClassifier -------------------------------------------------
 
@@ -64,29 +408,67 @@ std::unique_ptr<Classifier> DecisionTreeClassifier::FromParams(
 
 Status DecisionTreeClassifier::Fit(const Matrix& X, const std::vector<int>& y,
                                    const std::vector<double>* sample_weights) {
+  if (options_.random_thresholds) return FitWith(X, nullptr, y, sample_weights);
+  if (X.rows() > FeatureRanks::kMaxRows) {
+    return Status::InvalidArgument("decision_tree: too many rows");
+  }
+  FeatureRanks ranks(X);
+  return FitWith(X, &ranks, y, sample_weights);
+}
+
+Status DecisionTreeClassifier::Fit(const Matrix& X, const FeatureRanks& ranks,
+                                   const std::vector<int>& y,
+                                   const std::vector<double>* sample_weights) {
+  return FitWith(X, &ranks, y, sample_weights);
+}
+
+Status DecisionTreeClassifier::FitWith(
+    const Matrix& X, const FeatureRanks* ranks, const std::vector<int>& y,
+    const std::vector<double>* sample_weights) {
   AUTOEM_RETURN_IF_ERROR(ValidateFitInputs(X, y, sample_weights));
   AUTOEM_FAILPOINT("tree.fit");
+  if (X.rows() > FeatureRanks::kMaxRows) {
+    return Status::InvalidArgument("decision_tree: too many rows");
+  }
+  if (ranks != nullptr &&
+      (ranks->rows() != X.rows() || ranks->cols() != X.cols())) {
+    return Status::InvalidArgument("decision_tree: ranks do not match X");
+  }
   nodes_.clear();
   std::vector<double> w =
       sample_weights ? *sample_weights : std::vector<double>(y.size(), 1.0);
-  std::vector<size_t> indices;
-  indices.reserve(y.size());
+  std::vector<uint32_t> rows;
+  rows.reserve(y.size());
   for (size_t i = 0; i < y.size(); ++i) {
-    if (w[i] > 0.0) indices.push_back(i);
+    if (w[i] > 0.0) rows.push_back(static_cast<uint32_t>(i));
   }
-  if (indices.empty()) {
+  if (rows.empty()) {
     return Status::InvalidArgument("all sample weights are zero");
   }
   Rng rng(options_.seed);
-  BuildNode(X, y, w, &indices, 0, &rng);
+  RankTreeBuilder(options_, X, ranks, y, w, std::move(rows), &nodes_)
+      .Build(&rng);
   return options_.cancel.Check("tree.fit");
 }
 
-int DecisionTreeClassifier::BuildNode(const Matrix& X,
-                                      const std::vector<int>& y,
-                                      const std::vector<double>& w,
-                                      std::vector<size_t>* indices, int depth,
-                                      Rng* rng) {
+namespace reference {
+
+namespace {
+
+// The builder as it was before the rank-based search, kept verbatim.
+struct SortingTreeBuilder {
+  const TreeOptions& options_;
+  std::vector<DecisionTreeClassifier::Node> nodes_;
+
+  int BuildNode(const Matrix& X, const std::vector<int>& y,
+                const std::vector<double>& w, std::vector<size_t>* indices,
+                int depth, Rng* rng);
+};
+
+int SortingTreeBuilder::BuildNode(const Matrix& X, const std::vector<int>& y,
+                                  const std::vector<double>& w,
+                                  std::vector<size_t>* indices, int depth,
+                                  Rng* rng) {
   const auto& idx = *indices;
   double w_total = 0.0;
   double w_pos = 0.0;
@@ -135,34 +517,11 @@ int DecisionTreeClassifier::BuildNode(const Matrix& X,
     for (size_t i : idx) vals.emplace_back(SplitValue(X.At(i, f)), i);
 
     if (options_.random_thresholds) {
-      // Extra-Trees split: single uniformly random threshold per feature.
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -std::numeric_limits<double>::infinity();
-      for (const auto& [v, i] : vals) {
-        if (std::isfinite(v)) {
-          lo = std::min(lo, v);
-          hi = std::max(hi, v);
-        }
-      }
-      if (!(lo < hi)) continue;
-      double threshold = rng->Uniform(lo, hi);
-      double wl = 0.0, wl_pos = 0.0;
-      size_t nl = 0;
-      for (const auto& [v, i] : vals) {
-        if (v <= threshold) {
-          wl += w[i];
-          if (y[i] == 1) wl_pos += w[i];
-          ++nl;
-        }
-      }
-      size_t nr = vals.size() - nl;
-      if (nl < min_leaf || nr < min_leaf) continue;
-      double wr = w_total - wl;
-      double wr_pos = w_pos - wl_pos;
-      double decrease = parent_impurity -
-                        (wl / w_total) * impurity(wl_pos, wl) -
-                        (wr / w_total) * impurity(wr_pos, wr);
-      if (decrease > best_decrease) {
+      double decrease, threshold;
+      if (RandomThresholdSplit(vals, y, w, w_total, w_pos, parent_impurity,
+                               impurity, min_leaf, rng, &decrease,
+                               &threshold) &&
+          decrease > best_decrease) {
         best_decrease = decrease;
         best_feature = static_cast<int>(f);
         best_threshold = threshold;
@@ -227,6 +586,31 @@ int DecisionTreeClassifier::BuildNode(const Matrix& X,
   return node_id;
 }
 
+}  // namespace
+
+Result<std::vector<DecisionTreeClassifier::Node>> FitClassifierTree(
+    const TreeOptions& options, const Matrix& X, const std::vector<int>& y,
+    const std::vector<double>* sample_weights) {
+  AUTOEM_RETURN_IF_ERROR(ValidateFitInputs(X, y, sample_weights));
+  std::vector<double> w =
+      sample_weights ? *sample_weights : std::vector<double>(y.size(), 1.0);
+  std::vector<size_t> indices;
+  indices.reserve(y.size());
+  for (size_t i = 0; i < y.size(); ++i) {
+    if (w[i] > 0.0) indices.push_back(i);
+  }
+  if (indices.empty()) {
+    return Status::InvalidArgument("all sample weights are zero");
+  }
+  Rng rng(options.seed);
+  SortingTreeBuilder builder{options, {}};
+  builder.BuildNode(X, y, w, &indices, 0, &rng);
+  AUTOEM_RETURN_IF_ERROR(options.cancel.Check("tree.fit"));
+  return std::move(builder.nodes_);
+}
+
+}  // namespace reference
+
 double DecisionTreeClassifier::PredictRowProba(const double* row) const {
   AUTOEM_CHECK(!nodes_.empty());
   int cur = 0;
@@ -280,6 +664,7 @@ Status RegressionTree::Fit(const Matrix& X, const std::vector<double>& y,
   if (X.rows() != y.size()) {
     return Status::InvalidArgument("X rows != y size");
   }
+  AUTOEM_RETURN_IF_ERROR(ValidateSampleWeights(sample_weights, y.size()));
   nodes_.clear();
   std::vector<double> w =
       sample_weights ? *sample_weights : std::vector<double>(y.size(), 1.0);

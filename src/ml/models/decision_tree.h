@@ -36,9 +36,50 @@ struct TreeOptions {
   fault::CancelToken cancel;
 };
 
+/// Per-feature dense ranks of a matrix's split values: NaN ranks as -inf,
+/// and -0 and +0 share one rank, so two cells share a rank exactly when the
+/// split search treats them as tied. Costs rows x cols x 4 bytes.
+///
+/// A random forest builds these once per Fit and shares them read-only with
+/// every tree: bootstrap is expressed as weights, so all trees see the same
+/// X. AdaBoost shares them across its rounds the same way. A standalone
+/// DecisionTreeClassifier::Fit builds its own.
+class FeatureRanks {
+ public:
+  /// Row ids and ranks are 32-bit; Fit rejects taller matrices.
+  static constexpr size_t kMaxRows = 0xffffffffu;
+
+  /// Precondition: X.rows() <= kMaxRows (checked).
+  explicit FeatureRanks(const Matrix& X);
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return distinct_.size(); }
+  /// Rank of every row's cell in feature f, in [0, Distinct(f)).
+  const uint32_t* Ranks(size_t f) const { return ranks_.data() + f * rows_; }
+  /// Number of distinct split values of feature f.
+  uint32_t Distinct(size_t f) const { return distinct_[f]; }
+
+ private:
+  size_t rows_ = 0;
+  std::vector<uint32_t> ranks_;  // feature-major
+  std::vector<uint32_t> distinct_;
+};
+
 /// CART binary classification tree with sample weights and NaN routing
 /// (missing values always descend to the left child, so the same record is
 /// routed identically at train and inference time).
+///
+/// The exhaustive split search runs on FeatureRanks (DESIGN.md §13). At
+/// each node and tried feature it takes one of two exact scans, chosen
+/// from the node's row count m, the feature's distinct count D, and
+/// whether every weight is a whole number:
+///   - a counting scan over rank buckets when the weights are whole, so
+///     any summation order gives the same sums, and D <= 8m;
+///   - otherwise a sort of packed (rank, row) keys by rank alone, started
+///     in row order, which makes the same moves as sorting the values and
+///     so sums fractional weights in the same order.
+/// Both visit the same cuts in the same order with the same sums, so the
+/// fitted nodes equal reference::FitClassifierTree's bit for bit.
 class DecisionTreeClassifier : public Classifier {
  public:
   explicit DecisionTreeClassifier(TreeOptions options = {});
@@ -50,6 +91,10 @@ class DecisionTreeClassifier : public Classifier {
 
   Status Fit(const Matrix& X, const std::vector<int>& y,
              const std::vector<double>* sample_weights = nullptr) override;
+  /// Fit with ranks built once for X and shared by several trees.
+  Status Fit(const Matrix& X, const FeatureRanks& ranks,
+             const std::vector<int>& y,
+             const std::vector<double>* sample_weights);
   std::vector<double> PredictProba(const Matrix& X) const override;
   std::unique_ptr<Classifier> CloneConfig() const override;
   std::string name() const override { return "decision_tree"; }
@@ -80,13 +125,27 @@ class DecisionTreeClassifier : public Classifier {
   const std::vector<Node>& nodes() const { return nodes_; }
 
  private:
-  int BuildNode(const Matrix& X, const std::vector<int>& y,
-                const std::vector<double>& w, std::vector<size_t>* indices,
-                int depth, Rng* rng);
+  /// `ranks` is null only in random-threshold mode, which never scans.
+  Status FitWith(const Matrix& X, const FeatureRanks* ranks,
+                 const std::vector<int>& y,
+                 const std::vector<double>* sample_weights);
 
   TreeOptions options_;
   std::vector<Node> nodes_;
 };
+
+namespace reference {
+
+/// The CART builder the rank-based split search replaced, kept verbatim as
+/// its oracle (DESIGN.md §13): every tried feature gathers (value, row)
+/// pairs from X, sorts them by value and scans. Returns the nodes
+/// DecisionTreeClassifier(options).Fit would hold. Tests, fuzz and bench
+/// only.
+Result<std::vector<DecisionTreeClassifier::Node>> FitClassifierTree(
+    const TreeOptions& options, const Matrix& X, const std::vector<int>& y,
+    const std::vector<double>* sample_weights = nullptr);
+
+}  // namespace reference
 
 /// CART regression tree (MSE criterion) with the same NaN routing. Backs
 /// gradient boosting and the SMAC surrogate forest.

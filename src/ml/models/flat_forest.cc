@@ -14,7 +14,17 @@ constexpr size_t kRowBlock = 16;
 }  // namespace
 
 void FlatForest::AccumulateRows(const Matrix& X, size_t begin, size_t end,
-                                double* sums) const {
+                                double* sums, uint32_t* votes) const {
+  if (votes != nullptr) {
+    Walk<true>(X, begin, end, sums, votes);
+  } else {
+    Walk<false>(X, begin, end, sums, nullptr);
+  }
+}
+
+template <bool kVotes>
+void FlatForest::Walk(const Matrix& X, size_t begin, size_t end, double* sums,
+                      uint32_t* votes) const {
   AUTOEM_CHECK(!roots_.empty());
   const Node* const nds = nodes_.data();
   for (size_t b = begin; b < end; b += kRowBlock) {
@@ -22,9 +32,11 @@ void FlatForest::AccumulateRows(const Matrix& X, size_t begin, size_t end,
     const double* rows[kRowBlock];
     double acc[kRowBlock];
     uint32_t cur[kRowBlock];
+    uint32_t pos[kRowBlock];
     for (size_t i = 0; i < nb; ++i) {
       rows[i] = X.RowPtr(b + i);
       acc[i] = 0.0;
+      pos[i] = 0;
     }
     for (const uint32_t root : roots_) {
       for (size_t i = 0; i < nb; ++i) cur[i] = root;
@@ -44,9 +56,15 @@ void FlatForest::AccumulateRows(const Matrix& X, size_t begin, size_t end,
           active = true;
         }
       }
-      for (size_t i = 0; i < nb; ++i) acc[i] += nds[cur[i]].payload;
+      for (size_t i = 0; i < nb; ++i) {
+        acc[i] += nds[cur[i]].payload;
+        if constexpr (kVotes) pos[i] += nds[cur[i]].payload >= 0.5;
+      }
     }
-    for (size_t i = 0; i < nb; ++i) sums[b - begin + i] = acc[i];
+    for (size_t i = 0; i < nb; ++i) {
+      sums[b - begin + i] = acc[i];
+      if constexpr (kVotes) votes[b - begin + i] = pos[i];
+    }
   }
 }
 

@@ -92,8 +92,11 @@ class FlatForest {
   /// payload sum (accumulated in tree order) to sums[row - begin]. Rows are
   /// processed in blocks that advance through each tree in lockstep, with
   /// the next node of every lane prefetched while the other lanes compute.
-  void AccumulateRows(const Matrix& X, size_t begin, size_t end,
-                      double* sums) const;
+  /// When `votes` is non-null, the same pass also writes votes[row - begin]
+  /// = the number of trees whose leaf payload is >= 0.5: the committee vote
+  /// the active-learning loop ranks by.
+  void AccumulateRows(const Matrix& X, size_t begin, size_t end, double* sums,
+                      uint32_t* votes = nullptr) const;
 
   /// Per-tree payloads for one row: per_tree[t] = tree t's leaf payload.
   /// Used where the ensemble needs more than the sum (vote confidence,
@@ -101,6 +104,10 @@ class FlatForest {
   void PredictRowPerTree(const double* row, double* per_tree) const;
 
  private:
+  template <bool kVotes>
+  void Walk(const Matrix& X, size_t begin, size_t end, double* sums,
+            uint32_t* votes) const;
+
   std::vector<Node> nodes_;
   std::vector<uint32_t> roots_;
 };

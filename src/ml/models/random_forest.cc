@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/rng.h"
 #include "common/timer.h"
@@ -74,6 +75,16 @@ Status RandomForestClassifier::Fit(const Matrix& X, const std::vector<int>& y,
   const size_t n_trees = static_cast<size_t>(options_.n_estimators);
   std::vector<double> base_w =
       sample_weights ? *sample_weights : std::vector<double>(n, 1.0);
+  // Bootstrap is expressed as weights, so every tree splits the same X:
+  // its split ranks are built once here and shared read-only. Random
+  // thresholds never scan, so Extra-Trees skips them.
+  std::optional<FeatureRanks> ranks;
+  if (!options_.random_thresholds) {
+    if (n > FeatureRanks::kMaxRows) {
+      return Status::InvalidArgument("random_forest: too many rows");
+    }
+    ranks.emplace(X);
+  }
 
   // Every tree's randomness (split seed + bootstrap weights) is drawn from
   // the root RNG *before* any tree trains, in the same interleaved order a
@@ -131,11 +142,15 @@ Status RandomForestClassifier::Fit(const Matrix& X, const std::vector<int>& y,
   Status loop_status = ParallelFor(
       options_.parallelism, n_trees, cancel_,
       [&](size_t t) {
-        Status st = trees_[t].Fit(X, y, &tree_weights[t]);
+        auto fit = [&](const std::vector<double>* w) {
+          return ranks ? trees_[t].Fit(X, *ranks, y, w)
+                       : trees_[t].Fit(X, y, w);
+        };
+        Status st = fit(&tree_weights[t]);
         if (!st.ok() && st.code() == StatusCode::kInvalidArgument &&
             degenerate_bootstrap(tree_weights[t])) {
           degenerate_retries->Add(1);
-          st = trees_[t].Fit(X, y, &base_w);
+          st = fit(&base_w);
         }
         tree_status[t] = st;
       },
@@ -152,19 +167,48 @@ Status RandomForestClassifier::Fit(const Matrix& X, const std::vector<int>& y,
 
 std::vector<double> RandomForestClassifier::PredictProba(
     const Matrix& X) const {
+  obs::Span span("rf.predict_proba");
+  if (span.active()) span.Arg("rows", X.rows());
+  std::vector<double> out(X.rows(), 0.0);
+  Score(X, out.data(), nullptr);
+  return out;
+}
+
+RandomForestClassifier::ProbaAndConfidence
+RandomForestClassifier::PredictProbaAndConfidence(const Matrix& X) const {
+  obs::Span span("rf.predict_committee");
+  if (span.active()) span.Arg("rows", X.rows());
+  ProbaAndConfidence out;
+  out.proba.assign(X.rows(), 0.0);
+  std::vector<uint32_t> votes(X.rows(), 0);
+  Score(X, out.proba.data(), votes.data());
+  out.confidence.resize(X.rows());
+  for (size_t r = 0; r < X.rows(); ++r) {
+    double frac_pos =
+        static_cast<double>(votes[r]) / static_cast<double>(trees_.size());
+    out.confidence[r] = std::max(frac_pos, 1.0 - frac_pos);
+  }
+  return out;
+}
+
+std::vector<double> RandomForestClassifier::VoteConfidence(
+    const Matrix& X) const {
+  return PredictProbaAndConfidence(X).confidence;
+}
+
+void RandomForestClassifier::Score(const Matrix& X, double* proba,
+                                   uint32_t* votes) const {
   AUTOEM_CHECK(!trees_.empty() && !flat_.empty());
   static obs::Histogram* predict_ms =
       obs::MetricsRegistry::Global().GetHistogram("ml.rf_predict_ms");
-  obs::Span span("rf.predict_proba");
-  if (span.active()) span.Arg("rows", X.rows());
   Stopwatch timer;
-  std::vector<double> out(X.rows(), 0.0);
   // Batched pair-major traversal over the flattened node array: each worker
   // takes a contiguous row chunk and walks a block of rows through all
   // trees in lockstep with prefetched node fetches. Every row still
   // accumulates its trees in forest order, so the floating-point sum — and
   // therefore the output — is bit-identical to the scalar per-row walk at
-  // any thread count and chunking.
+  // any thread count and chunking. Votes are integer counts, exact in any
+  // order.
   constexpr size_t kChunk = 256;
   const size_t n_chunks = (X.rows() + kChunk - 1) / kChunk;
   ParallelFor(
@@ -172,34 +216,14 @@ std::vector<double> RandomForestClassifier::PredictProba(
       [&](size_t c) {
         const size_t begin = c * kChunk;
         const size_t end = std::min(begin + kChunk, X.rows());
-        flat_.AccumulateRows(X, begin, end, out.data() + begin);
+        flat_.AccumulateRows(X, begin, end, proba + begin,
+                             votes != nullptr ? votes + begin : nullptr);
         for (size_t r = begin; r < end; ++r) {
-          out[r] /= static_cast<double>(trees_.size());
+          proba[r] /= static_cast<double>(trees_.size());
         }
       },
       "rf.predict");
   predict_ms->Observe(timer.ElapsedMillis());
-  return out;
-}
-
-std::vector<double> RandomForestClassifier::VoteConfidence(
-    const Matrix& X) const {
-  AUTOEM_CHECK(!trees_.empty());
-  obs::Span span("rf.vote_confidence");
-  if (span.active()) span.Arg("rows", X.rows());
-  std::vector<double> out(X.rows(), 0.0);
-  ParallelFor(
-      options_.parallelism, X.rows(),
-      [&](size_t r) {
-        double votes_pos = 0.0;
-        for (const auto& tree : trees_) {
-          if (tree.PredictRowProba(X.RowPtr(r)) >= 0.5) votes_pos += 1.0;
-        }
-        double frac_pos = votes_pos / static_cast<double>(trees_.size());
-        out[r] = std::max(frac_pos, 1.0 - frac_pos);
-      },
-      "rf.predict");
-  return out;
 }
 
 std::unique_ptr<Classifier> RandomForestClassifier::CloneConfig() const {

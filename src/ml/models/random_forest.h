@@ -61,8 +61,17 @@ class RandomForestClassifier : public Classifier {
 
   /// Fraction of trees that vote with the ensemble majority for each row, in
   /// [0.5, 1]. High values = confident (self-training candidates); values
-  /// near 0.5 = uncertain (active-learning candidates).
+  /// near 0.5 = uncertain (active-learning candidates). A tree votes
+  /// positive when its leaf probability is >= 0.5.
   std::vector<double> VoteConfidence(const Matrix& X) const;
+
+  struct ProbaAndConfidence {
+    std::vector<double> proba;       // == PredictProba(X)
+    std::vector<double> confidence;  // == VoteConfidence(X)
+  };
+  /// Both of the above from one walk of the forest, as the labeling loop
+  /// needs them for the same unlabeled pool every iteration.
+  ProbaAndConfidence PredictProbaAndConfidence(const Matrix& X) const;
 
   size_t NumTrees() const { return trees_.size(); }
   const RandomForestOptions& options() const { return options_; }
@@ -72,6 +81,10 @@ class RandomForestClassifier : public Classifier {
   /// LoadFitted); PredictProba walks flat_, trees_ stays the source of
   /// truth for serialization and the scalar reference walk.
   void RebuildFlat();
+
+  /// Walks X through flat_ in row chunks: proba[r] = mean leaf payload and,
+  /// when `votes` is non-null, votes[r] = trees voting positive.
+  void Score(const Matrix& X, double* proba, uint32_t* votes) const;
 
   RandomForestOptions options_;
   fault::CancelToken cancel_;

@@ -17,9 +17,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "io/serialize.h"
 #include "ml/models/decision_tree.h"
 #include "ml/models/flat_forest.h"
 #include "ml/models/random_forest.h"
+#include "preprocess/balancing.h"
 #include "text/interner.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -522,6 +524,22 @@ TEST(FlatForestDifferential, ClassifierTreesMatchScalarWalkBitForBit) {
   for (size_t r = 13; r < 20; ++r) {
     EXPECT_EQ(chunk[r - 13], sums[r]);
   }
+
+  // The one-pass committee walk: the same sums, plus the number of trees
+  // whose leaf is >= 0.5, counted the way the per-tree walk counts them.
+  std::vector<double> vote_sums(eval.rows(), 0.0);
+  std::vector<uint32_t> votes(eval.rows(), 0);
+  flat.AccumulateRows(eval, 0, eval.rows(), vote_sums.data(), votes.data());
+  for (size_t r = 0; r < eval.rows(); ++r) {
+    uint32_t expected = 0;
+    for (const auto& tree : trees) {
+      if (tree.PredictRowProba(eval.RowPtr(r)) >= 0.5) ++expected;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(vote_sums[r]),
+              std::bit_cast<uint64_t>(sums[r]))
+        << "row " << r;
+    EXPECT_EQ(votes[r], expected) << "row " << r;
+  }
 }
 
 TEST(FlatForestDifferential, RegressionTreesMatchScalarWalkBitForBit) {
@@ -573,6 +591,56 @@ TEST(FlatForestDifferential, SingleLeafTreeWorks) {
   }
 }
 
+// PredictProbaAndConfidence against the per-tree walk VoteConfidence used
+// to do, and against PredictProba, bit for bit.
+TEST(FlatForestDifferential, CommitteeWalkMatchesPerTreeVotes) {
+  Rng rng(83);
+  const size_t kRows = 160, kCols = 5;
+  Matrix X = RandomMatrix(&rng, kRows, kCols, 0.1);
+  std::vector<int> y(kRows);
+  for (size_t r = 0; r < kRows; ++r) y[r] = (X.At(r, 2) > 1.0) ? 1 : 0;
+  RandomForestOptions opt;
+  opt.n_estimators = 9;
+  opt.seed = 5;
+  RandomForestClassifier rf(opt);
+  ASSERT_TRUE(rf.Fit(X, y).ok());
+
+  // The same trees, walked one row at a time through their node arrays.
+  std::vector<DecisionTreeClassifier> trees(rf.NumTrees());
+  {
+    io::Writer w;
+    ASSERT_TRUE(rf.SaveFitted(&w).ok());
+    io::Reader r(w.data());
+    uint64_t count = 0;
+    ASSERT_TRUE(r.U64(&count).ok());
+    ASSERT_EQ(count, trees.size());
+    for (auto& tree : trees) ASSERT_TRUE(tree.LoadFitted(&r).ok());
+  }
+
+  Matrix eval = RandomMatrix(&rng, 203, kCols, 0.15);
+  auto [proba, confidence] = rf.PredictProbaAndConfidence(eval);
+  std::vector<double> plain = rf.PredictProba(eval);
+  std::vector<double> conf = rf.VoteConfidence(eval);
+  ASSERT_EQ(proba.size(), eval.rows());
+  for (size_t r = 0; r < eval.rows(); ++r) {
+    double votes_pos = 0.0;
+    for (const auto& tree : trees) {
+      if (tree.PredictRowProba(eval.RowPtr(r)) >= 0.5) votes_pos += 1.0;
+    }
+    double frac_pos = votes_pos / static_cast<double>(trees.size());
+    double expected = std::max(frac_pos, 1.0 - frac_pos);
+    EXPECT_EQ(std::bit_cast<uint64_t>(confidence[r]),
+              std::bit_cast<uint64_t>(expected))
+        << "row " << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(conf[r]),
+              std::bit_cast<uint64_t>(expected))
+        << "row " << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(proba[r]),
+              std::bit_cast<uint64_t>(plain[r]))
+        << "row " << r;
+  }
+}
+
 TEST(FlatForestDifferential, ForestPredictionsThreadCountInvariant) {
   Rng rng(79);
   const size_t kRows = 120, kCols = 5;
@@ -595,6 +663,277 @@ TEST(FlatForestDifferential, ForestPredictionsThreadCountInvariant) {
   for (size_t r = 0; r < kRows; ++r) {
     EXPECT_EQ(p1[r], p2[r]) << "row " << r;
     EXPECT_EQ(p1[r], p8[r]) << "row " << r;
+  }
+}
+
+// ---- rank-based tree builder vs the sorting reference ----------------------
+
+using TreeNode = DecisionTreeClassifier::Node;
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Byte for byte: feature, threshold bits, children, leaf probability bits.
+void ExpectSameNodes(const std::vector<TreeNode>& fast,
+                     const std::vector<TreeNode>& ref,
+                     const std::string& what) {
+  ASSERT_EQ(fast.size(), ref.size()) << what;
+  for (size_t k = 0; k < fast.size(); ++k) {
+    EXPECT_EQ(fast[k].feature, ref[k].feature) << what << " node " << k;
+    EXPECT_EQ(Bits(fast[k].threshold), Bits(ref[k].threshold))
+        << what << " node " << k << ": " << fast[k].threshold << " vs "
+        << ref[k].threshold;
+    EXPECT_EQ(fast[k].left, ref[k].left) << what << " node " << k;
+    EXPECT_EQ(fast[k].right, ref[k].right) << what << " node " << k;
+    EXPECT_EQ(Bits(fast[k].prob_positive), Bits(ref[k].prob_positive))
+        << what << " node " << k;
+  }
+}
+
+// Fits one tree with both builders, the fast one on ranks shared across
+// calls as a forest shares them, and compares status and nodes.
+void ExpectTreeFitsMatch(const TreeOptions& opt, const Matrix& X,
+                         const FeatureRanks& ranks, const std::vector<int>& y,
+                         const std::vector<double>* w,
+                         const std::string& what) {
+  DecisionTreeClassifier tree(opt);
+  Status st = tree.Fit(X, ranks, y, w);
+  auto ref = reference::FitClassifierTree(opt, X, y, w);
+  ASSERT_EQ(st.code(), ref.status().code()) << what << ": " << st.ToString();
+  if (st.ok()) ExpectSameNodes(tree.nodes(), *ref, what);
+}
+
+// Values the split search must treat carefully: NaN (ranks as -inf), both
+// zeros (one rank), both infinities, denormals, and magnitudes whose
+// midpoint overflows.
+const double kSpecialValues[] = {
+    std::numeric_limits<double>::quiet_NaN(),
+    -0.0,
+    0.0,
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::denorm_min(),
+    -std::numeric_limits<double>::denorm_min(),
+    2 * std::numeric_limits<double>::denorm_min(),
+    std::numeric_limits<double>::max(),
+    -std::numeric_limits<double>::max(),
+};
+
+// Columns cycle through the tie regimes: a 3-10 value alphabet mixing
+// special values with small reals, a mid-sized alphabet, and continuous
+// values. Labels follow the first columns' alphabet positions with noise,
+// so trees grow deep and node sizes sweep from n down to one row: with
+// whole weights, each feature's scan switches from counting buckets to
+// sorting keys as m falls below D/8.
+struct TieData {
+  Matrix X;
+  std::vector<int> y;
+};
+
+TieData MakeTieData(Rng* rng, size_t rows, size_t cols) {
+  TieData d{Matrix(rows, cols), std::vector<int>(rows, 0)};
+  std::vector<size_t> signal(rows, 0);
+  for (size_t c = 0; c < cols; ++c) {
+    std::vector<double> alphabet;
+    if (c % 4 == 3) {
+      for (size_t r = 0; r < rows; ++r) {
+        d.X.At(r, c) = static_cast<double>(rng->UniformIndex(1 << 20)) / 64.0;
+      }
+      continue;
+    }
+    const size_t size = c % 4 == 2 ? rows / 6 : 3 + rng->UniformIndex(8);
+    for (size_t k = 0; k < size; ++k) {
+      alphabet.push_back(
+          rng->UniformIndex(2) == 0
+              ? kSpecialValues[rng->UniformIndex(std::size(kSpecialValues))]
+              : static_cast<double>(rng->UniformIndex(9)) - 4.0);
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      const size_t k = rng->UniformIndex(size);
+      d.X.At(r, c) = alphabet[k];
+      if (c < 2) signal[r] += k;
+    }
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    d.y[r] = static_cast<int>((signal[r] + (rng->UniformIndex(6) == 0)) % 2);
+  }
+  return d;
+}
+
+// The weight regimes a tree sees: none, integer bootstrap counts,
+// BalancedClassWeights fractions, their product (a class-weighted forest),
+// zero-heavy fractions, and whole numbers too large to sum exactly.
+std::vector<std::pair<std::string, std::vector<double>>> WeightVariants(
+    Rng* rng, const std::vector<int>& y) {
+  const size_t n = y.size();
+  std::vector<std::pair<std::string, std::vector<double>>> out;
+  std::vector<double> boot(n, 0.0);
+  for (size_t k = 0; k < n; ++k) boot[rng->UniformIndex(n)] += 1.0;
+  out.emplace_back("bootstrap", boot);
+  auto balanced = BalancedClassWeights(y);
+  if (balanced.ok()) {
+    out.emplace_back("balanced", *balanced);
+    std::vector<double> product = boot;
+    for (size_t k = 0; k < n; ++k) product[k] *= (*balanced)[k];
+    out.emplace_back("bootstrap_x_balanced", product);
+  }
+  std::vector<double> ragged(n);
+  for (double& v : ragged) {
+    v = rng->UniformIndex(3) == 0 ? 0.0 : rng->Uniform() * 3.0;
+  }
+  out.emplace_back("zero_heavy_fractions", ragged);
+  std::vector<double> huge(n);
+  for (double& v : huge) {
+    v = static_cast<double>(rng->UniformIndex(3)) * 4503599627370496.0 + 1.0;
+  }
+  out.emplace_back("huge_whole", huge);
+  return out;
+}
+
+TEST(TreeFitDifferential, HeavyTiesAndSpecialValuesAcrossOptionGrid) {
+  Rng rng(2024);
+  for (int round = 0; round < 3; ++round) {
+    TieData d = MakeTieData(&rng, 200 + 40 * round, 12);
+    FeatureRanks ranks(d.X);
+    auto variants = WeightVariants(&rng, d.y);
+    variants.emplace_back("unweighted", std::vector<double>());
+    const double sqrt_features = std::sqrt(12.0) / 12.0;
+    for (const auto& [wname, weights] : variants) {
+      const std::vector<double>* w = weights.empty() ? nullptr : &weights;
+      for (const char* criterion : {"gini", "entropy"}) {
+        for (double max_features : {0.05, sqrt_features, 1.0}) {
+          for (int min_leaf : {1, 5}) {
+            TreeOptions opt;
+            opt.criterion = criterion;
+            opt.max_features = max_features;
+            opt.min_samples_leaf = min_leaf;
+            opt.seed = 31 + static_cast<uint64_t>(round);
+            ExpectTreeFitsMatch(
+                opt, d.X, ranks, d.y, w,
+                "round " + std::to_string(round) + " " + wname + " " +
+                    criterion + " mf=" + std::to_string(max_features) +
+                    " leaf=" + std::to_string(min_leaf));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeFitDifferential, ContinuousFeaturesCrossEveryRegime) {
+  // Mostly distinct values: with whole weights, nodes down to n/8 rows
+  // count buckets (D <= 8m) and smaller ones sort keys.
+  Rng rng(77);
+  Matrix X = RandomMatrix(&rng, 400, 6, 0.05);
+  std::vector<int> y(X.rows());
+  for (size_t r = 0; r < X.rows(); ++r) {
+    y[r] = (X.At(r, 0) * X.At(r, 1) > 3.0) != (rng.UniformIndex(8) == 0);
+  }
+  FeatureRanks ranks(X);
+  auto variants = WeightVariants(&rng, y);
+  variants.emplace_back("unweighted", std::vector<double>());
+  for (const auto& [wname, weights] : variants) {
+    for (double max_features : {0.34, 1.0}) {
+      TreeOptions opt;
+      opt.max_features = max_features;
+      opt.seed = 5;
+      ExpectTreeFitsMatch(opt, X, ranks, y,
+                          weights.empty() ? nullptr : &weights,
+                          wname + " mf=" + std::to_string(max_features));
+    }
+  }
+}
+
+TEST(TreeFitDifferential, StoppingRulesMatch) {
+  Rng rng(4242);
+  TieData d = MakeTieData(&rng, 260, 8);
+  FeatureRanks ranks(d.X);
+  auto variants = WeightVariants(&rng, d.y);
+  for (const auto& [wname, weights] : variants) {
+    for (int min_split : {2, 7, 40}) {
+      for (double min_decrease : {0.0, 1e-3, 0.02}) {
+        for (int max_depth : {0, 1, 4}) {
+          TreeOptions opt;
+          opt.min_samples_split = min_split;
+          opt.min_impurity_decrease = min_decrease;
+          opt.max_depth = max_depth;
+          opt.max_features = 0.5;
+          ExpectTreeFitsMatch(opt, d.X, ranks, d.y, &weights,
+                              wname + " split=" + std::to_string(min_split) +
+                                  " dec=" + std::to_string(min_decrease) +
+                                  " depth=" + std::to_string(max_depth));
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeFitDifferential, SignedZeroBelowInfinityKeepsTheReferenceSign) {
+  // One feature: ±0 rows labelled 0 and +inf rows labelled 1. The root cut
+  // sits between the zeros and +inf; (0 + inf) / 2 overflows, and the
+  // reference falls back to the zero its sort left last in the group, so
+  // the threshold's sign follows the sort's tie order.
+  Rng rng(9);
+  int negative = 0, positive = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = 12 + rng.UniformIndex(50);
+    Matrix X(n, 1);
+    std::vector<int> y(n);
+    for (size_t r = 0; r < n; ++r) {
+      const bool inf = r == 0 || (r != 1 && rng.UniformIndex(3) == 0);
+      X.At(r, 0) = inf ? std::numeric_limits<double>::infinity()
+                       : (rng.UniformIndex(2) == 0 ? -0.0 : 0.0);
+      y[r] = inf ? 1 : 0;
+    }
+    FeatureRanks ranks(X);
+    std::vector<double> fractional(n);
+    for (double& v : fractional) v = 0.5 + rng.Uniform();
+    const std::vector<double>* const weightings[] = {nullptr, &fractional};
+    for (const std::vector<double>* w : weightings) {
+      TreeOptions opt;
+      ExpectTreeFitsMatch(opt, X, ranks, y, w,
+                          "trial " + std::to_string(trial));
+      auto ref = reference::FitClassifierTree(opt, X, y, w);
+      ASSERT_TRUE(ref.ok());
+      ASSERT_EQ((*ref)[0].feature, 0);
+      ++(std::signbit((*ref)[0].threshold) ? negative : positive);
+    }
+  }
+  // Both signs occur, so the comparison above has teeth.
+  EXPECT_GT(negative, 0);
+  EXPECT_GT(positive, 0);
+}
+
+TEST(TreeFitDifferential, RandomThresholdsMatch) {
+  Rng rng(15);
+  TieData d = MakeTieData(&rng, 180, 6);
+  FeatureRanks ranks(d.X);
+  for (const auto& [wname, weights] : WeightVariants(&rng, d.y)) {
+    TreeOptions opt;
+    opt.random_thresholds = true;
+    opt.max_features = 0.5;
+    ExpectTreeFitsMatch(opt, d.X, ranks, d.y, &weights, wname);
+  }
+}
+
+TEST(TreeFitDifferential, RejectedInputsAgree) {
+  Matrix X(6, 2, 1.0);
+  for (size_t r = 0; r < 6; ++r) X.At(r, 0) = static_cast<double>(r);
+  std::vector<int> y = {0, 1, 0, 1, 0, 1};
+  FeatureRanks ranks(X);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> cases[] = {
+      std::vector<double>(6, 0.0),                       // all zero
+      {1.0, 1.0, inf, 1.0, 1.0, 1.0},                    // infinite
+      {1.0, std::nan(""), 1.0, 1.0, 1.0, 1.0},           // NaN
+      {1.0, 1.0, 1.0},                                   // short
+      {-1.0, -2.0, 0.0, -0.0, -3.0, -1.0},               // none positive
+  };
+  for (const auto& w : cases) {
+    DecisionTreeClassifier tree;
+    Status st = tree.Fit(X, ranks, y, &w);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_EQ(reference::FitClassifierTree({}, X, y, &w).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

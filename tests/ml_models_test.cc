@@ -213,6 +213,44 @@ TEST(DecisionTreeTest, MinImpurityDecreaseBlocksWeakSplits) {
   EXPECT_EQ(tree.NodeCount(), 1u);
 }
 
+// One +inf weight on a 6-row probe used to fit "OK" and then predict NaN:
+// every impurity and leaf probability it touched became NaN.
+TEST(DecisionTreeTest, NonFiniteSampleWeightsRejected) {
+  Matrix X(6, 1);
+  for (size_t i = 0; i < 6; ++i) X.At(i, 0) = static_cast<double>(i);
+  std::vector<int> y = {0, 0, 0, 1, 1, 1};
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), kNaN}) {
+    std::vector<double> w(6, 1.0);
+    w[2] = bad;
+    DecisionTreeClassifier tree;
+    EXPECT_EQ(tree.Fit(X, y, &w).code(), StatusCode::kInvalidArgument) << bad;
+    RandomForestOptions opt;
+    opt.n_estimators = 3;
+    RandomForestClassifier rf(opt);
+    EXPECT_EQ(rf.Fit(X, y, &w).code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+// RegressionTree (gradient boosting, the SMAC surrogate) read w[i] for
+// every row without checking the weight vector's length: a heap over-read
+// under ASan.
+TEST(RegressionTreeTest, MismatchedOrNonFiniteWeightsRejected) {
+  Matrix X(6, 1);
+  std::vector<double> y(6);
+  for (size_t i = 0; i < 6; ++i) {
+    X.At(i, 0) = static_cast<double>(i);
+    y[i] = i < 3 ? 0.0 : 1.0;
+  }
+  const std::vector<double> short_w(3, 1.0);
+  const std::vector<double> inf_w = {1, 1, 1, 1,
+                                     std::numeric_limits<double>::infinity(),
+                                     1};
+  RegressionTree tree;
+  EXPECT_EQ(tree.Fit(X, y, &short_w).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree.Fit(X, y, &inf_w).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RegressionTreeTest, FitsPiecewiseConstant) {
   Matrix X(100, 1);
   std::vector<double> y(100);

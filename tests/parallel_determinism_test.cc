@@ -18,6 +18,7 @@
 #include "obs/profiler.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
+#include "preprocess/balancing.h"
 
 namespace autoem {
 namespace {
@@ -136,29 +137,43 @@ TEST(ParallelDeterminismTest, ForestFitAndPredictBitIdentical) {
   Dataset train = gen.Generate(data.train);
   Dataset test = gen.Generate(data.test);
 
-  auto fit_forest = [&](int threads) {
-    RandomForestOptions opt;
-    opt.n_estimators = 24;
-    opt.seed = 99;
-    opt.parallelism = Parallelism::Threads(threads);
-    RandomForestClassifier rf(opt);
-    EXPECT_TRUE(rf.Fit(train.X, train.y).ok());
-    return rf;
-  };
+  // Unweighted trees sum whole bootstrap counts; class-weighted ones
+  // (balancing:strategy=weighting) sum fractions, in the order of the
+  // split search's key sort. Both legs share one rank store per fit.
+  auto class_weights = BalancedClassWeights(train.y);
+  ASSERT_TRUE(class_weights.ok());
+  const std::pair<const char*, const std::vector<double>*> legs[] = {
+      {"unweighted", nullptr}, {"class-weighted", &*class_weights}};
+  for (const auto& [leg, weights] : legs) {
+    auto fit_forest = [&](int threads) {
+      RandomForestOptions opt;
+      opt.n_estimators = 24;
+      opt.seed = 99;
+      opt.parallelism = Parallelism::Threads(threads);
+      RandomForestClassifier rf(opt);
+      EXPECT_TRUE(rf.Fit(train.X, train.y, weights).ok());
+      return rf;
+    };
 
-  RandomForestClassifier baseline = fit_forest(1);
-  std::vector<double> base_proba = baseline.PredictProba(test.X);
-  std::vector<int> base_pred = baseline.Predict(test.X);
-  std::vector<double> base_conf = baseline.VoteConfidence(test.X);
+    RandomForestClassifier baseline = fit_forest(1);
+    std::vector<double> base_proba = baseline.PredictProba(test.X);
+    std::vector<int> base_pred = baseline.Predict(test.X);
+    std::vector<double> base_conf = baseline.VoteConfidence(test.X);
 
-  for (int threads : kThreadCounts) {
-    RandomForestClassifier rf = fit_forest(threads);
-    ASSERT_EQ(rf.NumTrees(), baseline.NumTrees());
-    ExpectBitIdentical(base_proba, rf.PredictProba(test.X),
-                       "proba @" + std::to_string(threads));
-    EXPECT_EQ(base_pred, rf.Predict(test.X)) << "predictions @" << threads;
-    ExpectBitIdentical(base_conf, rf.VoteConfidence(test.X),
-                       "vote confidence @" + std::to_string(threads));
+    for (int threads : kThreadCounts) {
+      const std::string at =
+          std::string(leg) + " @" + std::to_string(threads);
+      RandomForestClassifier rf = fit_forest(threads);
+      ASSERT_EQ(rf.NumTrees(), baseline.NumTrees());
+      ExpectBitIdentical(base_proba, rf.PredictProba(test.X), "proba " + at);
+      EXPECT_EQ(base_pred, rf.Predict(test.X)) << "predictions " << at;
+      ExpectBitIdentical(base_conf, rf.VoteConfidence(test.X),
+                         "vote confidence " + at);
+      auto both = rf.PredictProbaAndConfidence(test.X);
+      ExpectBitIdentical(base_proba, both.proba, "committee proba " + at);
+      ExpectBitIdentical(base_conf, both.confidence,
+                         "committee confidence " + at);
+    }
   }
 }
 
