@@ -1,12 +1,12 @@
 // Batch scoring throughput: a trained matcher streaming candidate pairs
-// through `ScorePairsBatched` (the `autoem_cli predict` hot path) versus the
-// all-at-once `ScorePairs` baseline. Counters:
+// through `ScorePairs` (the `autoem_cli predict` / `match` hot path) at the
+// default chunk size and at small chunks. Counters:
 //   threads         worker-thread setting for the run
-//   chunk_size      pairs per chunk (0 = unchunked ScorePairs baseline)
+//   chunk_size      pairs per chunk
 //   pairs_per_sec   scored pairs per wall-clock second
-// The chunked path exists for bounded peak memory, not speed — the bar is
-// throughput within noise of unchunked at matching thread counts (the
-// per-chunk dispatch overhead is amortized at the default 4096).
+// Chunks exist for bounded peak memory, not speed — the bar is small-chunk
+// throughput within noise of the default 4096 at matching thread counts
+// (the per-chunk dispatch overhead is amortized).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -69,9 +69,7 @@ void RunScoring(benchmark::State& state, size_t chunk_size) {
   w.matcher->SetParallelism(Parallelism::Threads(threads));
   size_t pairs_scored = 0;
   for (auto _ : state) {
-    auto scores = chunk_size == 0
-                      ? w.matcher->ScorePairs(w.data.test)
-                      : w.matcher->ScorePairsBatched(w.data.test, chunk_size);
+    auto scores = w.matcher->ScorePairs(w.data.test, chunk_size);
     if (!scores.ok()) {
       state.SkipWithError(
           ("scoring failed: " + scores.status().ToString()).c_str());
@@ -86,10 +84,6 @@ void RunScoring(benchmark::State& state, size_t chunk_size) {
       static_cast<double>(pairs_scored), benchmark::Counter::kIsRate);
 }
 
-void BM_ScorePairsUnchunked(benchmark::State& state) {
-  RunScoring(state, /*chunk_size=*/0);
-}
-
 void BM_ScorePairsBatched(benchmark::State& state) {
   RunScoring(state, /*chunk_size=*/4096);
 }
@@ -98,7 +92,6 @@ void BM_ScorePairsBatchedSmallChunks(benchmark::State& state) {
   RunScoring(state, /*chunk_size=*/256);
 }
 
-BENCHMARK(BM_ScorePairsUnchunked)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_ScorePairsBatched)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_ScorePairsBatchedSmallChunks)->Arg(4);
 

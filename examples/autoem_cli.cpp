@@ -12,17 +12,18 @@
 //
 //   autoem_cli match --train-a A.csv --train-b B.csv --train-pairs P.csv
 //                    --cand-a CA.csv --cand-b CB.csv [--block-on attr]
-//                    [--threshold 0.5] [--out matches.csv]
-//       Trains on the labeled pairs, blocks the candidate tables (q-gram on
-//       --block-on, default: first attribute), scores every candidate pair,
+//                    [--chunk-size N] [--threshold 0.5] [--out matches.csv]
+//       Trains on the labeled pairs, then does what `predict` does with the
+//       fitted model: blocks the candidate tables (q-gram on --block-on,
+//       default: first attribute), scores every candidate pair in chunks,
 //       and writes ltable_id,rtable_id,score,match rows.
 //
 //   autoem_cli predict --load-model model.aem --cand-a CA.csv --cand-b CB.csv
 //                      [--pairs P.csv | --block-on attr] [--out pred.csv]
 //                      [--chunk-size N] [--threshold 0.5] [--threads N]
 //       Loads a model saved by train-eval (no training data needed) and
-//       streams the candidate pairs through chunked batch scoring.
-//       Predictions are bit-identical to the training process's.
+//       streams the candidate pairs through chunked scoring. Predictions
+//       are bit-identical to the training process's.
 //
 //   autoem_cli report --trajectory curve.csv [--metrics metrics.json]
 //                     [--trace trace.json] [--profile p.folded]
@@ -215,18 +216,17 @@ int RunTrainEval(const Flags& flags) {
     test.right = MustReadCsv(flags.Get("test-b"), "test_b");
     test.pairs = MustReadPairs(flags.Get("test-pairs"), test.left,
                                test.right);
-    auto report = matcher.Evaluate(test);
-    if (!report.ok()) Fail(report.status().ToString());
+    auto scores = matcher.ScorePairs(test);
+    if (!scores.ok()) Fail(scores.status().ToString());
+    MatchReport report = ReportAtThreshold(test, *scores, 0.5);
     std::printf("\ntest (%zu pairs, %zu matches): precision=%.3f "
                 "recall=%.3f F1=%.3f\n",
-                report->num_pairs, report->num_positives, report->precision,
-                report->recall, report->f1);
+                report.num_pairs, report.num_positives, report.precision,
+                report.recall, report.f1);
 
     // --score-out: the per-pair test scores, byte-comparable against a
     // `predict` run on the same pairs with the saved model.
     if (flags.Has("score-out")) {
-      auto scores = matcher.ScorePairsBatched(test);
-      if (!scores.ok()) Fail(scores.status().ToString());
       double threshold = std::atof(flags.Get("threshold", "0.5").c_str());
       WriteScoresCsv(test.pairs, *scores, threshold, flags.Get("score-out"),
                      nullptr);
@@ -265,6 +265,47 @@ int RunTrainEval(const Flags& flags) {
   return 0;
 }
 
+PairSet MustReadCandidates(const Flags& flags) {
+  PairSet candidates;
+  candidates.left = MustReadCsv(flags.Get("cand-a"), "cand_a");
+  candidates.right = MustReadCsv(flags.Get("cand-b"), "cand_b");
+  return candidates;
+}
+
+// Q-gram blocks the candidate tables on --block-on (default: the first
+// attribute).
+void MustBlock(const Flags& flags, PairSet* candidates) {
+  std::string block_attr =
+      flags.Get("block-on", candidates->left.schema().num_attributes() > 0
+                                ? candidates->left.schema().name(0)
+                                : "");
+  QGramBlocker blocker(block_attr, 3);
+  auto blocked = blocker.Block(candidates->left, candidates->right);
+  if (!blocked.ok()) Fail(blocked.status().ToString());
+  candidates->pairs = std::move(*blocked);
+  std::printf("blocking on '%s': %zu x %zu records -> %zu candidate pairs\n",
+              block_attr.c_str(), candidates->left.num_rows(),
+              candidates->right.num_rows(), candidates->pairs.size());
+}
+
+// Scores every candidate pair in --chunk-size chunks and writes the scores
+// to --out (default `default_out`), called a match at --threshold.
+void MustScoreToCsv(const EntityMatcher& matcher, const PairSet& candidates,
+                    const Flags& flags, const char* default_out) {
+  size_t chunk_size =
+      static_cast<size_t>(std::atoll(flags.Get("chunk-size", "4096").c_str()));
+  auto scores = matcher.ScorePairs(candidates, chunk_size);
+  if (!scores.ok()) Fail(scores.status().ToString());
+
+  double threshold = std::atof(flags.Get("threshold", "0.5").c_str());
+  std::string out_path = flags.Get("out", default_out);
+  size_t n_matches = 0;
+  WriteScoresCsv(candidates.pairs, *scores, threshold, out_path, &n_matches);
+  std::printf("%zu/%zu candidates matched at threshold %.2f -> %s\n",
+              n_matches, candidates.pairs.size(), threshold,
+              out_path.c_str());
+}
+
 int RunPredict(const Flags& flags) {
   if (!flags.Has("load-model")) Fail("predict requires --load-model");
   auto matcher = io::LoadModel(flags.Get("load-model"));
@@ -275,93 +316,24 @@ int RunPredict(const Flags& flags) {
   parallelism.threads = std::atoi(flags.Get("threads", "1").c_str());
   matcher->SetParallelism(parallelism);
 
-  PairSet candidates;
-  candidates.left = MustReadCsv(flags.Get("cand-a"), "cand_a");
-  candidates.right = MustReadCsv(flags.Get("cand-b"), "cand_b");
-  if (!(candidates.left.schema() == candidates.right.schema())) {
-    Fail("candidate tables must share a schema");
-  }
-
+  PairSet candidates = MustReadCandidates(flags);
   if (flags.Has("pairs")) {
     candidates.pairs = MustReadPairs(flags.Get("pairs"), candidates.left,
                                      candidates.right);
     std::printf("scoring %zu candidate pairs from %s\n",
                 candidates.pairs.size(), flags.Get("pairs").c_str());
   } else {
-    std::string block_attr =
-        flags.Get("block-on", candidates.left.schema().num_attributes() > 0
-                                  ? candidates.left.schema().name(0)
-                                  : "");
-    QGramBlocker blocker(block_attr, 3);
-    auto blocked = blocker.Block(candidates.left, candidates.right);
-    if (!blocked.ok()) Fail(blocked.status().ToString());
-    candidates.pairs = std::move(*blocked);
-    std::printf("blocking on '%s': %zu x %zu records -> %zu candidate "
-                "pairs\n",
-                block_attr.c_str(), candidates.left.num_rows(),
-                candidates.right.num_rows(), candidates.pairs.size());
+    MustBlock(flags, &candidates);
   }
-
-  size_t chunk_size =
-      static_cast<size_t>(std::atoll(flags.Get("chunk-size", "4096").c_str()));
-  auto scores = matcher->ScorePairsBatched(candidates, chunk_size);
-  if (!scores.ok()) Fail(scores.status().ToString());
-
-  double threshold = std::atof(flags.Get("threshold", "0.5").c_str());
-  std::string out_path = flags.Get("out", "predictions.csv");
-  size_t n_matches = 0;
-  WriteScoresCsv(candidates.pairs, *scores, threshold, out_path, &n_matches);
-  std::printf("%zu/%zu candidates matched at threshold %.2f -> %s\n",
-              n_matches, candidates.pairs.size(), threshold,
-              out_path.c_str());
+  MustScoreToCsv(*matcher, candidates, flags, "predictions.csv");
   return 0;
 }
 
 int RunMatch(const Flags& flags) {
   EntityMatcher matcher = TrainMatcher(flags, nullptr);
-
-  PairSet candidates;
-  candidates.left = MustReadCsv(flags.Get("cand-a"), "cand_a");
-  candidates.right = MustReadCsv(flags.Get("cand-b"), "cand_b");
-  if (!(candidates.left.schema() == candidates.right.schema())) {
-    Fail("candidate tables must share a schema");
-  }
-
-  std::string block_attr =
-      flags.Get("block-on", candidates.left.schema().num_attributes() > 0
-                                ? candidates.left.schema().name(0)
-                                : "");
-  QGramBlocker blocker(block_attr, 3);
-  auto blocked = blocker.Block(candidates.left, candidates.right);
-  if (!blocked.ok()) Fail(blocked.status().ToString());
-  candidates.pairs = std::move(*blocked);
-  std::printf("blocking on '%s': %zu x %zu records -> %zu candidate pairs\n",
-              block_attr.c_str(), candidates.left.num_rows(),
-              candidates.right.num_rows(), candidates.pairs.size());
-
-  auto scores = matcher.ScorePairs(candidates);
-  if (!scores.ok()) Fail(scores.status().ToString());
-  double threshold = std::atof(flags.Get("threshold", "0.5").c_str());
-
-  Table out("matches",
-            Schema({"ltable_id", "rtable_id", "score", "match"}));
-  size_t n_matches = 0;
-  for (size_t i = 0; i < candidates.pairs.size(); ++i) {
-    const RecordPair& pair = candidates.pairs[i];
-    bool is_match = (*scores)[i] >= threshold;
-    n_matches += is_match;
-    Status st = out.Append(
-        Record({Value(static_cast<double>(pair.left_id)),
-                Value(static_cast<double>(pair.right_id)),
-                Value((*scores)[i]), Value(is_match)}));
-    if (!st.ok()) Fail(st.ToString());
-  }
-  std::string out_path = flags.Get("out", "matches.csv");
-  Status st = WriteCsv(out, out_path);
-  if (!st.ok()) Fail(st.ToString());
-  std::printf("%zu/%zu candidates matched at threshold %.2f -> %s\n",
-              n_matches, candidates.pairs.size(), threshold,
-              out_path.c_str());
+  PairSet candidates = MustReadCandidates(flags);
+  MustBlock(flags, &candidates);
+  MustScoreToCsv(matcher, candidates, flags, "matches.csv");
   return 0;
 }
 
@@ -441,7 +413,8 @@ void PrintUsage() {
       "  autoem_cli match --train-a A.csv --train-b B.csv --train-pairs "
       "P.csv\n"
       "             --cand-a CA.csv --cand-b CB.csv [--block-on attr]\n"
-      "             [--threshold T] [--threads N] [--out matches.csv]\n"
+      "             [--chunk-size N] [--threshold T] [--threads N]\n"
+      "             [--out matches.csv]\n"
       "  autoem_cli predict --load-model model.aem --cand-a CA.csv "
       "--cand-b CB.csv\n"
       "             [--pairs P.csv | --block-on attr] [--out "
@@ -460,7 +433,8 @@ void PrintUsage() {
       "  pairs without any training data; given --pairs it scores exactly\n"
       "  those pairs, otherwise it blocks the candidate tables first.\n"
       "  Scores are written with full precision and are bit-identical to\n"
-      "  the saving process at any --threads / --chunk-size.\n"
+      "  the saving process at any --threads / --chunk-size. match trains\n"
+      "  and then blocks, scores and writes exactly as predict does.\n"
       "\n"
       "  --threads N uses N worker threads for featurization and forest\n"
       "  training (0 = all hardware threads; default 1). Output is\n"

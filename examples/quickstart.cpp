@@ -3,7 +3,7 @@
 //
 //   1. generate (or load) two tables plus labeled candidate pairs
 //   2. EntityMatcher::Train  — feature generation + AutoML pipeline search
-//   3. matcher.Evaluate / matcher.MatchPairs
+//   3. matcher.Evaluate / matcher.ScorePairs
 #include <cstdio>
 
 #include "datagen/benchmark_gen.h"

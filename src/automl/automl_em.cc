@@ -125,21 +125,4 @@ Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train_all,
   return RunAutoMlEm(split.train, split.test, options);
 }
 
-Result<AutoMlEmResult> RunAutoMlEmOnPairs(const PairSet& train_pairs,
-                                          const AutoMlEmOptions& options,
-                                          const PairSet* test_pairs,
-                                          Dataset* test_out) {
-  // Open the session here so featurization spans land in the trace; the
-  // nested session inside RunAutoMlEm is a no-op for tracing ownership.
-  obs::ObsSession obs_session(options.obs);
-  AutoMlEmFeatureGenerator generator;
-  generator.set_parallelism(options.parallelism);
-  AUTOEM_RETURN_IF_ERROR(generator.Plan(train_pairs.left, train_pairs.right));
-  Dataset train = generator.Generate(train_pairs);
-  if (test_pairs != nullptr && test_out != nullptr) {
-    *test_out = generator.Generate(*test_pairs);
-  }
-  return RunAutoMlEm(train, options);
-}
-
 }  // namespace autoem

@@ -45,9 +45,8 @@ struct AutoMlEmOptions {
   double max_trial_seconds = 0.0;
   /// Crash-safe checkpoint/resume of the search (see automl/checkpoint.h).
   CheckpointOptions checkpoint;
-  /// Parallelism of the hot paths inside the run: featurization (the
-  /// RunAutoMlEmOnPairs overload), every candidate pipeline's forest fit,
-  /// and the final refit. The search trajectory and the returned model are
+  /// Parallelism of the hot paths inside the run: every candidate
+  /// pipeline's forest fit and the final refit. The search trajectory and the returned model are
   /// bit-identical at any thread count.
   Parallelism parallelism;
   /// Observability sinks (log level, Chrome trace path, metrics snapshot
@@ -79,15 +78,6 @@ Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train, const Dataset& valid,
 /// Convenience overload: splits `train_all` into train/valid internally.
 Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train_all,
                                    const AutoMlEmOptions& options);
-
-/// End-to-end overload: featurizes labeled record pairs with the AutoML-EM
-/// feature generator (Table II) and then searches. `test_out`, when
-/// non-null, receives the featurized copy of `test_pairs` using the same
-/// feature plan.
-Result<AutoMlEmResult> RunAutoMlEmOnPairs(const PairSet& train_pairs,
-                                          const AutoMlEmOptions& options,
-                                          const PairSet* test_pairs = nullptr,
-                                          Dataset* test_out = nullptr);
 
 }  // namespace autoem
 

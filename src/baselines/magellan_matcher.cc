@@ -67,22 +67,7 @@ Result<MatchReport> MagellanMatcher::Evaluate(const PairSet& labeled_pairs,
                                               double threshold) const {
   auto scores = ScorePairs(labeled_pairs);
   if (!scores.ok()) return scores.status();
-  std::vector<int> pred(scores->size());
-  for (size_t i = 0; i < scores->size(); ++i) {
-    pred[i] = (*scores)[i] >= threshold ? 1 : 0;
-  }
-  std::vector<int> truth;
-  truth.reserve(labeled_pairs.pairs.size());
-  for (const auto& p : labeled_pairs.pairs) {
-    truth.push_back(p.label == 1 ? 1 : 0);
-  }
-  MatchReport report;
-  report.precision = Precision(truth, pred);
-  report.recall = Recall(truth, pred);
-  report.f1 = F1Score(truth, pred);
-  report.num_pairs = truth.size();
-  report.num_positives = labeled_pairs.NumPositives();
-  return report;
+  return ReportAtThreshold(labeled_pairs, *scores, threshold);
 }
 
 }  // namespace autoem

@@ -37,29 +37,6 @@ CorruptionProfile CorruptionProfile::Clean() {
   return p;
 }
 
-CorruptionProfile CorruptionProfile::Light() {
-  CorruptionProfile p;
-  p.typo_rate = 0.012;
-  p.token_drop_rate = 0.04;
-  p.abbreviate_rate = 0.15;
-  p.null_rate = 0.01;
-  p.numeric_jitter = 0.005;
-  return p;
-}
-
-CorruptionProfile CorruptionProfile::Medium() {
-  CorruptionProfile p;
-  p.typo_rate = 0.035;
-  p.token_drop_rate = 0.14;
-  p.token_swap_rate = 0.12;
-  p.abbreviate_rate = 0.25;
-  p.synonym_rate = 0.10;
-  p.null_rate = 0.05;
-  p.numeric_jitter = 0.03;
-  p.extra_token_rate = 0.18;
-  return p;
-}
-
 CorruptionProfile CorruptionProfile::Heavy() {
   CorruptionProfile p;
   p.typo_rate = 0.08;

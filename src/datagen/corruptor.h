@@ -23,8 +23,6 @@ struct CorruptionProfile {
 
   /// Presets roughly matching the paper's dataset families.
   static CorruptionProfile Clean();   // Fodors-Zagats-like
-  static CorruptionProfile Light();   // DBLP-ACM-like
-  static CorruptionProfile Medium();  // DBLP-Scholar / iTunes-like
   static CorruptionProfile Heavy();   // Amazon-Google / Abt-Buy-like
 
   /// Linear interpolation Clean -> Heavy by t in [0, 1].

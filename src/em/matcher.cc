@@ -2,17 +2,72 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "ml/metrics.h"
 #include "obs/obs.h"
 
 namespace autoem {
 
+namespace {
+
+// Featurization reads cells by pair id without bounds checks.
+Status CheckPairIds(const PairSet& pairs) {
+  for (const RecordPair& pair : pairs.pairs) {
+    if (pair.left_id >= pairs.left.num_rows() ||
+        pair.right_id >= pairs.right.num_rows()) {
+      return Status::InvalidArgument(
+          StrFormat("pair (%zu, %zu) is out of range for %zu x %zu records",
+                    pair.left_id, pair.right_id, pairs.left.num_rows(),
+                    pairs.right.num_rows()));
+    }
+  }
+  return Status::OK();
+}
+
+// The token caches index both tables by the plan's attribute indices.
+Status CheckScorable(const PairSet& pairs, const FeatureGenerator& generator) {
+  size_t needed = 1;  // an empty schema is never scorable
+  for (const FeaturePlan& p : generator.plan()) {
+    needed = std::max(needed, p.attr_index + 1);
+  }
+  for (const TfIdfPlan& p : generator.tfidf_plans()) {
+    needed = std::max(needed, p.attr_index + 1);
+  }
+  if (!(pairs.left.schema() == pairs.right.schema()) ||
+      pairs.left.schema().num_attributes() < needed) {
+    return Status::InvalidArgument(StrFormat(
+        "tables must share a schema of at least the %zu attributes the "
+        "feature plan reads",
+        needed));
+  }
+  return CheckPairIds(pairs);
+}
+
+}  // namespace
+
+MatchReport ReportAtThreshold(const PairSet& labeled_pairs,
+                              const std::vector<double>& scores,
+                              double threshold) {
+  std::vector<int> truth;
+  std::vector<int> predictions;
+  for (const auto& p : labeled_pairs.pairs) {
+    truth.push_back(p.label == 1 ? 1 : 0);
+  }
+  for (double score : scores) predictions.push_back(score >= threshold ? 1 : 0);
+  return {.precision = Precision(truth, predictions),
+          .recall = Recall(truth, predictions),
+          .f1 = F1Score(truth, predictions),
+          .num_pairs = truth.size(),
+          .num_positives = labeled_pairs.NumPositives()};
+}
+
 Result<EntityMatcher> EntityMatcher::Train(const PairSet& labeled_pairs,
                                            const Options& options) {
   if (labeled_pairs.pairs.empty()) {
     return Status::InvalidArgument("no training pairs");
   }
+  AUTOEM_RETURN_IF_ERROR(CheckPairIds(labeled_pairs));
   // Opened here so featurization of the training pairs is traced; the
   // nested session inside RunAutoMlEm piggybacks on this one.
   obs::ObsSession obs_session(options.automl.obs);
@@ -33,20 +88,9 @@ Result<EntityMatcher> EntityMatcher::Train(const PairSet& labeled_pairs,
   return EntityMatcher(std::move(*generator), std::move(*automl));
 }
 
-Result<std::vector<double>> EntityMatcher::ScorePairs(
-    const PairSet& pairs) const {
-  if (pairs.left.schema().num_attributes() == 0) {
-    return Status::InvalidArgument("empty schema");
-  }
-  Dataset features = generator_->Generate(pairs);
-  return automl_.model.PredictProba(features.X);
-}
-
-Result<std::vector<double>> EntityMatcher::ScorePairsBatched(
-    const PairSet& pairs, size_t chunk_size) const {
-  if (pairs.left.schema().num_attributes() == 0) {
-    return Status::InvalidArgument("empty schema");
-  }
+Result<std::vector<double>> EntityMatcher::ScorePairs(const PairSet& pairs,
+                                                      size_t chunk_size) const {
+  AUTOEM_RETURN_IF_ERROR(CheckScorable(pairs, *generator_));
   if (chunk_size == 0) {
     return Status::InvalidArgument("chunk_size must be positive");
   }
@@ -88,33 +132,11 @@ Result<std::vector<double>> EntityMatcher::ScorePairsBatched(
   return scores;
 }
 
-Result<std::vector<int>> EntityMatcher::MatchPairs(const PairSet& pairs,
-                                                   double threshold) const {
-  auto scores = ScorePairs(pairs);
-  if (!scores.ok()) return scores.status();
-  std::vector<int> out(scores->size());
-  for (size_t i = 0; i < scores->size(); ++i) {
-    out[i] = (*scores)[i] >= threshold ? 1 : 0;
-  }
-  return out;
-}
-
 Result<MatchReport> EntityMatcher::Evaluate(const PairSet& labeled_pairs,
                                             double threshold) const {
-  auto predictions = MatchPairs(labeled_pairs, threshold);
-  if (!predictions.ok()) return predictions.status();
-  std::vector<int> truth;
-  truth.reserve(labeled_pairs.pairs.size());
-  for (const auto& p : labeled_pairs.pairs) {
-    truth.push_back(p.label == 1 ? 1 : 0);
-  }
-  MatchReport report;
-  report.precision = Precision(truth, *predictions);
-  report.recall = Recall(truth, *predictions);
-  report.f1 = F1Score(truth, *predictions);
-  report.num_pairs = truth.size();
-  report.num_positives = labeled_pairs.NumPositives();
-  return report;
+  auto scores = ScorePairs(labeled_pairs);
+  if (!scores.ok()) return scores.status();
+  return ReportAtThreshold(labeled_pairs, *scores, threshold);
 }
 
 }  // namespace autoem

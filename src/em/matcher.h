@@ -20,6 +20,13 @@ struct MatchReport {
   size_t num_positives = 0;
 };
 
+/// Precision/recall/F1 of `scores` (scores[i] belongs to
+/// labeled_pairs.pairs[i]) called a match at `threshold` or above — the one
+/// report every matcher's Evaluate returns.
+MatchReport ReportAtThreshold(const PairSet& labeled_pairs,
+                              const std::vector<double>& scores,
+                              double threshold);
+
 /// End-to-end entity matcher: wraps feature generation + an AutoML-EM
 /// searched pipeline behind a train-once / predict-pairs API. This is the
 /// object a downstream application holds.
@@ -37,23 +44,24 @@ class EntityMatcher {
   static Result<EntityMatcher> Train(const PairSet& labeled_pairs,
                                      const Options& options);
 
-  /// P(match) for each candidate pair (tables must share the training
-  /// schema).
-  Result<std::vector<double>> ScorePairs(const PairSet& pairs) const;
-
-  /// Batch/deployment scoring: featurizes and scores the pairs in chunks of
-  /// `chunk_size`, building the per-table token caches once and streaming
-  /// every chunk through the existing thread pool. Bounded peak memory
-  /// (one chunk's feature matrix instead of all pairs'), bit-identical to
-  /// ScorePairs at any chunk size and thread count. Emits
-  /// `predict.pairs_scored` / `predict.chunks` counters and a
+  /// P(match) for each candidate pair, the one scoring path: the per-table
+  /// token caches are built once (FeatureGenerator::Prepare), then the pairs
+  /// are featurized and scored in chunks of `chunk_size` on the thread pool,
+  /// so peak memory is one chunk's feature matrix. A pair's score depends
+  /// only on its two records: not on the chunk size, the thread count, or
+  /// where the records and the pair sit in their tables and list.
+  /// InvalidArgument when the two tables' schemas differ, when they are
+  /// narrower than the feature plan, or when a pair id is out of range.
+  /// Emits `predict.pairs_scored` / `predict.chunks` counters and a
   /// `predict.chunk` span per chunk.
-  Result<std::vector<double>> ScorePairsBatched(const PairSet& pairs,
-                                                size_t chunk_size = 4096) const;
+  Result<std::vector<double>> ScorePairs(const PairSet& pairs,
+                                         size_t chunk_size = 4096) const;
 
-  /// Hard decisions at `threshold`.
-  Result<std::vector<int>> MatchPairs(const PairSet& pairs,
-                                      double threshold = 0.5) const;
+  /// Same as ScorePairs; kept because bench_e2e/ calls it by name.
+  Result<std::vector<double>> ScorePairsBatched(const PairSet& pairs,
+                                                size_t chunk_size = 4096) const {
+    return ScorePairs(pairs, chunk_size);
+  }
 
   /// Precision/recall/F1 on labeled pairs.
   Result<MatchReport> Evaluate(const PairSet& labeled_pairs,
@@ -64,7 +72,7 @@ class EntityMatcher {
   const AutoMlEmResult& automl_result() const { return automl_; }
   const FeatureGenerator& feature_generator() const { return *generator_; }
 
-  /// Featurization + model parallelism for subsequent Score/Match calls
+  /// Featurization + model parallelism for subsequent ScorePairs calls
   /// (what `autoem_cli predict --threads` lands on after LoadModel).
   /// Results are bit-identical at any setting.
   void SetParallelism(const Parallelism& parallelism) {

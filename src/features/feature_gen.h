@@ -67,9 +67,9 @@ class FeatureGenerator {
                                   const Record& right) const;
 
   /// Token caches for one (left, right) table pair, built once and shared
-  /// across any number of Generate/GenerateChunk calls — the batch scoring
-  /// path prepares the candidate tables a single time and then streams pair
-  /// chunks against the same immutable caches.
+  /// across any number of GenerateChunk calls — the scoring path
+  /// (EntityMatcher::ScorePairs) prepares the candidate tables a single time
+  /// and then streams pair chunks against the same immutable caches.
   struct PreparedTables {
     /// Shared across both caches so equal tokens intern to equal IDs —
     /// the precondition of the ID-merge set kernels. Owned here because
@@ -81,8 +81,8 @@ class FeatureGenerator {
   PreparedTables Prepare(const Table& left, const Table& right) const;
 
   /// Featurizes pairs[begin, end): row i of the result is pairs[begin + i].
-  /// Bit-identical to the corresponding rows of Generate on the full set,
-  /// at any thread count and chunking.
+  /// Generate runs the same row loop over the whole set, so the rows are
+  /// bit-identical to its rows at any thread count and chunking.
   Matrix GenerateChunk(const PreparedTables& prepared,
                        const std::vector<RecordPair>& pairs, size_t begin,
                        size_t end) const;
@@ -94,7 +94,7 @@ class FeatureGenerator {
   Status SaveState(io::Writer* w) const;
   Status LoadState(io::Reader* r);
 
-  /// Parallelism of Generate (and of the token-cache build inside it).
+  /// Parallelism of Generate/GenerateChunk and of the token-cache build.
   /// Results are bit-identical at any setting: rows are written into a
   /// pre-sized matrix at their pair index, so row order never changes.
   void set_parallelism(const Parallelism& parallelism) {
@@ -117,6 +117,13 @@ class FeatureGenerator {
   /// Token-cache requirements of the current plan: one spec per attribute
   /// the plan touches, flagging which token kinds its functions consume.
   std::vector<TableTokenCache::AttrSpec> CacheSpecs() const;
+
+  /// The one row loop of Generate and GenerateChunk: writes the features of
+  /// pairs[begin, end) into rows [0, end - begin) of `X`, which the caller
+  /// has sized, fanning the pairs out over the thread pool.
+  void GenerateRows(const PreparedTables& prepared,
+                    const std::vector<RecordPair>& pairs, size_t begin,
+                    size_t end, Matrix* X) const;
 
   /// Writes the feature row for (left_row, right_row) into `row` (length
   /// num_features()) using the prepared caches; bit-identical to GenerateRow

@@ -5,24 +5,6 @@
 
 namespace autoem {
 
-const char* AttributeClassName(AttributeClass cls) {
-  switch (cls) {
-    case AttributeClass::kBoolean:
-      return "Boolean";
-    case AttributeClass::kNumeric:
-      return "Numeric";
-    case AttributeClass::kSingleWordString:
-      return "Single-Word String";
-    case AttributeClass::kShortString:
-      return "1-to-5-Word String";
-    case AttributeClass::kMediumString:
-      return "5-to-10-Word String";
-    case AttributeClass::kLongString:
-      return "Long String (>10 words)";
-  }
-  return "?";
-}
-
 namespace {
 
 struct CellStats {

@@ -20,8 +20,6 @@ enum class AttributeClass {
   kLongString,    // > 10 words
 };
 
-const char* AttributeClassName(AttributeClass cls);
-
 /// Infers the class of attribute `attr_index` from all non-null cells of the
 /// two tables. Preconditions: both tables share a schema and the index is in
 /// range. Attributes with no non-null cells classify as kSingleWordString.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "common/logging.h"
+#include "common/rng.h"
 #include "datagen/benchmark_gen.h"
 #include "em/blocking.h"
 #include "em/matcher.h"
@@ -153,6 +158,143 @@ TEST(EntityMatcherTest, UnknownFeatureGeneratorRejected) {
   EntityMatcher::Options options;
   options.feature_generator = "bogus";
   EXPECT_FALSE(EntityMatcher::Train(data->train, options).ok());
+}
+
+// ---- the scoring entry's input checks -----------------------------------------
+
+// Trained once per process: the checks below only need some fitted plan
+// over Fodors-Zagats' six attributes.
+const EntityMatcher& FodorsMatcher() {
+  static const EntityMatcher* matcher = [] {
+    auto data = GenerateBenchmarkByName("Fodors-Zagats", 9, 0.1);
+    AUTOEM_CHECK(data.ok());
+    EntityMatcher::Options options;
+    options.automl.max_evaluations = 2;
+    auto trained = EntityMatcher::Train(data->train, options);
+    AUTOEM_CHECK(trained.ok());
+    return new EntityMatcher(std::move(*trained));
+  }();
+  return *matcher;
+}
+
+// The first `width` columns of `table`.
+Table FirstColumns(const Table& table, size_t width) {
+  std::vector<std::string> names(table.schema().names().begin(),
+                                 table.schema().names().begin() + width);
+  Table out(table.name(), Schema(names));
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const std::vector<Value>& values = table.row(r).values();
+    EXPECT_TRUE(
+        out.Append(Record({values.begin(), values.begin() + width})).ok());
+  }
+  return out;
+}
+
+TEST(EntityMatcherTest, ScoreRejectsTablesNarrowerThanThePlan) {
+  auto data = GenerateBenchmarkByName("Fodors-Zagats", 9, 0.1);
+  ASSERT_TRUE(data.ok());
+  ASSERT_EQ(data->test.left.schema().num_attributes(), 6u);
+  PairSet narrow = data->test;
+  narrow.left = FirstColumns(data->test.left, 2);
+  narrow.right = FirstColumns(data->test.right, 2);
+  auto scores = FodorsMatcher().ScorePairs(narrow);
+  EXPECT_EQ(scores.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(FodorsMatcher().Evaluate(narrow).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EntityMatcherTest, ScoreRejectsMismatchedSchemas) {
+  auto data = GenerateBenchmarkByName("Fodors-Zagats", 9, 0.1);
+  ASSERT_TRUE(data.ok());
+  PairSet mismatched = data->test;
+  mismatched.right = FirstColumns(data->test.right, 5);
+  EXPECT_EQ(FodorsMatcher().ScorePairs(mismatched).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EntityMatcherTest, ScoreRejectsOutOfRangePairIds) {
+  auto data = GenerateBenchmarkByName("Fodors-Zagats", 9, 0.1);
+  ASSERT_TRUE(data.ok());
+  ASSERT_TRUE(FodorsMatcher().ScorePairs(data->test).ok());
+  PairSet bad_left = data->test;
+  bad_left.pairs.push_back({data->test.left.num_rows(), 0, -1});
+  EXPECT_EQ(FodorsMatcher().ScorePairs(bad_left).status().code(),
+            StatusCode::kInvalidArgument);
+  PairSet bad_right = data->test;
+  bad_right.pairs.insert(bad_right.pairs.begin(),
+                         {0, data->test.right.num_rows() + 1000, -1});
+  EXPECT_EQ(FodorsMatcher().ScorePairs(bad_right, /*chunk_size=*/7)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EntityMatcherTest, TrainRejectsOutOfRangePairIds) {
+  auto data = GenerateBenchmarkByName("Fodors-Zagats", 9, 0.1);
+  ASSERT_TRUE(data.ok());
+  PairSet bad = data->train;
+  bad.pairs.push_back({0, data->train.right.num_rows(), 1});
+  EntityMatcher::Options options;
+  options.automl.max_evaluations = 2;
+  EXPECT_EQ(EntityMatcher::Train(bad, options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Metamorphic: permuting both tables' rows (and remapping the pair ids) and
+// shuffling the pair list must not move any pair's score by a bit. The
+// token interner then meets the tokens in another order and hands out
+// other IDs, which the set measures must not see.
+TEST(EntityMatcherTest, ScoresAreInvariantToRowAndPairOrder) {
+  for (const DatasetProfile& profile : BenchmarkProfiles()) {
+    const std::string& name = profile.name;
+    auto data = GenerateBenchmark(profile, 5, 0.05);
+    ASSERT_TRUE(data.ok()) << name;
+    EntityMatcher::Options options;
+    options.automl.max_evaluations = 2;
+    auto matcher = EntityMatcher::Train(data->train, options);
+    ASSERT_TRUE(matcher.ok()) << name;
+    const PairSet& test = data->test;
+    auto want = matcher->ScorePairs(test);
+    ASSERT_TRUE(want.ok()) << name;
+
+    Rng rng(23);
+    auto permutation = [&rng](size_t n) {
+      std::vector<size_t> p(n);
+      for (size_t i = 0; i < n; ++i) p[i] = i;
+      rng.Shuffle(&p);
+      return p;
+    };
+    // Row r of a table moves to row to_left[r] / to_right[r]; pair i moves
+    // to position order[i].
+    std::vector<size_t> to_left = permutation(test.left.num_rows());
+    std::vector<size_t> to_right = permutation(test.right.num_rows());
+    std::vector<size_t> order = permutation(test.pairs.size());
+    auto permuted_table = [](const Table& table,
+                             const std::vector<size_t>& to) {
+      std::vector<size_t> from(to.size());
+      for (size_t r = 0; r < to.size(); ++r) from[to[r]] = r;
+      Table out(table.name(), table.schema());
+      for (size_t r : from) EXPECT_TRUE(out.Append(table.row(r)).ok());
+      return out;
+    };
+    PairSet permuted;
+    permuted.left = permuted_table(test.left, to_left);
+    permuted.right = permuted_table(test.right, to_right);
+    permuted.pairs.resize(test.pairs.size());
+    for (size_t i = 0; i < test.pairs.size(); ++i) {
+      const RecordPair& pair = test.pairs[i];
+      permuted.pairs[order[i]] = {to_left[pair.left_id],
+                                  to_right[pair.right_id], pair.label};
+    }
+    auto got = matcher->ScorePairs(permuted, /*chunk_size=*/7);
+    ASSERT_TRUE(got.ok()) << name;
+    ASSERT_EQ(got->size(), want->size()) << name;
+    for (size_t i = 0; i < want->size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>((*want)[i]),
+                std::bit_cast<uint64_t>((*got)[order[i]]))
+          << name << " pair " << i;
+    }
+  }
 }
 
 // ---- pairs interchange format ------------------------------------------------

@@ -407,12 +407,37 @@ TEST(ModelIoTest, SaveLoadPredictBitIdenticalOnAllBenchmarks) {
       ASSERT_TRUE(got.ok()) << profile.name;
       ExpectBitIdentical(*want, *got,
                          profile.name + " @" + std::to_string(threads));
-      // Chunked batch scoring must agree too, including ragged tails.
-      auto batched = loaded->ScorePairsBatched(data->test, /*chunk_size=*/17);
+      // Small chunks must agree too, including ragged tails.
+      auto batched = loaded->ScorePairs(data->test, /*chunk_size=*/17);
       ASSERT_TRUE(batched.ok()) << profile.name;
       ExpectBitIdentical(*want, *batched,
                          profile.name + " batched @" +
                              std::to_string(threads));
+    }
+  }
+}
+
+// ScorePairs is one loop over chunks; its oracle is the whole candidate
+// set featurized at once and scored in one call. Every chunk size (one pair,
+// ragged, the default, exactly the set) and thread count must reproduce it.
+TEST(ModelIoTest, ScorePairsMatchesUnchunkedOracleAtAnyChunkAndThreads) {
+  for (const DatasetProfile& profile : BenchmarkProfiles()) {
+    auto data = GenerateBenchmark(profile, /*seed=*/3, /*scale=*/0.05);
+    ASSERT_TRUE(data.ok()) << profile.name;
+    EntityMatcher matcher = TrainTinyMatcher(*data, /*threads=*/1);
+    std::vector<double> oracle = matcher.automl_result().model.PredictProba(
+        matcher.feature_generator().Generate(data->test).X);
+    const size_t n = data->test.pairs.size();
+    for (int threads : {1, 2, 8}) {
+      matcher.SetParallelism(Parallelism::Threads(threads));
+      for (size_t chunk_size : {size_t{1}, size_t{7}, size_t{4096}, n}) {
+        auto got = matcher.ScorePairs(data->test, chunk_size);
+        ASSERT_TRUE(got.ok()) << profile.name;
+        ExpectBitIdentical(oracle, *got,
+                           profile.name + " chunk " +
+                               std::to_string(chunk_size) + " @" +
+                               std::to_string(threads));
+      }
     }
   }
 }
