@@ -9,6 +9,13 @@
 //   speedup         throughput relative to the 1-thread run of the same
 //                   workload, measured once up front
 // All counters land in `--benchmark_format=json` output automatically.
+//
+// BM_GenerateChunk/{0,1} time pair featurization on the shapes of the
+// bench_e2e match workloads, serially: GenerateChunk over the first 4096
+// blocked candidates of DBLP-ACM (short titles, ~100 candidates per row)
+// and Abt-Buy (long descriptions), with Prepare outside the timed loop.
+// BM_GenerateRowReference/{0,1} run the per-function GenerateRow on the
+// same pairs: the in-binary denominator of the cached path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +30,7 @@
 #include "bench/bench_gbench_report.h"
 #include "common/parallelism.h"
 #include "datagen/benchmark_gen.h"
+#include "em/blocking.h"
 #include "features/feature_gen.h"
 #include "obs/obs.h"
 
@@ -154,6 +162,82 @@ BENCHMARK(BM_ParallelFeatureGenTfIdf)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// A match workload's scoring input: the test split's tables blocked on one
+// attribute, featurized by a generator planned on the train split, as
+// EntityMatcher::Train plans it.
+struct MatchShape {
+  BenchmarkData data;
+  PairSet candidates;
+  AutoMlEmFeatureGenerator generator;
+};
+
+MatchShape& SharedMatchShape(int64_t which) {
+  static MatchShape* shapes[2] = {nullptr, nullptr};
+  MatchShape*& shape = shapes[which];
+  if (shape != nullptr) return *shape;
+  const char* dataset = which == 0 ? "DBLP-ACM" : "Abt-Buy";
+  const char* attribute = which == 0 ? "title" : "name";
+  const double scale = which == 0 ? 0.05 : 0.1;
+  auto data = GenerateBenchmarkByName(dataset, /*seed=*/11, scale);
+  if (!data.ok()) {
+    std::fprintf(stderr, "benchmark generation failed: %s\n",
+                 data.status().ToString().c_str());
+    std::exit(1);
+  }
+  shape = new MatchShape;
+  shape->data = std::move(*data);
+  auto blocked = QGramBlocker(attribute, 3).Block(shape->data.test.left,
+                                                  shape->data.test.right);
+  Status planned = shape->generator.Plan(shape->data.train.left,
+                                         shape->data.train.right);
+  if (!blocked.ok() || !planned.ok()) {
+    std::fprintf(stderr, "blocking or planning %s failed\n", dataset);
+    std::exit(1);
+  }
+  shape->candidates.left = shape->data.test.left;
+  shape->candidates.right = shape->data.test.right;
+  shape->candidates.pairs = std::move(*blocked);
+  shape->candidates.pairs.resize(
+      std::min<size_t>(4096, shape->candidates.pairs.size()));
+  shape->generator.set_parallelism(Parallelism::Serial());
+  return *shape;
+}
+
+void BM_GenerateChunk(benchmark::State& state) {
+  MatchShape& shape = SharedMatchShape(state.range(0));
+  const PairSet& set = shape.candidates;
+  FeatureGenerator::PreparedTables prepared =
+      shape.generator.Prepare(set.left, set.right);
+  for (auto _ : state) {
+    Matrix X = shape.generator.GenerateChunk(prepared, set.pairs, 0,
+                                             set.pairs.size());
+    benchmark::DoNotOptimize(X.RowPtr(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(set.pairs.size()));
+}
+BENCHMARK(BM_GenerateChunk)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_GenerateRowReference(benchmark::State& state) {
+  MatchShape& shape = SharedMatchShape(state.range(0));
+  const PairSet& set = shape.candidates;
+  for (auto _ : state) {
+    for (const RecordPair& pair : set.pairs) {
+      std::vector<double> row = shape.generator.GenerateRow(
+          set.left.row(pair.left_id), set.right.row(pair.right_id));
+      benchmark::DoNotOptimize(row.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(set.pairs.size()));
+}
+BENCHMARK(BM_GenerateRowReference)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace autoem

@@ -506,6 +506,20 @@ std::vector<Seed> KernelSeeds() {
       "viewer piano black finish"));
   seeds.push_back(KernelPair("long_vs_short",
                              std::string(300, 'z') + " end", "z"));
+  // Featurization leg: up to three cells per side, split at '|'.
+  seeds.push_back(KernelPair("cells_shared_tokens",
+                             "new york|york city new york|new",
+                             "york|new york city|city new"));
+  seeds.push_back(KernelPair("cells_same_token", "token|token token|",
+                             "token|other token|token"));
+  seeds.push_back(KernelPair(
+      "cells_product_descriptions",
+      "sony bravia 46 inch lcd hdtv kdl46v5100 1080p full hd 120hz|"
+      "samsung 40 inch lcd hdtv ln40b530 1080p 60hz black|"
+      "sony kdl-40v5100 40 inch bravia lcd 1080p",
+      "sony kdl-46v5100 46in bravia v series 1080p lcd hdtv full hd|"
+      "samsung ln40b530 40in lcd hdtv 1080p piano black|"
+      "bravia engine 2 hdmi inputs x4 usb photo viewer"));
   return seeds;
 }
 

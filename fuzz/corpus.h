@@ -58,7 +58,10 @@ std::vector<Seed> JsonSeeds();
 /// big-endian u16 length of the first string, the first string, then the
 /// second: empties, single tokens, transpositions, strings at the 64-bit
 /// word edges, NUL/high/whitespace bytes, and a product-description pair.
-/// Fixed strings, so the seeds never drift.
+/// The `cells_*` seeds feed the featurization leg, which splits each
+/// string at '|' into up to three table cells: tokens shared across cells,
+/// the same token on both sides, and product descriptions. Fixed strings,
+/// so the seeds never drift.
 std::vector<Seed> KernelSeeds();
 
 /// Small training problems for the tree differential harness, in

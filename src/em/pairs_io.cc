@@ -1,5 +1,7 @@
 #include "em/pairs_io.h"
 
+#include <cmath>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -16,6 +18,33 @@ Table PairsToTable(const std::vector<RecordPair>& pairs) {
   return t;
 }
 
+namespace {
+
+// The row a pairs-table id cell names: a finite, integral number in
+// [0, rows). Checked before the cast, since casting a double outside
+// size_t's range is undefined behaviour.
+Status RowId(const Value& v, size_t rows, size_t row, const char* column,
+             size_t* out) {
+  if (!v.is_number()) {
+    return Status::InvalidArgument(
+        StrFormat("pairs row %zu: non-numeric %s", row, column));
+  }
+  const double id = v.AsNumber();
+  if (!std::isfinite(id) || id != std::trunc(id) || id < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "pairs row %zu: %s %g is not a non-negative integer", row, column,
+        id));
+  }
+  if (id >= static_cast<double>(rows)) {
+    return Status::OutOfRange(StrFormat(
+        "pairs row %zu references row outside the tables", row));
+  }
+  *out = static_cast<size_t>(id);
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::vector<RecordPair>> PairsFromTable(const Table& table,
                                                size_t left_rows,
                                                size_t right_rows) {
@@ -29,21 +58,22 @@ Result<std::vector<RecordPair>> PairsFromTable(const Table& table,
   std::vector<RecordPair> pairs;
   pairs.reserve(table.num_rows());
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    const Value& lv = table.cell(i, l);
-    const Value& rv = table.cell(i, r);
-    if (!lv.is_number() || !rv.is_number()) {
-      return Status::InvalidArgument(
-          StrFormat("pairs row %zu: non-numeric id", i));
-    }
     RecordPair pair;
-    pair.left_id = static_cast<size_t>(lv.AsNumber());
-    pair.right_id = static_cast<size_t>(rv.AsNumber());
-    pair.label = (lab >= 0 && table.cell(i, lab).is_number())
-                     ? static_cast<int>(table.cell(i, lab).AsNumber())
-                     : -1;
-    if (pair.left_id >= left_rows || pair.right_id >= right_rows) {
-      return Status::OutOfRange(
-          StrFormat("pairs row %zu references row outside the tables", i));
+    AUTOEM_RETURN_IF_ERROR(
+        RowId(table.cell(i, l), left_rows, i, "ltable_id", &pair.left_id));
+    AUTOEM_RETURN_IF_ERROR(
+        RowId(table.cell(i, r), right_rows, i, "rtable_id", &pair.right_id));
+    pair.label = -1;  // no label column, or an empty cell
+    if (lab >= 0 && !table.cell(i, lab).is_null()) {
+      const Value& label = table.cell(i, lab);
+      const bool valid = label.is_number() && (label.AsNumber() == -1.0 ||
+                                               label.AsNumber() == 0.0 ||
+                                               label.AsNumber() == 1.0);
+      if (!valid) {
+        return Status::InvalidArgument(StrFormat(
+            "pairs row %zu: label is not -1, 0, 1 or empty", i));
+      }
+      pair.label = static_cast<int>(label.AsNumber());
     }
     pairs.push_back(pair);
   }

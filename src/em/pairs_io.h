@@ -13,9 +13,11 @@ namespace autoem {
 /// Renders a pair list as a Table in the interchange schema.
 Table PairsToTable(const std::vector<RecordPair>& pairs);
 
-/// Parses the interchange schema back into pairs, bounds-checking the row
-/// ids against the two source tables' sizes. A missing `label` column (or
-/// null cells in it) yields label −1.
+/// Parses the interchange schema back into pairs. Each id must be a
+/// non-negative integer below its table's row count (OutOfRange when it is
+/// too large, InvalidArgument when it is not an integer); each label must
+/// be −1, 0, 1 or empty. A missing `label` column (or null cells in it)
+/// yields label −1.
 Result<std::vector<RecordPair>> PairsFromTable(const Table& table,
                                                size_t left_rows,
                                                size_t right_rows);

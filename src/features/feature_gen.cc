@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "io/serialize.h"
 #include "obs/obs.h"
+#include "text/similarity.h"
 
 namespace autoem {
 
@@ -106,6 +109,89 @@ std::vector<SimFunction> MagellanStringFunctions(AttributeClass cls) {
   }
 }
 
+// The intermediates several Table II functions share on one (pair,
+// attribute), each computed on first use: one Levenshtein distance, one
+// Jaro similarity and one intersection size per tokenizer.
+struct SharedCores {
+  explicit SharedCores(size_t attr_index) : attr(attr_index) {}
+
+  size_t attr;
+  std::optional<int> levenshtein;
+  std::optional<double> jaro;
+  std::optional<size_t> space_common;
+  std::optional<size_t> qgram_common;
+};
+
+// Monge-Elkan of two prepared cells, from their interned tokens and the
+// calling thread's Jaro-Winkler memo.
+double CachedMongeElkan(const CachedCell& left, const CachedCell& right,
+                        uint64_t generation) {
+  struct Scratch {
+    JaroWinklerMemo memo;
+    std::vector<std::string_view> words;
+    std::vector<std::string_view> texts[2];
+  };
+  thread_local Scratch scratch;
+  auto interned = [](const CachedCell& cell,
+                     std::vector<std::string_view>* texts) {
+    // The i-th view is the token at space_order[i].
+    WhitespaceTokenizeInto(cell.text, &scratch.words);
+    texts->resize(cell.space_ids.size());
+    for (size_t i = 0; i < scratch.words.size(); ++i) {
+      (*texts)[cell.space_order[i]] = scratch.words[i];
+    }
+    return InternedTokens{cell.space_ids, *texts, cell.space_order};
+  };
+  return MongeElkanTokenIds(interned(left, &scratch.texts[0]),
+                            interned(right, &scratch.texts[1]), generation,
+                            &scratch.memo);
+}
+
+// func.Apply(left.text, right.text) on two non-null prepared cells, bit for
+// bit: each shared intermediate comes from `cores` and ends in the kernel's
+// own final expression.
+double CachedFeature(const SimFunction& func, const CachedCell& left,
+                     const CachedCell& right, uint64_t generation,
+                     SharedCores* cores) {
+  auto levenshtein = [&] {
+    if (!cores->levenshtein) {
+      cores->levenshtein = LevenshteinDistance(left.text, right.text);
+    }
+    return *cores->levenshtein;
+  };
+  auto jaro = [&] {
+    if (!cores->jaro) cores->jaro = JaroSimilarity(left.text, right.text);
+    return *cores->jaro;
+  };
+  switch (func.measure) {
+    case Measure::kLevenshteinDistance:
+      return static_cast<double>(levenshtein());
+    case Measure::kLevenshteinSimilarity:
+      return LevenshteinSimilarityFromDistance(
+          levenshtein(), left.text.size(), right.text.size());
+    case Measure::kJaro:
+      return jaro();
+    case Measure::kJaroWinkler:
+      return JaroWinklerFromJaro(jaro(), left.text, right.text);
+    case Measure::kMongeElkan:
+      return CachedMongeElkan(left, right, generation);
+    default:
+      break;
+  }
+  // kNone token measures (not produced by any planner) fall back to the
+  // uncached path rather than growing the cache by a third token kind.
+  if (!func.IsTokenMeasure() || func.tokenizer == TokenizerKind::kNone) {
+    return func.Apply(left.text, right.text);
+  }
+  const bool space = func.tokenizer == TokenizerKind::kWhitespace;
+  const std::vector<uint32_t>& a = space ? left.space_ids : left.qgram_ids;
+  const std::vector<uint32_t>& b = space ? right.space_ids : right.qgram_ids;
+  std::optional<size_t>& common =
+      space ? cores->space_common : cores->qgram_common;
+  if (!common) common = SortedIdIntersectionSize(a, b);
+  return func.ApplySetSizes(a.size(), b.size(), *common);
+}
+
 }  // namespace
 
 std::vector<TableTokenCache::AttrSpec> FeatureGenerator::CacheSpecs() const {
@@ -114,13 +200,15 @@ std::vector<TableTokenCache::AttrSpec> FeatureGenerator::CacheSpecs() const {
     for (auto& s : specs) {
       if (s.attr_index == attr) return s;
     }
-    specs.push_back({attr, false, false});
+    specs.push_back({attr});
     return specs.back();
   };
-  // Set measures consume interned sorted IDs; only TF-IDF needs the raw
-  // string tokens (term frequencies + corpus lookups are keyed by string).
+  // Set measures consume interned sorted IDs, Monge-Elkan those IDs in
+  // token order; only TF-IDF needs the raw string tokens (term frequencies
+  // + corpus lookups are keyed by string).
   for (const auto& p : plan_) {
     TableTokenCache::AttrSpec& spec = spec_for(p.attr_index);
+    if (p.func.measure == Measure::kMongeElkan) spec.space_order = true;
     if (p.func.IsTokenMeasure()) {
       if (p.func.tokenizer == TokenizerKind::kWhitespace) {
         spec.space_ids = true;
@@ -140,10 +228,8 @@ std::vector<TableTokenCache::AttrSpec> FeatureGenerator::CacheSpecs() const {
   return specs;
 }
 
-void FeatureGenerator::GenerateRowCached(const TableTokenCache& left,
-                                         size_t left_row,
-                                         const TableTokenCache& right,
-                                         size_t right_row,
+void FeatureGenerator::GenerateRowCached(const PreparedTables& prepared,
+                                         size_t left_row, size_t right_row,
                                          double* row) const {
   static obs::Counter* cache_hits =
       obs::MetricsRegistry::Global().GetCounter("features.token_cache_hits");
@@ -158,11 +244,12 @@ void FeatureGenerator::GenerateRowCached(const TableTokenCache& left,
     return kind == TokenizerKind::kWhitespace ? cell.space_tokens
                                               : cell.qgram_tokens;
   };
-  auto ids_of = [](const CachedCell& cell,
-                   TokenizerKind kind) -> const std::vector<uint32_t>& {
-    return kind == TokenizerKind::kWhitespace ? cell.space_ids
-                                              : cell.qgram_ids;
-  };
+  const TableTokenCache& left = prepared.left;
+  const TableTokenCache& right = prepared.right;
+  // Reset whenever the plan moves to another attribute, so any plan order
+  // gives the same bits; the planners keep an attribute's features
+  // adjacent.
+  SharedCores cores(static_cast<size_t>(-1));
   for (size_t f = 0; f < plan_.size(); ++f) {
     const FeaturePlan& p = plan_[f];
     const CachedCell& lc = left.cell(left_row, p.attr_index);
@@ -171,16 +258,11 @@ void FeatureGenerator::GenerateRowCached(const TableTokenCache& left,
       row[f] = std::numeric_limits<double>::quiet_NaN();
       continue;
     }
-    // kNone token measures (not produced by any planner) fall back to the
-    // uncached path rather than growing the cache by a third token kind.
-    if (p.func.IsTokenMeasure() && p.func.tokenizer != TokenizerKind::kNone) {
-      ++hits;
-      row[f] = p.func.ApplyTokenIds(ids_of(lc, p.func.tokenizer),
-                                    ids_of(rc, p.func.tokenizer));
-    } else {
-      if (p.func.IsTokenMeasure()) ++misses;
-      row[f] = p.func.Apply(lc.text, rc.text);
+    if (p.func.IsTokenMeasure()) {
+      ++(p.func.tokenizer != TokenizerKind::kNone ? hits : misses);
     }
+    if (cores.attr != p.attr_index) cores = SharedCores(p.attr_index);
+    row[f] = CachedFeature(p.func, lc, rc, prepared.generation, &cores);
   }
   for (size_t t = 0; t < tfidf_plans_.size(); ++t) {
     const TfIdfPlan& p = tfidf_plans_[t];
@@ -239,6 +321,7 @@ FeatureGenerator::PreparedTables FeatureGenerator::Prepare(
   std::vector<TableTokenCache::AttrSpec> specs = CacheSpecs();
   PreparedTables prepared;
   prepared.interner = std::make_unique<TokenInterner>();
+  prepared.generation = JaroWinklerMemo::NewGeneration();
   prepared.left =
       TableTokenCache::Build(left, specs, parallelism_, prepared.interner.get());
   prepared.right = TableTokenCache::Build(right, specs, parallelism_,
@@ -265,8 +348,8 @@ void FeatureGenerator::GenerateRows(const PreparedTables& prepared,
       parallelism_, end - begin,
       [&](size_t i) {
         const RecordPair& pair = pairs[begin + i];
-        GenerateRowCached(prepared.left, pair.left_id, prepared.right,
-                          pair.right_id, X->RowPtr(i));
+        GenerateRowCached(prepared, pair.left_id, pair.right_id,
+                          X->RowPtr(i));
       },
       "features.generate_pairs");
 }

@@ -77,6 +77,10 @@ class FeatureGenerator {
     std::unique_ptr<TokenInterner> interner;
     TableTokenCache left;
     TableTokenCache right;
+    /// Names `interner` in the per-thread Jaro-Winkler memo that scores
+    /// Monge-Elkan (JaroWinklerMemo::NewGeneration): unique per Prepare,
+    /// so a memo entry keyed by another interner's IDs never hits.
+    uint64_t generation = 0;
   };
   PreparedTables Prepare(const Table& left, const Table& right) const;
 
@@ -127,10 +131,10 @@ class FeatureGenerator {
 
   /// Writes the feature row for (left_row, right_row) into `row` (length
   /// num_features()) using the prepared caches; bit-identical to GenerateRow
-  /// on the raw records.
-  void GenerateRowCached(const TableTokenCache& left, size_t left_row,
-                         const TableTokenCache& right, size_t right_row,
-                         double* row) const;
+  /// on the raw records. Features of one attribute share one Levenshtein
+  /// distance, one Jaro similarity and one intersection per tokenizer.
+  void GenerateRowCached(const PreparedTables& prepared, size_t left_row,
+                         size_t right_row, double* row) const;
 };
 
 /// Magellan's rule-based generation (paper Table I): similarity functions

@@ -14,18 +14,25 @@ namespace {
 struct BuildScratch {
   QGramScratch qgrams;
   std::vector<std::string_view> words;
+  std::vector<uint32_t> ids;     // a cell's token IDs, in token order
+  std::vector<uint32_t> sorted;  // the same, sorted and duplicate-free
 };
 
+// Interns `tokens` into scratch->ids, one IdOf per token, and stores their
+// sorted duplicate-free IDs in `out`. Deduplicating in the scratch first
+// allocates `out` at its final size.
 void InternSortedUnique(TokenInterner* interner,
                         const std::vector<std::string_view>& tokens,
-                        std::vector<uint32_t>* out) {
-  out->clear();
-  out->reserve(tokens.size());
+                        BuildScratch* scratch, std::vector<uint32_t>* out) {
+  scratch->ids.clear();
   for (const std::string_view tok : tokens) {
-    out->push_back(interner->IdOf(tok));
+    scratch->ids.push_back(interner->IdOf(tok));
   }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
+  std::vector<uint32_t>& sorted = scratch->sorted;
+  sorted.assign(scratch->ids.begin(), scratch->ids.end());
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  out->assign(sorted.begin(), sorted.end());
 }
 
 }  // namespace
@@ -42,8 +49,10 @@ TableTokenCache TableTokenCache::Build(const Table& table,
     span.Arg("attrs", specs.size());
   }
   for (const AttrSpec& spec : specs) {
-    AUTOEM_CHECK_MSG(!(spec.space_ids || spec.qgram_ids) || interner != nullptr,
-                     "TableTokenCache: *_ids specs require an interner");
+    AUTOEM_CHECK_MSG(
+        !(spec.space_ids || spec.qgram_ids || spec.space_order) ||
+            interner != nullptr,
+        "TableTokenCache: *_ids specs require an interner");
   }
 
   TableTokenCache cache;
@@ -73,14 +82,24 @@ TableTokenCache TableTokenCache::Build(const Table& table,
           if (spec.qgram_tokens) {
             cell.qgram_tokens = Tokenize(TokenizerKind::kQGram3, cell.text);
           }
-          if (spec.space_ids) {
+          if (spec.space_ids || spec.space_order) {
             WhitespaceTokenizeInto(cell.text, &scratch.words);
-            InternSortedUnique(interner, scratch.words, &cell.space_ids);
+            InternSortedUnique(interner, scratch.words, &scratch,
+                               &cell.space_ids);
+          }
+          if (spec.space_order) {
+            cell.space_order.resize(scratch.ids.size());
+            for (size_t i = 0; i < scratch.ids.size(); ++i) {
+              cell.space_order[i] = static_cast<uint32_t>(
+                  std::lower_bound(cell.space_ids.begin(),
+                                   cell.space_ids.end(), scratch.ids[i]) -
+                  cell.space_ids.begin());
+            }
           }
           if (spec.qgram_ids) {
             const std::vector<std::string_view>& grams =
                 QGramTokenizeInto(cell.text, 3, &scratch.qgrams);
-            InternSortedUnique(interner, grams, &cell.qgram_ids);
+            InternSortedUnique(interner, grams, &scratch, &cell.qgram_ids);
           }
         }
       },

@@ -22,6 +22,11 @@ namespace autoem {
 ///   - `*_ids`: sorted duplicate-free token IDs from the Build-wide
 ///     TokenInterner, consumed by the set measures (Jaccard/Cosine/Dice/
 ///     Overlap) as linear merges — no per-pair hashing or allocation.
+///
+/// Monge-Elkan also needs the whitespace tokens in order, repeats
+/// included: `space_order[i]` is the index into `space_ids` of the i-th
+/// token. Their text is not stored; a scorer re-tokenizes `text` into
+/// views, whose i-th view is that token.
 struct CachedCell {
   bool is_null = true;
   std::string text;
@@ -29,6 +34,7 @@ struct CachedCell {
   std::vector<std::string> qgram_tokens;
   std::vector<uint32_t> space_ids;
   std::vector<uint32_t> qgram_ids;
+  std::vector<uint32_t> space_order;
 };
 
 /// Shared-immutable per-table cache of rendered strings and token sets.
@@ -53,6 +59,7 @@ class TableTokenCache {
     bool qgram_tokens = false;  // string grams (TF-IDF)
     bool space_ids = false;     // interned sorted IDs (set measures)
     bool qgram_ids = false;
+    bool space_order = false;   // space_ids plus token order (Monge-Elkan)
   };
 
   TableTokenCache() = default;

@@ -1,6 +1,7 @@
 #include "text/similarity.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -260,10 +261,8 @@ int LevenshteinDistance(std::string_view a, std::string_view b) {
 }
 
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {
-  size_t max_len = std::max(a.size(), b.size());
-  if (max_len == 0) return 1.0;
-  return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) /
-                   static_cast<double>(max_len);
+  return LevenshteinSimilarityFromDistance(LevenshteinDistance(a, b),
+                                           a.size(), b.size());
 }
 
 namespace {
@@ -385,12 +384,7 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
 }
 
 double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
-  double jaro = JaroSimilarity(a, b);
-  const double kPrefixScale = 0.1;
-  size_t prefix = 0;
-  size_t limit = std::min({a.size(), b.size(), static_cast<size_t>(4)});
-  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return jaro + prefix * kPrefixScale * (1.0 - jaro);
+  return JaroWinklerFromJaro(JaroSimilarity(a, b), a, b);
 }
 
 double ExactMatch(std::string_view a, std::string_view b) {
@@ -563,44 +557,113 @@ double MongeElkan(std::string_view a, std::string_view b) {
   return total / static_cast<double>(tokens_a.size());
 }
 
+uint64_t JaroWinklerMemo::NewGeneration() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+JaroWinklerMemo::JaroWinklerMemo() : slots_(kSlots) {}
+
+double JaroWinklerMemo::Get(uint64_t generation, uint32_t a_id,
+                            std::string_view a, uint32_t b_id,
+                            std::string_view b) {
+  static_assert(std::has_single_bit(kSlots));
+  constexpr int kSlotBits = std::countr_zero(kSlots);
+  const uint64_t key = (uint64_t{a_id} << 32) | b_id;
+  // Fibonacci hashing: the top bits of key * 2^64/phi.
+  Slot& slot = slots_[(key * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits)];
+  if (slot.generation != generation || slot.key != key) {
+    slot = {generation, key, JaroWinklerSimilarity(a, b)};
+  }
+  return slot.value;
+}
+
+double MongeElkanTokenIds(const InternedTokens& a, const InternedTokens& b,
+                          uint64_t generation, JaroWinklerMemo* memo) {
+  if (a.order.empty() && b.order.empty()) return 1.0;
+  if (a.order.empty() || b.order.empty()) return 0.0;
+  // best[k]: the score of a's distinct token ids[k].
+  thread_local std::vector<double> best;
+  best.resize(a.ids.size());
+  size_t j = 0;  // both ID lists are sorted: one merge finds the shared ones
+  for (size_t k = 0; k < a.ids.size(); ++k) {
+    const uint32_t id = a.ids[k];
+    while (j < b.ids.size() && b.ids[j] < id) ++j;
+    if (j < b.ids.size() && b.ids[j] == id) {
+      best[k] = 1.0;
+      continue;
+    }
+    double score = 0.0;
+    for (size_t m = 0; m < b.ids.size(); ++m) {
+      score = std::max(
+          score, memo->Get(generation, id, a.texts[k], b.ids[m], b.texts[m]));
+    }
+    best[k] = score;
+  }
+  double total = 0.0;
+  for (const uint32_t k : a.order) total += best[k];
+  return total / static_cast<double>(a.order.size());
+}
+
+double LevenshteinSimilarityFromDistance(int distance, size_t len_a,
+                                         size_t len_b) {
+  size_t max_len = std::max(len_a, len_b);
+  if (max_len == 0) return 1.0;
+  return 1.0 -
+         static_cast<double>(distance) / static_cast<double>(max_len);
+}
+
+double JaroWinklerFromJaro(double jaro, std::string_view a,
+                           std::string_view b) {
+  const double kPrefixScale = 0.1;
+  size_t prefix = 0;
+  size_t limit = std::min({a.size(), b.size(), static_cast<size_t>(4)});
+  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  return jaro + prefix * kPrefixScale * (1.0 - jaro);
+}
+
+double JaccardFromSizes(size_t size_a, size_t size_b, size_t common) {
+  if (size_a == 0 && size_b == 0) return 1.0;
+  size_t uni = size_a + size_b - common;
+  return uni == 0 ? 0.0 : static_cast<double>(common) / uni;
+}
+
+double CosineFromSizes(size_t size_a, size_t size_b, size_t common) {
+  if (size_a == 0 && size_b == 0) return 1.0;
+  if (size_a == 0 || size_b == 0) return 0.0;
+  return static_cast<double>(common) /
+         std::sqrt(static_cast<double>(size_a) * static_cast<double>(size_b));
+}
+
+double DiceFromSizes(size_t size_a, size_t size_b, size_t common) {
+  if (size_a == 0 && size_b == 0) return 1.0;
+  return 2.0 * common / static_cast<double>(size_a + size_b);
+}
+
+double OverlapFromSizes(size_t size_a, size_t size_b, size_t common) {
+  if (size_a == 0 && size_b == 0) return 1.0;
+  if (size_a == 0 || size_b == 0) return 0.0;
+  return static_cast<double>(common) / std::min(size_a, size_b);
+}
+
 double JaccardSimilarity(const std::vector<std::string>& a,
                          const std::vector<std::string>& b) {
-  size_t sa = SetSize(a);
-  size_t sb = SetSize(b);
-  if (sa == 0 && sb == 0) return 1.0;
-  size_t inter = SetIntersectionSize(a, b);
-  size_t uni = sa + sb - inter;
-  return uni == 0 ? 0.0 : static_cast<double>(inter) / uni;
+  return JaccardFromSizes(SetSize(a), SetSize(b), SetIntersectionSize(a, b));
 }
 
 double CosineSimilarity(const std::vector<std::string>& a,
                         const std::vector<std::string>& b) {
-  size_t sa = SetSize(a);
-  size_t sb = SetSize(b);
-  if (sa == 0 && sb == 0) return 1.0;
-  if (sa == 0 || sb == 0) return 0.0;
-  size_t inter = SetIntersectionSize(a, b);
-  return static_cast<double>(inter) /
-         std::sqrt(static_cast<double>(sa) * static_cast<double>(sb));
+  return CosineFromSizes(SetSize(a), SetSize(b), SetIntersectionSize(a, b));
 }
 
 double DiceSimilarity(const std::vector<std::string>& a,
                       const std::vector<std::string>& b) {
-  size_t sa = SetSize(a);
-  size_t sb = SetSize(b);
-  if (sa == 0 && sb == 0) return 1.0;
-  size_t inter = SetIntersectionSize(a, b);
-  return 2.0 * inter / static_cast<double>(sa + sb);
+  return DiceFromSizes(SetSize(a), SetSize(b), SetIntersectionSize(a, b));
 }
 
 double OverlapCoefficient(const std::vector<std::string>& a,
                           const std::vector<std::string>& b) {
-  size_t sa = SetSize(a);
-  size_t sb = SetSize(b);
-  if (sa == 0 && sb == 0) return 1.0;
-  if (sa == 0 || sb == 0) return 0.0;
-  size_t inter = SetIntersectionSize(a, b);
-  return static_cast<double>(inter) / std::min(sa, sb);
+  return OverlapFromSizes(SetSize(a), SetSize(b), SetIntersectionSize(a, b));
 }
 
 size_t SortedIdIntersectionSize(const std::vector<uint32_t>& a,
@@ -620,42 +683,22 @@ size_t SortedIdIntersectionSize(const std::vector<uint32_t>& a,
 
 double JaccardSimilarityIds(const std::vector<uint32_t>& a,
                             const std::vector<uint32_t>& b) {
-  const size_t sa = a.size();
-  const size_t sb = b.size();
-  if (sa == 0 && sb == 0) return 1.0;
-  const size_t inter = SortedIdIntersectionSize(a, b);
-  const size_t uni = sa + sb - inter;
-  return uni == 0 ? 0.0 : static_cast<double>(inter) / uni;
+  return JaccardFromSizes(a.size(), b.size(), SortedIdIntersectionSize(a, b));
 }
 
 double CosineSimilarityIds(const std::vector<uint32_t>& a,
                            const std::vector<uint32_t>& b) {
-  const size_t sa = a.size();
-  const size_t sb = b.size();
-  if (sa == 0 && sb == 0) return 1.0;
-  if (sa == 0 || sb == 0) return 0.0;
-  const size_t inter = SortedIdIntersectionSize(a, b);
-  return static_cast<double>(inter) /
-         std::sqrt(static_cast<double>(sa) * static_cast<double>(sb));
+  return CosineFromSizes(a.size(), b.size(), SortedIdIntersectionSize(a, b));
 }
 
 double DiceSimilarityIds(const std::vector<uint32_t>& a,
                          const std::vector<uint32_t>& b) {
-  const size_t sa = a.size();
-  const size_t sb = b.size();
-  if (sa == 0 && sb == 0) return 1.0;
-  const size_t inter = SortedIdIntersectionSize(a, b);
-  return 2.0 * inter / static_cast<double>(sa + sb);
+  return DiceFromSizes(a.size(), b.size(), SortedIdIntersectionSize(a, b));
 }
 
 double OverlapCoefficientIds(const std::vector<uint32_t>& a,
                              const std::vector<uint32_t>& b) {
-  const size_t sa = a.size();
-  const size_t sb = b.size();
-  if (sa == 0 && sb == 0) return 1.0;
-  if (sa == 0 || sb == 0) return 0.0;
-  const size_t inter = SortedIdIntersectionSize(a, b);
-  return static_cast<double>(inter) / std::min(sa, sb);
+  return OverlapFromSizes(a.size(), b.size(), SortedIdIntersectionSize(a, b));
 }
 
 double AbsoluteNorm(double a, double b) {

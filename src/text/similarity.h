@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,6 +75,86 @@ double SmithWaterman(std::string_view a, std::string_view b);
 /// at a token identical to the one from `a`; bit-identical to
 /// `reference::MongeElkan`.
 double MongeElkan(std::string_view a, std::string_view b);
+
+// ---- final expressions ------------------------------------------------------
+//
+// The closing formula of each measure, written once. The string kernels,
+// the token-ID kernels and the feature generator's shared per-pair
+// intermediates all end in these, so a feature computed from an
+// intermediate equals the kernel that computes it itself, bit for bit.
+
+/// 1 - distance / max(len_a, len_b); 1.0 when both lengths are zero.
+double LevenshteinSimilarityFromDistance(int distance, size_t len_a,
+                                         size_t len_b);
+
+/// Jaro-Winkler from `jaro` = JaroSimilarity(a, b): adds the boost of the
+/// common prefix of `a` and `b` (p = 0.1, prefix capped at 4 bytes).
+double JaroWinklerFromJaro(double jaro, std::string_view a,
+                           std::string_view b);
+
+/// The four set measures from |A|, |B| and |A ∩ B|.
+double JaccardFromSizes(size_t size_a, size_t size_b, size_t common);
+double CosineFromSizes(size_t size_a, size_t size_b, size_t common);
+double DiceFromSizes(size_t size_a, size_t size_b, size_t common);
+double OverlapFromSizes(size_t size_a, size_t size_b, size_t common);
+
+// ---- Monge-Elkan on interned tokens -----------------------------------------
+
+/// Exact Jaro-Winkler values of token pairs, keyed by the *ordered* pair of
+/// their interned IDs plus a generation that names the interner. The table
+/// is direct-mapped and fixed in size: a lookup is one probe, and a store
+/// overwrites whatever held the slot. Every entry is the exact value of
+/// JaroWinklerSimilarity(a, b), so a hit changes no bit.
+///
+/// The key is ordered, so an entry only ever answers the argument order it
+/// was computed in: the kernel promises symmetry only up to rounding (its
+/// tests compare JW(a, b) with JW(b, a) by EXPECT_DOUBLE_EQ). The
+/// generation, not the interner's address, names the interner, because a
+/// freed interner's address can be reused by the next one while its ID
+/// values mean other tokens. Not thread-safe: keep one per thread.
+class JaroWinklerMemo {
+ public:
+  /// Number of slots; each holds a generation, a key and a value (24 B).
+  static constexpr size_t kSlots = 4096;
+
+  /// A generation no earlier call returned in this process, never 0 (the
+  /// mark of an empty slot). Take one per interner whose IDs key lookups.
+  static uint64_t NewGeneration();
+
+  JaroWinklerMemo();
+
+  /// JaroWinklerSimilarity(a, b), where `a_id` and `b_id` are the IDs of
+  /// `a` and `b` in the interner that `generation` names.
+  double Get(uint64_t generation, uint32_t a_id, std::string_view a,
+             uint32_t b_id, std::string_view b);
+
+ private:
+  struct Slot {
+    uint64_t generation = 0;
+    uint64_t key = 0;  // a_id in the high half, b_id in the low half
+    double value = 0.0;
+  };
+  std::vector<Slot> slots_;
+};
+
+/// One operand of MongeElkanTokenIds: a string's whitespace tokens,
+/// interned by the interner of the memo generation.
+struct InternedTokens {
+  std::span<const uint32_t> ids;             // sorted and duplicate-free
+  std::span<const std::string_view> texts;   // texts[k]: the token ids[k]
+  std::span<const uint32_t> order;           // order[i]: the i-th token's
+                                             // index into ids
+};
+
+/// MongeElkan on interned tokens, bit-identical to it on the strings the
+/// tokens came from. A token of `a` whose ID is among `b`'s scores 1.0,
+/// Jaro-Winkler's maximum, which identical tokens reach. Any other takes
+/// its best Jaro-Winkler over `b`'s distinct tokens, served by `memo`; a
+/// max does not depend on order, and `b`'s repeats cannot raise it. Each
+/// distinct token of `a` is scored once, and the scores are summed in
+/// `a`'s token order, as the kernel sums them.
+double MongeElkanTokenIds(const InternedTokens& a, const InternedTokens& b,
+                          uint64_t generation, JaroWinklerMemo* memo);
 
 // ---- token-set measures ----------------------------------------------------
 

@@ -95,15 +95,21 @@ double SimFunction::ApplyTokens(const std::vector<std::string>& a_tokens,
 
 double SimFunction::ApplyTokenIds(const std::vector<uint32_t>& a_ids,
                                   const std::vector<uint32_t>& b_ids) const {
+  return ApplySetSizes(a_ids.size(), b_ids.size(),
+                       SortedIdIntersectionSize(a_ids, b_ids));
+}
+
+double SimFunction::ApplySetSizes(size_t size_a, size_t size_b,
+                                  size_t common) const {
   switch (measure) {
     case Measure::kOverlapCoefficient:
-      return OverlapCoefficientIds(a_ids, b_ids);
+      return OverlapFromSizes(size_a, size_b, common);
     case Measure::kDice:
-      return DiceSimilarityIds(a_ids, b_ids);
+      return DiceFromSizes(size_a, size_b, common);
     case Measure::kCosine:
-      return CosineSimilarityIds(a_ids, b_ids);
+      return CosineFromSizes(size_a, size_b, common);
     case Measure::kJaccard:
-      return JaccardSimilarityIds(a_ids, b_ids);
+      return JaccardFromSizes(size_a, size_b, common);
     default:
       return std::numeric_limits<double>::quiet_NaN();
   }

@@ -59,6 +59,11 @@ struct SimFunction {
   /// IsTokenMeasure().
   double ApplyTokenIds(const std::vector<uint32_t>& a_ids,
                        const std::vector<uint32_t>& b_ids) const;
+
+  /// Token-set measures from the set sizes |A|, |B| and |A ∩ B| alone: the
+  /// final expression every set path ends in. Precondition:
+  /// IsTokenMeasure().
+  double ApplySetSizes(size_t size_a, size_t size_b, size_t common) const;
 };
 
 /// Short display name of a measure, e.g. "Jaccard Similarity".

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -338,6 +340,48 @@ TEST(PairsIoTest, NonNumericIdRejected) {
   Table t("p", Schema({"ltable_id", "rtable_id", "label"}));
   ASSERT_TRUE(t.Append(Record({Value("x"), Value(0.0), Value(1.0)})).ok());
   EXPECT_FALSE(PairsFromTable(t, 1, 1).ok());
+}
+
+// One pairs row (left id, right id, label) against 4 x 4 tables.
+Result<std::vector<RecordPair>> ParseOnePair(Value left, Value right,
+                                             Value label) {
+  Table t("p", Schema({"ltable_id", "rtable_id", "label"}));
+  EXPECT_TRUE(t.Append(Record({std::move(left), std::move(right),
+                               std::move(label)}))
+                  .ok());
+  return PairsFromTable(t, /*left_rows=*/4, /*right_rows=*/4);
+}
+
+// Casting a double outside size_t's range is undefined behaviour, and a
+// fractional or negative id used to be truncated to some valid row.
+TEST(PairsIoTest, NonIntegralOrNonFiniteIdsRejected) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {1e300, 1.5, -0.5, -1.0, kInf, -kInf, kNaN}) {
+    EXPECT_FALSE(ParseOnePair(Value(bad), Value(0.0), Value(1.0)).ok())
+        << "left id " << bad;
+    EXPECT_FALSE(ParseOnePair(Value(0.0), Value(bad), Value(1.0)).ok())
+        << "right id " << bad;
+  }
+  EXPECT_EQ(ParseOnePair(Value(4.0), Value(0.0), Value(1.0)).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(PairsIoTest, LabelsOutsideMinusOneZeroOneRejected) {
+  for (Value bad : {Value(7.0), Value(1e300), Value(0.5), Value(-2.0),
+                    Value("yes"), Value(true)}) {
+    EXPECT_FALSE(ParseOnePair(Value(0.0), Value(0.0), bad).ok())
+        << bad.ToString();
+  }
+  const std::pair<Value, int> good[] = {
+      {Value(-1.0), -1}, {Value(0.0), 0}, {Value(1.0), 1}, {Value(), -1}};
+  for (const auto& [label, want] : good) {
+    auto pairs = ParseOnePair(Value(3.0), Value(2.0), label);
+    ASSERT_TRUE(pairs.ok()) << label.ToString();
+    EXPECT_EQ((*pairs)[0].label, want);
+    EXPECT_EQ((*pairs)[0].left_id, 3u);
+    EXPECT_EQ((*pairs)[0].right_id, 2u);
+  }
 }
 
 }  // namespace

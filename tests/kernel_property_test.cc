@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -332,6 +333,75 @@ TEST(KernelPropertyStrings, MongeElkanBoundedAndAsymmetric) {
     double ab = MongeElkan(a, b);
     EXPECT_GE(ab, 0.0);
     EXPECT_LE(ab, 1.0);
+  }
+}
+
+// ---- Monge-Elkan on interned tokens vs the reference ------------------------
+
+// MongeElkanTokenIds's operand for `s`, built as TableTokenCache builds a
+// cell: whitespace tokens interned once each, sorted unique IDs, and each
+// token's index into them.
+struct InternedString {
+  std::vector<uint32_t> ids;
+  std::vector<std::string_view> texts;
+  std::vector<uint32_t> order;
+
+  InternedTokens view() const { return {ids, texts, order}; }
+};
+
+InternedString InternWords(std::string_view s, TokenInterner* interner) {
+  std::vector<std::string_view> words;
+  WhitespaceTokenizeInto(s, &words);
+  InternedString out;
+  for (std::string_view w : words) out.ids.push_back(interner->IdOf(w));
+  std::vector<uint32_t> word_ids = out.ids;
+  std::sort(out.ids.begin(), out.ids.end());
+  out.ids.erase(std::unique(out.ids.begin(), out.ids.end()), out.ids.end());
+  out.texts.resize(out.ids.size());
+  for (size_t i = 0; i < words.size(); ++i) {
+    const auto k = static_cast<uint32_t>(
+        std::lower_bound(out.ids.begin(), out.ids.end(), word_ids[i]) -
+        out.ids.begin());
+    out.order.push_back(k);
+    out.texts[k] = words[i];
+  }
+  return out;
+}
+
+TEST(KernelPropertyStrings, TokenIdMongeElkanMatchesReference) {
+  Rng rng(71);
+  std::vector<std::string> inputs = HostileStrings();
+  inputs.push_back("new york city");
+  inputs.push_back("york new york");
+  inputs.push_back(" york  york\tnew ");
+  for (int i = 0; i < 40; ++i) {
+    // Few distinct bytes: tokens repeat within and across strings.
+    inputs.push_back(RandomText(&rng, rng.UniformIndex(60), "abc  \t"));
+    inputs.push_back(RandomHostileBytes(&rng, rng.UniformIndex(40)));
+  }
+  auto memo = std::make_unique<JaroWinklerMemo>();
+  // Two passes under one generation (the second one served by the memo),
+  // then a fresh interner under a new generation that interns the strings
+  // in reverse, so its ID values name other tokens.
+  for (int pass = 0; pass < 2; ++pass) {
+    TokenInterner interner;
+    const uint64_t generation = JaroWinklerMemo::NewGeneration();
+    std::vector<InternedString> interned(inputs.size());
+    for (size_t n = 0; n < inputs.size(); ++n) {
+      const size_t i = pass == 0 ? n : inputs.size() - 1 - n;
+      interned[i] = InternWords(inputs[i], &interner);
+    }
+    for (int repeat = 0; repeat < (pass == 0 ? 2 : 1); ++repeat) {
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        for (size_t j = 0; j < inputs.size(); ++j) {
+          const double got = MongeElkanTokenIds(
+              interned[i].view(), interned[j].view(), generation, memo.get());
+          const double want = reference::MongeElkan(inputs[i], inputs[j]);
+          ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+              << "pass " << pass << " inputs " << i << ", " << j;
+        }
+      }
+    }
   }
 }
 

@@ -4,21 +4,28 @@
 // 8-byte patterns (memcmp), which is stricter than operator== — it also
 // pins down NaN cells, which a double comparison would wave through as
 // "different".
+#include <algorithm>
 #include <cstring>
+#include <initializer_list>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 
 #include "automl/evaluator.h"
 #include "automl/search_space.h"
 #include "common/parallelism.h"
+#include "common/rng.h"
 #include "datagen/benchmark_gen.h"
 #include "features/feature_gen.h"
+#include "io/serialize.h"
 #include "ml/models/random_forest.h"
 #include "obs/profiler.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 #include "preprocess/balancing.h"
+#include "text/interner.h"
 
 namespace autoem {
 namespace {
@@ -110,24 +117,244 @@ TEST(ParallelDeterminismTest, MagellanFeatureMatrixBitIdentical) {
   }
 }
 
-// The token cache must not change values relative to the uncached
-// per-record path (GenerateRow tokenizes from scratch).
-TEST(ParallelDeterminismTest, CachedPathMatchesUncachedGenerateRow) {
-  BenchmarkData data = MakeBenchmark();
-  AutoMlEmFeatureGenerator gen(/*include_tfidf=*/true);
-  gen.set_parallelism(Parallelism::Threads(4));
-  ASSERT_TRUE(gen.Plan(data.train.left, data.train.right).ok());
-  Dataset cached = gen.Generate(data.train);
+// ---- cached featurization vs the per-function path -------------------------
+//
+// GenerateRowCached shares one Levenshtein, one Jaro and one intersection
+// per tokenizer across an attribute's features, and scores Monge-Elkan from
+// interned tokens through a per-thread Jaro-Winkler memo. GenerateRow calls
+// each SimFunction on freshly rendered strings, so it is the oracle.
 
-  size_t step = std::max<size_t>(1, data.train.pairs.size() / 25);
-  for (size_t i = 0; i < data.train.pairs.size(); i += step) {
-    const RecordPair& pair = data.train.pairs[i];
-    std::vector<double> row =
-        gen.GenerateRow(data.train.left.row(pair.left_id),
-                        data.train.right.row(pair.right_id));
-    ExpectBitIdentical(row, cached.X.RowVector(i),
-                       "pair " + std::to_string(i));
+// GenerateRow's row for every pair of `set`.
+std::vector<std::vector<double>> UncachedRows(const FeatureGenerator& gen,
+                                              const PairSet& set) {
+  std::vector<std::vector<double>> rows;
+  rows.reserve(set.pairs.size());
+  for (const RecordPair& pair : set.pairs) {
+    rows.push_back(gen.GenerateRow(set.left.row(pair.left_id),
+                                   set.right.row(pair.right_id)));
   }
+  return rows;
+}
+
+// The first row of `got` whose bits differ from `want`, or want.size().
+size_t FirstDifferentRow(const std::vector<std::vector<double>>& want,
+                         const Matrix& got) {
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (want[i].size() != got.cols() ||
+        std::memcmp(want[i].data(), got.RowPtr(i),
+                    got.cols() * sizeof(double)) != 0) {
+      return i;
+    }
+  }
+  return want.size();
+}
+
+// Generate at every thread count must reproduce GenerateRow bit for bit.
+void ExpectGenerateMatchesGenerateRow(FeatureGenerator* gen,
+                                      const PairSet& set,
+                                      const std::string& what) {
+  const std::vector<std::vector<double>> want = UncachedRows(*gen, set);
+  for (int threads : kThreadCounts) {
+    gen->set_parallelism(Parallelism::Threads(threads));
+    Dataset got = gen->Generate(set);
+    ASSERT_EQ(got.X.rows(), want.size()) << what;
+    const size_t row = FirstDifferentRow(want, got.X);
+    EXPECT_EQ(row, want.size())
+        << what << " @" << threads << ": pair " << row << " differs";
+  }
+}
+
+TEST(ParallelDeterminismTest, CachedPathMatchesUncachedGenerateRow) {
+  for (const DatasetProfile& profile : BenchmarkProfiles()) {
+    auto data = GenerateBenchmarkByName(profile.name, /*seed=*/7,
+                                        /*scale=*/0.05);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    for (const PairSet* set : {&data->train, &data->test}) {
+      AutoMlEmFeatureGenerator automl_em(/*include_tfidf=*/true);
+      MagellanFeatureGenerator magellan;
+      for (FeatureGenerator* gen :
+           std::initializer_list<FeatureGenerator*>{&automl_em, &magellan}) {
+        ASSERT_TRUE(gen->Plan(set->left, set->right).ok()) << profile.name;
+        ExpectGenerateMatchesGenerateRow(gen, *set,
+                                         profile.name + " " + gen->name());
+      }
+    }
+  }
+}
+
+// One string attribute per table; every left row meets every right row.
+PairSet CrossPairs(const std::vector<Value>& left,
+                   const std::vector<Value>& right) {
+  PairSet set;
+  set.left = Table("left", Schema({"text"}));
+  set.right = Table("right", Schema({"text"}));
+  for (const Value& v : left) EXPECT_TRUE(set.left.Append(Record({v})).ok());
+  for (const Value& v : right) EXPECT_TRUE(set.right.Append(Record({v})).ok());
+  for (size_t l = 0; l < left.size(); ++l) {
+    for (size_t r = 0; r < right.size(); ++r) {
+      set.pairs.push_back({l, r, static_cast<int>((l + r) % 2)});
+    }
+  }
+  return set;
+}
+
+TEST(ParallelDeterminismTest, CachedPathMatchesGenerateRowOnHostileCells) {
+  const std::string long_a(70, 'q');
+  const std::string long_b = std::string(65, 'q') + "r";
+  const std::vector<Value> left = {
+      Value("a a a b c"),                     // repeated tokens
+      Value("shared left only"),              // one token shared with right
+      Value("same"),                          // the same token on both sides
+      Value("   \t \n "),                     // whitespace only
+      Value(std::string()),                   // empty, not null
+      Value(long_a + " " + long_b + " x"),    // tokens over 64 bytes
+      Value("caf\xC3\xA9 na\xC3\xAFve \xFF\x80 caf\xC3\xA9"),
+      Value(),                                // null
+      Value(std::string("nul\0byte tok", 12)),
+  };
+  const std::vector<Value> right = {
+      Value("c b b a"),
+      Value("right shared only"),
+      Value("same"),
+      Value(" "),
+      Value(std::string()),
+      Value(long_b + " " + long_a),
+      Value("\xFF\x80 cafe naive"),
+      Value(),
+      Value("a"),
+  };
+  PairSet set = CrossPairs(left, right);
+  AutoMlEmFeatureGenerator automl_em(/*include_tfidf=*/true);
+  MagellanFeatureGenerator magellan;
+  for (FeatureGenerator* gen :
+       std::initializer_list<FeatureGenerator*>{&automl_em, &magellan}) {
+    ASSERT_TRUE(gen->Plan(set.left, set.right).ok()) << gen->name();
+    ExpectGenerateMatchesGenerateRow(gen, set, gen->name());
+  }
+}
+
+// Loads `plan` into `gen` as a saved model's plan is loaded.
+void LoadPlan(const std::vector<FeaturePlan>& plan, FeatureGenerator* gen) {
+  io::Writer w;
+  w.U64(plan.size());
+  for (const FeaturePlan& p : plan) {
+    w.U64(p.attr_index);
+    w.U32(static_cast<uint32_t>(p.func.measure));
+    w.U32(static_cast<uint32_t>(p.func.tokenizer));
+    w.Str(p.name);
+  }
+  w.U64(0);  // no TF-IDF plans
+  io::Reader r(w.data());
+  ASSERT_TRUE(gen->LoadState(&r).ok());
+  ASSERT_EQ(gen->plan().size(), plan.size());
+}
+
+// `n` distinct random lowercase words, none of them in `exclude`.
+std::vector<std::string> RandomVocabulary(uint64_t seed, size_t n,
+                                          const std::vector<std::string>&
+                                              exclude) {
+  Rng rng(seed);
+  std::vector<std::string> words;
+  while (words.size() < n) {
+    std::string w;
+    const size_t len = 3 + rng.UniformIndex(7);
+    for (size_t i = 0; i < len; ++i) {
+      w.push_back(static_cast<char>('a' + rng.UniformIndex(26)));
+    }
+    if (std::find(words.begin(), words.end(), w) == words.end() &&
+        std::find(exclude.begin(), exclude.end(), w) == exclude.end()) {
+      words.push_back(std::move(w));
+    }
+  }
+  return words;
+}
+
+// Cells of six words each from `vocabulary`.
+std::vector<Value> RandomCells(Rng* rng,
+                               const std::vector<std::string>& vocabulary,
+                               size_t rows) {
+  std::vector<Value> cells;
+  for (size_t r = 0; r < rows; ++r) {
+    std::string text;
+    for (int t = 0; t < 6; ++t) {
+      if (t > 0) text += ' ';
+      text += vocabulary[rng->UniformIndex(vocabulary.size())];
+    }
+    cells.push_back(Value(std::move(text)));
+  }
+  return cells;
+}
+
+// The Jaro-Winkler memo outlives every Prepare on its thread. Two table
+// pairs with disjoint vocabularies give their interners the same ID values
+// for different tokens, so an entry served across Prepares would be the
+// Jaro-Winkler of other tokens. Each round prepares, featurizes and frees
+// one pair's caches, so the next interner may reuse the freed one's
+// address. The plan is Monge-Elkan alone: no q-grams share the interner,
+// so most (left, right) ID pairs recur across the two vocabularies.
+TEST(ParallelDeterminismTest, JaroWinklerMemoNeverServesAnotherInterner) {
+  const std::vector<std::string> vocab_a = RandomVocabulary(1, 120, {});
+  const std::vector<std::string> vocab_b = RandomVocabulary(2, 120, vocab_a);
+  // The premise: the two vocabularies share ID values.
+  TokenInterner interner_a;
+  TokenInterner interner_b;
+  std::vector<uint32_t> ids_a;
+  for (const std::string& w : vocab_a) ids_a.push_back(interner_a.IdOf(w));
+  size_t reused = 0;
+  for (const std::string& w : vocab_b) {
+    reused += std::count(ids_a.begin(), ids_a.end(), interner_b.IdOf(w));
+  }
+  ASSERT_GT(reused, 50u);
+
+  Rng rng(3);
+  PairSet sets[2] = {
+      CrossPairs(RandomCells(&rng, vocab_a, 24), RandomCells(&rng, vocab_a, 24)),
+      CrossPairs(RandomCells(&rng, vocab_b, 24), RandomCells(&rng, vocab_b, 24))};
+  AutoMlEmFeatureGenerator gens[2];
+  std::vector<std::vector<double>> want[2];
+  for (int k = 0; k < 2; ++k) {
+    LoadPlan({{0, {Measure::kMongeElkan}, "text_monge_elkan"}}, &gens[k]);
+    gens[k].set_parallelism(Parallelism::Serial());
+    want[k] = UncachedRows(gens[k], sets[k]);
+  }
+  for (int round = 0; round < 4; ++round) {
+    for (int k = 0; k < 2; ++k) {
+      const FeatureGenerator::PreparedTables prepared =
+          gens[k].Prepare(sets[k].left, sets[k].right);
+      const Matrix got = gens[k].GenerateChunk(prepared, sets[k].pairs, 0,
+                                               sets[k].pairs.size());
+      const size_t row = FirstDifferentRow(want[k], got);
+      EXPECT_EQ(row, want[k].size())
+          << "round " << round << " set " << k << ": pair " << row;
+    }
+  }
+}
+
+// A loaded model may list an attribute's features apart, and repeat one.
+// The shared intermediates must give the same bits in any plan order.
+TEST(ParallelDeterminismTest, InterleavedLoadedPlanMatchesGenerateRow) {
+  BenchmarkData data = MakeBenchmark();
+  AutoMlEmFeatureGenerator planned;
+  ASSERT_TRUE(planned.Plan(data.train.left, data.train.right).ok());
+  // Round-robin over attributes: attribute 0's first function, attribute
+  // 1's first, ..., then every attribute's second, and so on.
+  std::vector<std::vector<FeaturePlan>> by_attr;
+  for (const FeaturePlan& p : planned.plan()) {
+    if (p.attr_index >= by_attr.size()) by_attr.resize(p.attr_index + 1);
+    by_attr[p.attr_index].push_back(p);
+  }
+  std::vector<FeaturePlan> order;
+  for (size_t k = 0; order.size() < planned.plan().size(); ++k) {
+    for (const auto& features : by_attr) {
+      if (k < features.size()) order.push_back(features[k]);
+    }
+  }
+  order.push_back(order.front());  // a repeat, far from its twin
+  ASSERT_NE(order[0].attr_index, order[1].attr_index);
+
+  AutoMlEmFeatureGenerator loaded;
+  LoadPlan(order, &loaded);
+  ExpectGenerateMatchesGenerateRow(&loaded, data.train, "interleaved plan");
 }
 
 TEST(ParallelDeterminismTest, ForestFitAndPredictBitIdentical) {
