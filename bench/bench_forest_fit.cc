@@ -2,16 +2,17 @@
 // training, and each refit of an active-learning session. The matrix is a
 // fixed-seed Abt-Buy feature pool, as the labeling sessions fit on.
 //   BM_ForestFit/0         80-tree random forest, one thread, unweighted:
-//                          whole bootstrap counts, so the split search
-//                          mostly counts rank buckets
-//   BM_ForestFit/1         the same with balanced class weights: fractional
-//                          weights, so every scan is a rank-key sort
+//                          bootstrap counts as weights
+//   BM_ForestFit/1         the same with balanced class weights:
+//                          fractional weights, which the split search
+//                          scans the same way as whole ones
 //   BM_TreeFit/w           one fully grown tree over every feature,
 //                          building its own ranks (w: 0 unweighted,
 //                          1 class-weighted)
-//   BM_TreeFitReference/w  the same tree through the sorting builder it
-//                          replaced (reference::FitClassifierTree), the
-//                          in-binary denominator of the speedup
+//   BM_TreeFitReference/w  the same tree through the plain stable-sorting
+//                          definition of the split search
+//                          (reference::FitClassifierTree), the in-binary
+//                          denominator of the speedup
 // Counters: rows and cols of the matrix, and nodes of the fitted tree.
 #include <benchmark/benchmark.h>
 

@@ -43,6 +43,8 @@
 //       writes the same analysis machine-readably for CI assertions.
 //
 // Pairs CSVs use the export_datasets layout: ltable_id,rtable_id,label.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,6 +53,7 @@
 #include <vector>
 
 #include "automl/config_io.h"
+#include "common/string_util.h"
 #include "em/blocking.h"
 #include "fault/failpoint.h"
 #include "em/matcher.h"
@@ -68,10 +71,20 @@ namespace {
 
 struct Flags {
   std::map<std::string, std::string> values;
+  // The numeric flags, read by Parse before any work starts.
+  int evals = 20;
+  uint64_t seed = 1;
+  int threads = 1;  // 0 = all hardware threads
+  double max_trial_seconds = 0.0;
+  int checkpoint_every = 5;
+  uint64_t chunk_size = 4096;
+  double threshold = 0.5;
+  double metrics_flush_interval = 0.0;
+  double profile_hz = 0.0;  // 0 = the profiler's default
 
   // Accepts `--key value`, `--key=value`, and bare boolean flags
   // (`--resume`): a flag whose next token is absent or itself a flag
-  // stores "1".
+  // stores "1". Exits 2 on a malformed or out-of-range numeric flag.
   static Flags Parse(int argc, char** argv, int first) {
     Flags flags;
     for (int i = first; i < argc; ++i) {
@@ -86,7 +99,32 @@ struct Flags {
         flags.values[arg.substr(2)] = "1";
       }
     }
+    // Durations stay below 1e9 s, so deadlines fit the clocks' 64-bit
+    // nanoseconds; the profiler samples at most at 10 kHz.
+    flags.Number("evals", 1, INT_MAX, &flags.evals);
+    flags.Number("seed", uint64_t{0}, UINT64_MAX, &flags.seed);
+    flags.Number("threads", 0, 1024, &flags.threads);
+    flags.Number("max-trial-seconds", 0.0, 1e9, &flags.max_trial_seconds);
+    flags.Number("checkpoint-every", 1, INT_MAX, &flags.checkpoint_every);
+    flags.Number("chunk-size", uint64_t{1}, UINT64_MAX, &flags.chunk_size);
+    flags.Number("threshold", 0.0, 1.0, &flags.threshold);
+    flags.Number("metrics-flush-interval", 0.0, 1e9,
+                 &flags.metrics_flush_interval);
+    flags.Number("profile-hz", 1.0, 1e4, &flags.profile_hz);
     return flags;
+  }
+
+  // Replaces *out with --key's value when the flag is given; exits 2 naming
+  // the flag when that value is not one finite number in [lo, hi].
+  template <typename T>
+  void Number(const std::string& key, T lo, T hi, T* out) const {
+    if (!Has(key)) return;
+    auto value = ParseNumber(Get(key), lo, hi);
+    if (!value.ok()) {
+      AUTOEM_LOG(ERROR) << "--" << key << ": " << value.status().message();
+      std::exit(2);
+    }
+    *out = *value;
   }
 
   std::string Get(const std::string& key, const std::string& fallback = "") const {
@@ -111,11 +149,10 @@ obs::ObsOptions ObsFromFlags(const Flags& flags) {
   std::string resources = flags.Get("resources", "0");
   obs.resources =
       !(resources == "0" || resources == "false" || resources == "off");
-  obs.metrics_flush_interval =
-      std::atof(flags.Get("metrics-flush-interval", "0").c_str());
+  obs.metrics_flush_interval = flags.metrics_flush_interval;
   obs.metrics_format = flags.Get("metrics-format");
   obs.profile_path = flags.Get("profile-out");
-  obs.profile_hz = std::atof(flags.Get("profile-hz", "0").c_str());
+  obs.profile_hz = flags.profile_hz;
   return obs;
 }
 
@@ -166,21 +203,16 @@ EntityMatcher TrainMatcher(const Flags& flags, PairSet* train_out) {
                               train.right);
 
   EntityMatcher::Options options;
-  options.automl.max_evaluations =
-      std::atoi(flags.Get("evals", "20").c_str());
-  options.automl.seed =
-      static_cast<uint64_t>(std::atoll(flags.Get("seed", "1").c_str()));
+  options.automl.max_evaluations = flags.evals;
+  options.automl.seed = flags.seed;
   // --threads N: 0 = all hardware threads, 1 (default) = serial. Results
   // are identical at any setting; only wall-clock changes.
-  options.automl.parallelism.threads =
-      std::atoi(flags.Get("threads", "1").c_str());
+  options.automl.parallelism.threads = flags.threads;
   options.automl.obs = ObsFromFlags(flags);
   // Fault tolerance: per-trial deadline plus crash-safe checkpoint/resume.
-  options.automl.max_trial_seconds =
-      std::atof(flags.Get("max-trial-seconds", "0").c_str());
+  options.automl.max_trial_seconds = flags.max_trial_seconds;
   options.automl.checkpoint.path = flags.Get("checkpoint");
-  options.automl.checkpoint.every_n_trials =
-      std::atoi(flags.Get("checkpoint-every", "5").c_str());
+  options.automl.checkpoint.every_n_trials = flags.checkpoint_every;
   options.automl.checkpoint.resume = flags.Has("resume");
   if (options.automl.checkpoint.resume &&
       options.automl.checkpoint.path.empty()) {
@@ -227,9 +259,8 @@ int RunTrainEval(const Flags& flags) {
     // --score-out: the per-pair test scores, byte-comparable against a
     // `predict` run on the same pairs with the saved model.
     if (flags.Has("score-out")) {
-      double threshold = std::atof(flags.Get("threshold", "0.5").c_str());
-      WriteScoresCsv(test.pairs, *scores, threshold, flags.Get("score-out"),
-                     nullptr);
+      WriteScoresCsv(test.pairs, *scores, flags.threshold,
+                     flags.Get("score-out"), nullptr);
       std::printf("wrote %zu test-pair scores to %s\n", scores->size(),
                   flags.Get("score-out").c_str());
     }
@@ -292,17 +323,15 @@ void MustBlock(const Flags& flags, PairSet* candidates) {
 // to --out (default `default_out`), called a match at --threshold.
 void MustScoreToCsv(const EntityMatcher& matcher, const PairSet& candidates,
                     const Flags& flags, const char* default_out) {
-  size_t chunk_size =
-      static_cast<size_t>(std::atoll(flags.Get("chunk-size", "4096").c_str()));
-  auto scores = matcher.ScorePairs(candidates, chunk_size);
+  auto scores = matcher.ScorePairs(candidates, flags.chunk_size);
   if (!scores.ok()) Fail(scores.status().ToString());
 
-  double threshold = std::atof(flags.Get("threshold", "0.5").c_str());
   std::string out_path = flags.Get("out", default_out);
   size_t n_matches = 0;
-  WriteScoresCsv(candidates.pairs, *scores, threshold, out_path, &n_matches);
+  WriteScoresCsv(candidates.pairs, *scores, flags.threshold, out_path,
+                 &n_matches);
   std::printf("%zu/%zu candidates matched at threshold %.2f -> %s\n",
-              n_matches, candidates.pairs.size(), threshold,
+              n_matches, candidates.pairs.size(), flags.threshold,
               out_path.c_str());
 }
 
@@ -313,7 +342,7 @@ int RunPredict(const Flags& flags) {
     Fail(flags.Get("load-model") + ": " + matcher.status().ToString());
   }
   Parallelism parallelism;
-  parallelism.threads = std::atoi(flags.Get("threads", "1").c_str());
+  parallelism.threads = flags.threads;
   matcher->SetParallelism(parallelism);
 
   PairSet candidates = MustReadCandidates(flags);
@@ -439,6 +468,10 @@ void PrintUsage() {
       "  --threads N uses N worker threads for featurization and forest\n"
       "  training (0 = all hardware threads; default 1). Output is\n"
       "  bit-identical at any thread count.\n"
+      "\n"
+      "  A numeric flag must be one finite number in its range (--threshold\n"
+      "  0..1, --threads 0..1024, --profile-hz 1..10000, counts >= 1, seconds\n"
+      "  0..1e9); anything else exits 2 naming the flag.\n"
       "\n"
       "fault tolerance (train-eval):\n"
       "  --checkpoint F        write a crash-safe search checkpoint to F\n"

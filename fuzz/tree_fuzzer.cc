@@ -74,7 +74,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       case 1:  // whole numbers: bootstrap counts
         w[r] = b % 4;
         break;
-      case 2:  // fractions: class weights, summed in sort order
+      case 2:  // fractions: class weights, whose sums depend on order
         w[r] = (b % 16) / 3.0;
         break;
       case 3:  // whole numbers too large to sum exactly

@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 
 namespace autoem {
@@ -67,6 +69,24 @@ std::string Join(const std::vector<std::string>& pieces,
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
+
+template <typename T>
+Result<T> ParseNumber(std::string_view s, T lo, T hi) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  // NaN and the infinities fail the range test: the bounds are finite.
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    return Status::InvalidArgument(StrFormat(
+        "'%.*s' is not a number in [%.10g, %.10g]", static_cast<int>(s.size()),
+        s.data(), static_cast<double>(lo), static_cast<double>(hi)));
+  }
+  return value;
+}
+
+template Result<int> ParseNumber(std::string_view, int, int);
+template Result<uint64_t> ParseNumber(std::string_view, uint64_t, uint64_t);
+template Result<double> ParseNumber(std::string_view, double, double);
 
 std::string StrFormat(const char* fmt, ...) {
   va_list args;

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace autoem {
 
 /// Lower-cases ASCII characters; non-ASCII bytes pass through unchanged.
@@ -24,6 +26,11 @@ std::string Join(const std::vector<std::string>& pieces, std::string_view sep);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Reads all of `s` (no spaces, no '+') as one base-10 number in the finite
+/// range [lo, hi], or returns InvalidArgument. T is int, uint64_t or double.
+template <typename T>
+Result<T> ParseNumber(std::string_view s, T lo, T hi);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -33,6 +33,13 @@ double EntropyImpurity(double w_pos, double w_total) {
   return h;
 }
 
+// The threshold of a cut between split values lo < hi: their midpoint, or
+// lo when that is not finite (lo is -inf, or the sum overflows).
+double CutThreshold(double lo, double hi) {
+  const double mid = (lo + hi) / 2.0;
+  return std::isfinite(mid) ? mid : lo;
+}
+
 size_t NumFeaturesToTry(double max_features, size_t n_features) {
   double k = max_features * static_cast<double>(n_features);
   size_t out = static_cast<size_t>(std::lround(k));
@@ -78,33 +85,17 @@ bool RandomThresholdSplit(const std::vector<std::pair<double, size_t>>& vals,
   return true;
 }
 
-// With whole weights a node's feature is scanned by counting rank buckets
-// when its distinct count D is at most this many times the node's rows m,
-// and by the key sort otherwise. Clearing and visiting a bucket costs a
+// A node's feature is scanned by counting rank buckets when its distinct
+// count D is at most this many times the node's rows m, and by sorting
+// (rank, row) keys otherwise. Clearing and visiting a bucket costs a
 // fraction of what sorting a row costs, so counting wins until D is
 // several times m (measured with bench_forest_fit on its Abt-Buy pool).
 constexpr size_t kCountingMaxDistinctPerRow = 8;
 
-// True when every weight of `rows` is a whole number and their total stays
-// below 2^53. Every partial sum of any subset, in any order, is then an
-// integer below 2^53, so each addition is exact and the split search may
-// sum a node's weights in any order it likes.
-bool WholeWeights(const std::vector<double>& w,
-                  const std::vector<uint32_t>& rows) {
-  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
-  double total = 0.0;
-  for (uint32_t i : rows) {
-    if (w[i] != std::floor(w[i])) return false;
-    total += w[i];
-    if (total >= kExactLimit) return false;
-  }
-  return true;
-}
-
 // The rank-based CART builder (DESIGN.md §13). A node's rows live in
-// rows_[begin, end) in ascending order, like the reference's index vectors:
-// the root takes every row with positive weight in order, and the stable
-// partition keeps each child's rows in order.
+// rows_[begin, end) in ascending order (the root takes rows in order and
+// the stable partition keeps it), so both scans meet each value group's
+// rows in row order.
 class RankTreeBuilder {
  public:
   using Node = DecisionTreeClassifier::Node;
@@ -120,7 +111,6 @@ class RankTreeBuilder {
         w_(w),
         rows_(std::move(rows)),
         nodes_(nodes),
-        whole_(WholeWeights(w, rows_)),
         impurity_(options.criterion == "entropy" ? &EntropyImpurity
                                                  : &GiniImpurity),
         min_leaf_(static_cast<size_t>(options.min_samples_leaf)) {
@@ -140,7 +130,7 @@ class RankTreeBuilder {
     double w = 0.0;
     double w_pos = 0.0;
     uint32_t n = 0;
-    uint32_t row = 0;  // any row of the bucket
+    uint32_t row = 0;  // the bucket's last row
   };
 
   // A node's split search state: the sums every cut is scored against and
@@ -152,8 +142,8 @@ class RankTreeBuilder {
     double parent_impurity;
     double best_decrease;
     int best_feature = -1;
-    uint32_t lo_row = 0;  // a row on either side of the best cut
-    uint32_t hi_row = 0;
+    uint32_t lo_row = 0;  // the last row of the group below the best cut
+    uint32_t hi_row = 0;  // a row above the best cut
     double random_threshold = 0.0;  // random-threshold mode only
   };
 
@@ -178,7 +168,7 @@ class RankTreeBuilder {
     }
   }
 
-  // Whole weights, few distinct values: sum each rank's rows into a bucket,
+  // Few distinct values: sum each rank's rows into a bucket, in row order,
   // then cut between consecutive non-empty buckets.
   void CountingScan(Search* s, size_t f, const uint32_t* rows) {
     const uint32_t* rank = ranks_->Ranks(f);
@@ -206,52 +196,27 @@ class RankTreeBuilder {
     }
   }
 
-  // Any weights: sort (rank << 32 | row) keys by rank alone, starting from
-  // the reference's row order. Each comparison has the outcome of the
-  // reference's value comparison, so std::sort makes the same moves and
-  // fractional weights are summed in the reference's order.
+  // Many distinct values: sort (rank << 32 | row) keys, which are unique,
+  // so any correct sort leaves them in (value, row) order. One walk sums
+  // each group and adds the sum at the group's end.
   void KeySortScan(Search* s, size_t f, const uint32_t* rows) {
     const uint32_t* rank = ranks_->Ranks(f);
     const auto keys = keys_.begin();
-    const auto keys_end = keys + static_cast<ptrdiff_t>(s->m);
     for (size_t k = 0; k < s->m; ++k) {
       keys[k] = uint64_t{rank[rows[k]]} << 32 | rows[k];
     }
-    std::sort(keys, keys_end,
-              [](uint64_t a, uint64_t b) { return (a >> 32) < (b >> 32); });
-    double wl = 0.0, wl_pos = 0.0;
+    std::sort(keys, keys + static_cast<ptrdiff_t>(s->m));
+    double wl = 0.0, wl_pos = 0.0, gw = 0.0, gw_pos = 0.0;
     for (size_t k = 0; k + 1 < s->m; ++k) {
       const uint32_t i = static_cast<uint32_t>(keys[k]);
-      wl += w_[i];
-      if (y_[i] == 1) wl_pos += w_[i];
+      gw += w_[i];
+      if (y_[i] == 1) gw_pos += w_[i];
       if ((keys[k] >> 32) == (keys[k + 1] >> 32)) continue;  // ties
+      wl += gw;
+      wl_pos += gw_pos;
+      gw = gw_pos = 0.0;
       Consider(s, f, wl, wl_pos, k + 1, i, static_cast<uint32_t>(keys[k + 1]));
     }
-  }
-
-  // The reference's threshold for the cut between the values of rows lo
-  // and hi of feature f: their midpoint, or the lower value when that is
-  // -inf or the midpoint overflows.
-  double Threshold(size_t f, const uint32_t* rows, size_t m, uint32_t lo,
-                   uint32_t hi) const {
-    double lo_v = SplitValue(X_.At(lo, f));
-    const double hi_v = SplitValue(X_.At(hi, f));
-    double threshold = std::isinf(lo_v) ? lo_v : (lo_v + hi_v) / 2.0;
-    if (std::isfinite(threshold)) return threshold;
-    if (lo_v != 0.0) return lo_v;
-    // A ±0 group below +inf: the reference's threshold is the zero its sort
-    // left last in the group, so its sign depends on the sort's tie order.
-    // Replay that sort; the corner is rare enough that its cost is moot.
-    std::vector<std::pair<double, size_t>> vals;
-    for (size_t k = 0; k < m; ++k) {
-      vals.emplace_back(SplitValue(X_.At(rows[k], f)), rows[k]);
-    }
-    std::sort(vals.begin(), vals.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [v, i] : vals) {
-      if (v == 0.0) lo_v = v;
-    }
-    return lo_v;
   }
 
   int BuildNode(size_t begin, size_t end, int depth, Rng* rng) {
@@ -306,7 +271,7 @@ class RankTreeBuilder {
         }
         continue;
       }
-      if (whole_ && ranks_->Distinct(f) <= kCountingMaxDistinctPerRow * m) {
+      if (ranks_->Distinct(f) <= kCountingMaxDistinctPerRow * m) {
         CountingScan(&s, f, rows);
       } else {
         KeySortScan(&s, f, rows);
@@ -318,7 +283,8 @@ class RankTreeBuilder {
     const double threshold =
         options_.random_thresholds
             ? s.random_threshold
-            : Threshold(best_feature, rows, m, s.lo_row, s.hi_row);
+            : CutThreshold(SplitValue(X_.At(s.lo_row, best_feature)),
+                           SplitValue(X_.At(s.hi_row, best_feature)));
 
     // Stable partition by value, as the reference routes rows.
     scratch_.clear();
@@ -351,7 +317,6 @@ class RankTreeBuilder {
   const std::vector<double>& w_;
   std::vector<uint32_t> rows_;
   std::vector<Node>* nodes_;
-  const bool whole_;
   double (*const impurity_)(double, double);
   const size_t min_leaf_;
   std::vector<Bucket> buckets_;
@@ -455,7 +420,8 @@ namespace reference {
 
 namespace {
 
-// The builder as it was before the rank-based search, kept verbatim.
+// The split search's definition in plain code: every tried feature's rows
+// stably sorted by value, each value group summed in row order.
 struct SortingTreeBuilder {
   const TreeOptions& options_;
   std::vector<DecisionTreeClassifier::Node> nodes_;
@@ -529,14 +495,19 @@ int SortingTreeBuilder::BuildNode(const Matrix& X, const std::vector<int>& y,
       continue;
     }
 
-    std::sort(vals.begin(), vals.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    double wl = 0.0, wl_pos = 0.0;
+    // idx is ascending, so this is (value, row) order.
+    std::stable_sort(
+        vals.begin(), vals.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    double wl = 0.0, wl_pos = 0.0, gw = 0.0, gw_pos = 0.0;
     for (size_t k = 0; k + 1 < vals.size(); ++k) {
       size_t i = vals[k].second;
-      wl += w[i];
-      if (y[i] == 1) wl_pos += w[i];
+      gw += w[i];
+      if (y[i] == 1) gw_pos += w[i];
       if (vals[k].first == vals[k + 1].first) continue;  // no cut between ties
+      wl += gw;
+      wl_pos += gw_pos;
+      gw = gw_pos = 0.0;
       size_t nl = k + 1;
       size_t nr = vals.size() - nl;
       if (nl < min_leaf || nr < min_leaf) continue;
@@ -548,12 +519,9 @@ int SortingTreeBuilder::BuildNode(const Matrix& X, const std::vector<int>& y,
       if (decrease > best_decrease) {
         best_decrease = decrease;
         best_feature = static_cast<int>(f);
-        // Midpoint threshold; -inf (NaN) neighbors fall back to the upper
-        // value so finite rows are still separable from missing ones.
-        double lo_v = vals[k].first;
-        double hi_v = vals[k + 1].first;
-        best_threshold = std::isinf(lo_v) ? lo_v : (lo_v + hi_v) / 2.0;
-        if (!std::isfinite(best_threshold)) best_threshold = lo_v;
+        // vals[k] is its group's last row, so a ±0 group below +inf takes
+        // that row's sign.
+        best_threshold = CutThreshold(vals[k].first, vals[k + 1].first);
       }
     }
   }
@@ -721,8 +689,10 @@ int RegressionTree::BuildNode(const Matrix& X, const std::vector<double>& y,
   for (size_t f : features) {
     vals.clear();
     for (size_t i : idx) vals.emplace_back(SplitValue(X.At(i, f)), i);
-    std::sort(vals.begin(), vals.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    // idx is ascending, so this is (value, row) order.
+    std::stable_sort(
+        vals.begin(), vals.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
     double wl = 0.0, wl_sum = 0.0, wl_sum_sq = 0.0;
     for (size_t k = 0; k + 1 < vals.size(); ++k) {
       size_t i = vals[k].second;
@@ -743,10 +713,7 @@ int RegressionTree::BuildNode(const Matrix& X, const std::vector<double>& y,
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(f);
-        double lo_v = vals[k].first;
-        double hi_v = vals[k + 1].first;
-        best_threshold = std::isinf(lo_v) ? lo_v : (lo_v + hi_v) / 2.0;
-        if (!std::isfinite(best_threshold)) best_threshold = lo_v;
+        best_threshold = CutThreshold(vals[k].first, vals[k + 1].first);
       }
     }
   }

@@ -69,17 +69,17 @@ class FeatureRanks {
 /// (missing values always descend to the left child, so the same record is
 /// routed identically at train and inference time).
 ///
-/// The exhaustive split search runs on FeatureRanks (DESIGN.md §13). At
-/// each node and tried feature it takes one of two exact scans, chosen
-/// from the node's row count m, the feature's distinct count D, and
-/// whether every weight is a whole number:
-///   - a counting scan over rank buckets when the weights are whole, so
-///     any summation order gives the same sums, and D <= 8m;
-///   - otherwise a sort of packed (rank, row) keys by rank alone, started
-///     in row order, which makes the same moves as sorting the values and
-///     so sums fractional weights in the same order.
-/// Both visit the same cuts in the same order with the same sums, so the
-/// fitted nodes equal reference::FitClassifierTree's bit for bit.
+/// The exhaustive split search is defined by one total order (DESIGN.md
+/// §13): a node's rows by (split value, row index). Each value group's
+/// weights are summed in row order and the group sums in value order; a cut
+/// between groups sits at the midpoint of their values, or at the lower
+/// group's last value when that midpoint is not finite. On FeatureRanks,
+/// each node and tried feature takes one of two scans, chosen from the
+/// node's row count m and the feature's distinct count D alone:
+///   - D <= 8m: count rows into rank buckets, in row order;
+///   - otherwise: sort unique (rank << 32 | row) keys and walk them once.
+/// Both equal reference::FitClassifierTree bit for bit, under any standard
+/// library.
 class DecisionTreeClassifier : public Classifier {
  public:
   explicit DecisionTreeClassifier(TreeOptions options = {});
@@ -136,19 +136,19 @@ class DecisionTreeClassifier : public Classifier {
 
 namespace reference {
 
-/// The CART builder the rank-based split search replaced, kept verbatim as
-/// its oracle (DESIGN.md §13): every tried feature gathers (value, row)
-/// pairs from X, sorts them by value and scans. Returns the nodes
-/// DecisionTreeClassifier(options).Fit would hold. Tests, fuzz and bench
-/// only.
+/// The split search's definition in plain code, kept as the rank-based
+/// builder's oracle (DESIGN.md §13): every tried feature gathers (value,
+/// row) pairs from X, stable-sorts them by value and scans. Returns the
+/// nodes DecisionTreeClassifier(options).Fit would hold. Tests, fuzz and
+/// bench only.
 Result<std::vector<DecisionTreeClassifier::Node>> FitClassifierTree(
     const TreeOptions& options, const Matrix& X, const std::vector<int>& y,
     const std::vector<double>* sample_weights = nullptr);
 
 }  // namespace reference
 
-/// CART regression tree (MSE criterion) with the same NaN routing. Backs
-/// gradient boosting and the SMAC surrogate forest.
+/// CART regression tree (MSE criterion) with the same NaN routing and
+/// (value, row) order. Backs gradient boosting and the SMAC surrogate.
 class RegressionTree {
  public:
   explicit RegressionTree(TreeOptions options = {});

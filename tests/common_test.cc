@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdint>
 #include <set>
 
 // GCC 12 emits a known -Wmaybe-uninitialized false positive for
@@ -209,6 +211,43 @@ TEST(StringUtilTest, StartsWith) {
 TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
+}
+
+TEST(StringUtilTest, ParseNumberAcceptsWholeValuesInRange) {
+  EXPECT_EQ(*ParseNumber("0", 0, 1024), 0);
+  EXPECT_EQ(*ParseNumber("-7", -10, 10), -7);
+  EXPECT_EQ(*ParseNumber("2147483647", 1, INT_MAX), INT_MAX);
+  EXPECT_EQ(*ParseNumber("18446744073709551615", uint64_t{0}, UINT64_MAX),
+            UINT64_MAX);
+  EXPECT_EQ(*ParseNumber("0.25", 0.0, 1.0), 0.25);
+  EXPECT_EQ(*ParseNumber("1e3", 0.0, 1e9), 1000.0);
+  EXPECT_EQ(*ParseNumber("1", 0.0, 1.0), 1.0);  // bounds are inclusive
+}
+
+TEST(StringUtilTest, ParseNumberRejectsWhatAtoiAndAtofWouldRead) {
+  const char* bad_ints[] = {"",   "abc", "5x", " 5", "5 ", "+5",
+                            "3.5", "1e3", "0x10", "99999999999"};
+  for (const char* s : bad_ints) {
+    EXPECT_EQ(ParseNumber(s, INT_MIN, INT_MAX).status().code(),
+              StatusCode::kInvalidArgument)
+        << "'" << s << "'";
+  }
+  const char* bad_doubles[] = {"", "abc", "0.5x", "nan", "inf",
+                               "-inf", "1e400", " 0.5", "0,5"};
+  for (const char* s : bad_doubles) {
+    EXPECT_EQ(ParseNumber(s, -1e300, 1e300).status().code(),
+              StatusCode::kInvalidArgument)
+        << "'" << s << "'";
+  }
+  // Out of range, at either end and for every type.
+  EXPECT_FALSE(ParseNumber("0", 1, INT_MAX).ok());
+  EXPECT_FALSE(ParseNumber("1025", 0, 1024).ok());
+  EXPECT_FALSE(ParseNumber("-1", uint64_t{0}, UINT64_MAX).ok());
+  EXPECT_FALSE(ParseNumber("0", uint64_t{1}, UINT64_MAX).ok());
+  EXPECT_FALSE(ParseNumber("1.5", 0.0, 1.0).ok());
+  EXPECT_FALSE(ParseNumber("-0.1", 0.0, 1.0).ok());
+  EXPECT_NE(ParseNumber("1.5", 0.0, 1.0).status().message().find("1.5"),
+            std::string::npos);
 }
 
 // ---- params -------------------------------------------------------------------

@@ -939,36 +939,50 @@ TEST(TreeFitDifferential, StoppingRulesMatch) {
 
 TEST(TreeFitDifferential, SignedZeroBelowInfinityKeepsTheReferenceSign) {
   // One feature: ±0 rows labelled 0 and +inf rows labelled 1. The root cut
-  // sits between the zeros and +inf; (0 + inf) / 2 overflows, and the
-  // reference falls back to the zero its sort left last in the group, so
-  // the threshold's sign follows the sort's tie order.
+  // sits between the zeros and +inf, where (0 + inf) / 2 overflows, so the
+  // threshold is a zero: the group's last in (value, row) order, which is
+  // the highest-index zero row. Both tree types, with and without
+  // fractional weights.
   Rng rng(9);
   int negative = 0, positive = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const size_t n = 12 + rng.UniformIndex(50);
     Matrix X(n, 1);
     std::vector<int> y(n);
+    std::vector<double> target(n);
+    bool last_zero_negative = false;
     for (size_t r = 0; r < n; ++r) {
       const bool inf = r == 0 || (r != 1 && rng.UniformIndex(3) == 0);
       X.At(r, 0) = inf ? std::numeric_limits<double>::infinity()
                        : (rng.UniformIndex(2) == 0 ? -0.0 : 0.0);
+      if (!inf) last_zero_negative = std::signbit(X.At(r, 0));
       y[r] = inf ? 1 : 0;
+      target[r] = y[r];
     }
     FeatureRanks ranks(X);
     std::vector<double> fractional(n);
     for (double& v : fractional) v = 0.5 + rng.Uniform();
     const std::vector<double>* const weightings[] = {nullptr, &fractional};
     for (const std::vector<double>* w : weightings) {
+      const std::string what = "trial " + std::to_string(trial) +
+                               (w != nullptr ? " fractional" : "");
       TreeOptions opt;
-      ExpectTreeFitsMatch(opt, X, ranks, y, w,
-                          "trial " + std::to_string(trial));
+      ExpectTreeFitsMatch(opt, X, ranks, y, w, what);
       auto ref = reference::FitClassifierTree(opt, X, y, w);
       ASSERT_TRUE(ref.ok());
       ASSERT_EQ((*ref)[0].feature, 0);
-      ++(std::signbit((*ref)[0].threshold) ? negative : positive);
+      EXPECT_EQ(std::signbit((*ref)[0].threshold), last_zero_negative)
+          << what;
+      RegressionTree regression(opt);
+      ASSERT_TRUE(regression.Fit(X, target, w).ok());
+      ASSERT_EQ(regression.nodes()[0].feature, 0);
+      EXPECT_EQ(std::signbit(regression.nodes()[0].threshold),
+                last_zero_negative)
+          << what;
+      ++(last_zero_negative ? negative : positive);
     }
   }
-  // Both signs occur, so the comparison above has teeth.
+  // Both signs occur, so the comparisons above have teeth.
   EXPECT_GT(negative, 0);
   EXPECT_GT(positive, 0);
 }
