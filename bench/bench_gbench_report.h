@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,7 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
 ///   int main(int argc, char** argv) {
 ///     return autoem::bench::RunGBenchMain(argc, argv);
 ///   }
+/// An obs flag with a malformed number returns 2 before any benchmark runs.
 inline int RunGBenchMain(int argc, char** argv) {
   obs::ObsOptions obs;
   std::string json_out;
@@ -58,9 +60,15 @@ inline int RunGBenchMain(int argc, char** argv) {
     std::string arg = argv[i];
     if (StartsWith(arg, "--json-out=")) {
       json_out = arg.substr(11);
-    } else if (i == 0 || !obs::ParseObsFlag(arg, &obs)) {
-      passthrough.push_back(argv[i]);
+      continue;
     }
+    Result<bool> obs_flag = false;  // argv[0] is the program
+    if (i > 0) obs_flag = obs::ParseObsFlag(arg, &obs);
+    if (!obs_flag.ok()) {
+      std::fprintf(stderr, "%s\n", obs_flag.status().message().c_str());
+      return 2;
+    }
+    if (!*obs_flag) passthrough.push_back(argv[i]);
   }
   obs::ObsSession session(obs);
   if (!json_out.empty()) BenchReport::Global().SetPath(json_out);

@@ -209,7 +209,11 @@ struct BenchArgs {
         args.datasets = Split(arg.substr(11), ',');
       } else if (StartsWith(arg, "--json-out=")) {
         args.json_out = arg.substr(11);
-      } else if (obs::ParseObsFlag(arg, &args.obs)) {
+      } else if (auto obs_flag = obs::ParseObsFlag(arg, &args.obs);
+                 !obs_flag.ok()) {
+        std::fprintf(stderr, "%s\n", obs_flag.status().message().c_str());
+        std::exit(2);
+      } else if (*obs_flag) {
         // --log-level= / --trace-out= / --metrics-out= / --resources /
         // --metrics-flush-interval= / --metrics-format= / --profile-out= /
         // --profile-hz=

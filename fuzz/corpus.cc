@@ -526,10 +526,11 @@ std::vector<Seed> KernelSeeds() {
 namespace {
 
 // tree_fuzzer's input layout: rows, cols, the flags byte (bit 0 entropy,
-// bits 1-2 weight mode, bit 3 random thresholds), min_samples_leaf,
-// min_samples_split, max_depth, max_features and min_impurity_decrease
-// bytes, the tree seed, then per row a label byte, a weight byte and one
-// palette byte per cell. `cell(r, c)` returns the cell's bytes.
+// bits 1-2 weight mode, bit 3 random thresholds, bit 4 tall),
+// min_samples_leaf, min_samples_split, max_depth, max_features and
+// min_impurity_decrease bytes, the tree seed, then per row a label byte, a
+// weight byte and one palette byte per cell. `cell(r, c)` returns the
+// cell's bytes.
 template <typename CellFn>
 Seed TreeCase(std::string name, uint8_t rows, uint8_t cols, uint8_t flags,
               uint8_t min_leaf, uint8_t max_features, CellFn cell) {
@@ -577,6 +578,13 @@ std::vector<Seed> TreeSeeds() {
                              return PaletteCell(r % 3 == 0 ? 4 : 1 + r % 2);
                            }));
   seeds.push_back(TreeCase("signed_zero_below_inf_fractional", 24, 1, 4, 1, 8,
+                           [](int r, int) {
+                             return PaletteCell(r % 3 == 0 ? 4 : 1 + r % 2);
+                           }));
+  // Tall: 2,048 zero-weight shadow rows lift column 0's D above 64m at the
+  // root, so its 26 weighted rows sort keys past insertion sort's 16, and
+  // the threshold's sign rests on the key's row half.
+  seeds.push_back(TreeCase("tall_signed_zero_below_inf", 28, 1, 0x14, 1, 8,
                            [](int r, int) {
                              return PaletteCell(r % 3 == 0 ? 4 : 1 + r % 2);
                            }));

@@ -1,8 +1,7 @@
 // Differential fuzzing of the CART split search (src/ml/models/
-// decision_tree.h): the input decodes to a small matrix, labels, weights
-// and tree options, and DecisionTreeClassifier::Fit must return the same
-// status and the same node array, bit for bit, as
-// reference::FitClassifierTree.
+// decision_tree.h): the input decodes to a matrix, labels, weights and tree
+// options, and DecisionTreeClassifier::Fit must return the same status and
+// the same node array, bit for bit, as reference::FitClassifierTree.
 #include "fuzz/fuzzer_util.h"
 
 #include <bit>
@@ -38,6 +37,15 @@ constexpr double kPalette[16] = {
     -2.5,
 };
 
+// A tall input tiles its decoded rows with kShadowRows copies of weight
+// zero, each with its own column 0 value on a 1/128 grid from -4. Shadows
+// never reach a node, but they lift column 0's distinct count D to at
+// least 2,048: nodes of up to 31 rows then sort keys, more than an
+// insertion sort's 16, and larger ones walk a 32-word bitmap of sparse
+// ranks. Without them, D <= 64 <= 64m at every node, so every scan counts
+// in one word.
+constexpr size_t kShadowRows = 2048;
+
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 }  // namespace
@@ -45,10 +53,11 @@ uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace autoem;
   // Layout (fuzz::TreeSeeds): rows, cols, a flags byte (bit 0 entropy,
-  // bits 1-2 weight mode, bit 3 random thresholds), min_samples_leaf,
-  // min_samples_split, max_depth, max_features, min_impurity_decrease,
-  // the tree seed; then per row a label byte, a weight byte, and one byte
-  // per cell (a palette index, or 0x80 followed by a raw big-endian double).
+  // bits 1-2 weight mode, bit 3 random thresholds, bit 4 tall),
+  // min_samples_leaf, min_samples_split, max_depth, max_features,
+  // min_impurity_decrease, the tree seed; then per row a label byte, a
+  // weight byte, and one byte per cell (a palette index, or 0x80 followed
+  // by a raw big-endian double).
   fuzz::FuzzInput in(data, size);
   const size_t rows = 2 + in.Byte() % 63;
   const size_t cols = 1 + in.Byte() % 6;
@@ -57,6 +66,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   opt.criterion = (flags & 1) ? "entropy" : "gini";
   const int weight_mode = (flags >> 1) & 3;
   opt.random_thresholds = (flags & 8) != 0;
+  const size_t shadows = (flags & 16) ? kShadowRows : 0;
   opt.min_samples_leaf = 1 + in.Byte() % 5;
   opt.min_samples_split = 2 + in.Byte() % 10;
   opt.max_depth = in.Byte() % 8;
@@ -64,9 +74,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   opt.min_impurity_decrease = (in.Byte() % 4) / 64.0;
   opt.seed = in.Byte();
 
-  Matrix X(rows, cols);
-  std::vector<int> y(rows);
-  std::vector<double> w(rows);
+  Matrix X(rows + shadows, cols);
+  std::vector<int> y(rows + shadows);
+  std::vector<double> w(rows + shadows, 0.0);
   for (size_t r = 0; r < rows; ++r) {
     y[r] = in.Byte() & 1;
     const uint8_t b = in.Byte();
@@ -81,6 +91,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         w[r] = b % 4 == 3 ? 0.0 : (b % 4) * 4503599627370496.0 + 1.0;
         break;
       default:
+        w[r] = 1.0;
         break;
     }
     for (size_t c = 0; c < cols; ++c) {
@@ -89,7 +100,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                                  : kPalette[cell % 16];
     }
   }
-  const std::vector<double>* weights = weight_mode == 0 ? nullptr : &w;
+  for (size_t k = 0; k < shadows; ++k) {
+    const size_t t = rows + k;
+    y[t] = y[k % rows];
+    for (size_t c = 0; c < cols; ++c) X.At(t, c) = X.At(k % rows, c);
+    X.At(t, 0) = static_cast<double>(k) / 128.0 - 4.0;
+  }
+  const std::vector<double>* weights =
+      weight_mode == 0 && shadows == 0 ? nullptr : &w;
 
   DecisionTreeClassifier tree(opt);
   const Status st = tree.Fit(X, y, weights);

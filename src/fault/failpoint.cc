@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <new>
 #include <thread>
@@ -93,13 +94,13 @@ Status FailpointRegistry::ArmFromSpec(const std::string& spec_string) {
     } else if (action == "bad_alloc") {
       Arm(site, FailpointSpec::BadAlloc());
     } else if (action == "sleep") {
-      int ms = std::atoi(arg.c_str());
-      if (ms <= 0) {
-        return Status::InvalidArgument(
-            "failpoint sleep needs a positive millisecond arg, got '" + arg +
-            "'");
+      auto ms = ParseNumber(arg, 1, INT_MAX);
+      if (!ms.ok()) {
+        return Status::InvalidArgument("failpoint sleep needs a positive "
+                                       "whole number of milliseconds: " +
+                                       ms.status().message());
       }
-      Arm(site, FailpointSpec::Sleep(ms));
+      Arm(site, FailpointSpec::Sleep(*ms));
     } else if (action == "abort") {
       Arm(site, FailpointSpec::Abort());
     } else {

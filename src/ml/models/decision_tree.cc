@@ -3,9 +3,11 @@
 #include "io/serialize.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "fault/failpoint.h"
 
@@ -33,6 +35,14 @@ double EntropyImpurity(double w_pos, double w_total) {
   return h;
 }
 
+// The impurity of `options.criterion` ("entropy", else gini): a direct call
+// the split scans inline, where a function pointer would cost an indirect
+// call per side of every scored cut.
+inline double Impurity(bool entropy, double w_pos, double w_total) {
+  return entropy ? EntropyImpurity(w_pos, w_total)
+                 : GiniImpurity(w_pos, w_total);
+}
+
 // The threshold of a cut between split values lo < hi: their midpoint, or
 // lo when that is not finite (lo is -inf, or the sum overflows).
 double CutThreshold(double lo, double hi) {
@@ -52,9 +62,8 @@ size_t NumFeaturesToTry(double max_features, size_t n_features) {
 bool RandomThresholdSplit(const std::vector<std::pair<double, size_t>>& vals,
                           const std::vector<int>& y,
                           const std::vector<double>& w, double w_total,
-                          double w_pos, double parent_impurity,
-                          double (*impurity)(double, double), size_t min_leaf,
-                          Rng* rng, double* decrease_out,
+                          double w_pos, double parent_impurity, bool entropy,
+                          size_t min_leaf, Rng* rng, double* decrease_out,
                           double* threshold_out) {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
@@ -79,18 +88,20 @@ bool RandomThresholdSplit(const std::vector<std::pair<double, size_t>>& vals,
   if (nl < min_leaf || nr < min_leaf) return false;
   double wr = w_total - wl;
   double wr_pos = w_pos - wl_pos;
-  *decrease_out = parent_impurity - (wl / w_total) * impurity(wl_pos, wl) -
-                  (wr / w_total) * impurity(wr_pos, wr);
+  *decrease_out = parent_impurity -
+                  (wl / w_total) * Impurity(entropy, wl_pos, wl) -
+                  (wr / w_total) * Impurity(entropy, wr_pos, wr);
   *threshold_out = threshold;
   return true;
 }
 
 // A node's feature is scanned by counting rank buckets when its distinct
 // count D is at most this many times the node's rows m, and by sorting
-// (rank, row) keys otherwise. Clearing and visiting a bucket costs a
-// fraction of what sorting a row costs, so counting wins until D is
-// several times m (measured with bench_forest_fit on its Abt-Buy pool).
-constexpr size_t kCountingMaxDistinctPerRow = 8;
+// (rank, row) keys otherwise. A counting scan costs O(m + D/64): one pass
+// over the rows, then a walk of the D/64-word bitmap of touched ranks. So
+// counting wins until the bitmap's words outnumber the rows, while the
+// sort's O(m log m) stays cheaper for a few rows over a tall table's D.
+constexpr size_t kCountingMaxDistinctPerRow = 64;
 
 // The rank-based CART builder (DESIGN.md §13). A node's rows live in
 // rows_[begin, end) in ascending order (the root takes rows in order and
@@ -111,8 +122,7 @@ class RankTreeBuilder {
         w_(w),
         rows_(std::move(rows)),
         nodes_(nodes),
-        impurity_(options.criterion == "entropy" ? &EntropyImpurity
-                                                 : &GiniImpurity),
+        entropy_(options.criterion == "entropy"),
         min_leaf_(static_cast<size_t>(options.min_samples_leaf)) {
     if (ranks_ == nullptr) return;
     uint32_t max_distinct = 0;
@@ -120,6 +130,7 @@ class RankTreeBuilder {
       max_distinct = std::max(max_distinct, ranks_->Distinct(f));
     }
     buckets_.resize(max_distinct);
+    touched_.resize((size_t{max_distinct} + 63) / 64);
     keys_.resize(rows_.size());
   }
 
@@ -158,8 +169,8 @@ class RankTreeBuilder {
     double wr = s->w_total - wl;
     double wr_pos = s->w_pos - wl_pos;
     double decrease = s->parent_impurity -
-                      (wl / s->w_total) * impurity_(wl_pos, wl) -
-                      (wr / s->w_total) * impurity_(wr_pos, wr);
+                      (wl / s->w_total) * Impurity(entropy_, wl_pos, wl) -
+                      (wr / s->w_total) * Impurity(entropy_, wr_pos, wr);
     if (decrease > s->best_decrease) {
       s->best_decrease = decrease;
       s->best_feature = static_cast<int>(f);
@@ -169,30 +180,36 @@ class RankTreeBuilder {
   }
 
   // Few distinct values: sum each rank's rows into a bucket, in row order,
-  // then cut between consecutive non-empty buckets.
+  // marking the rank's bit in touched_; then walk the set bits in rank
+  // order and cut between consecutive buckets. The walk clears every
+  // bucket and word it visits, so both are all zero between scans and a
+  // scan costs O(m + D/64).
   void CountingScan(Search* s, size_t f, const uint32_t* rows) {
     const uint32_t* rank = ranks_->Ranks(f);
-    const uint32_t distinct = ranks_->Distinct(f);
-    std::fill_n(buckets_.begin(), distinct, Bucket{});
     for (size_t k = 0; k < s->m; ++k) {
       const uint32_t i = rows[k];
-      Bucket& b = buckets_[rank[i]];
+      const uint32_t r = rank[i];
+      Bucket& b = buckets_[r];
       b.w += w_[i];
       if (y_[i] == 1) b.w_pos += w_[i];
       ++b.n;
       b.row = i;
+      touched_[r / 64] |= uint64_t{1} << (r % 64);
     }
     double wl = 0.0, wl_pos = 0.0;
     size_t nl = 0;
     uint32_t prev = 0;
-    for (uint32_t r = 0; nl < s->m; ++r) {
-      const Bucket& b = buckets_[r];
-      if (b.n == 0) continue;
-      if (nl > 0) Consider(s, f, wl, wl_pos, nl, prev, b.row);
-      wl += b.w;
-      wl_pos += b.w_pos;
-      nl += b.n;
-      prev = b.row;
+    for (size_t word = 0; nl < s->m; ++word) {
+      for (uint64_t bits = std::exchange(touched_[word], 0); bits != 0;
+           bits &= bits - 1) {
+        Bucket& b = buckets_[word * 64 + std::countr_zero(bits)];
+        if (nl > 0) Consider(s, f, wl, wl_pos, nl, prev, b.row);
+        wl += b.w;
+        wl_pos += b.w_pos;
+        nl += b.n;
+        prev = b.row;
+        b = Bucket{};
+      }
     }
   }
 
@@ -247,7 +264,7 @@ class RankTreeBuilder {
       return node_id;
     }
 
-    Search s{m, w_total, w_pos, impurity_(w_pos, w_total),
+    Search s{m, w_total, w_pos, Impurity(entropy_, w_pos, w_total),
              options_.min_impurity_decrease};
     size_t n_try = NumFeaturesToTry(options_.max_features, X_.cols());
     std::vector<size_t> features =
@@ -262,7 +279,7 @@ class RankTreeBuilder {
         }
         double decrease, threshold;
         if (RandomThresholdSplit(vals, y_, w_, w_total, w_pos,
-                                 s.parent_impurity, impurity_, min_leaf_, rng,
+                                 s.parent_impurity, entropy_, min_leaf_, rng,
                                  &decrease, &threshold) &&
             decrease > s.best_decrease) {
           s.best_decrease = decrease;
@@ -317,9 +334,10 @@ class RankTreeBuilder {
   const std::vector<double>& w_;
   std::vector<uint32_t> rows_;
   std::vector<Node>* nodes_;
-  double (*const impurity_)(double, double);
+  const bool entropy_;
   const size_t min_leaf_;
-  std::vector<Bucket> buckets_;
+  std::vector<Bucket> buckets_;  // all zero between scans
+  std::vector<uint64_t> touched_;  // bit r set: buckets_[r] holds rows
   std::vector<uint64_t> keys_;
   std::vector<uint32_t> scratch_;
 };
@@ -461,9 +479,8 @@ int SortingTreeBuilder::BuildNode(const Matrix& X, const std::vector<int>& y,
     return node_id;
   }
 
-  auto impurity = options_.criterion == "entropy" ? &EntropyImpurity
-                                                  : &GiniImpurity;
-  const double parent_impurity = impurity(w_pos, w_total);
+  const bool entropy = options_.criterion == "entropy";
+  const double parent_impurity = Impurity(entropy, w_pos, w_total);
 
   size_t n_try = NumFeaturesToTry(options_.max_features, X.cols());
   std::vector<size_t> features =
@@ -485,7 +502,7 @@ int SortingTreeBuilder::BuildNode(const Matrix& X, const std::vector<int>& y,
     if (options_.random_thresholds) {
       double decrease, threshold;
       if (RandomThresholdSplit(vals, y, w, w_total, w_pos, parent_impurity,
-                               impurity, min_leaf, rng, &decrease,
+                               entropy, min_leaf, rng, &decrease,
                                &threshold) &&
           decrease > best_decrease) {
         best_decrease = decrease;
@@ -514,8 +531,8 @@ int SortingTreeBuilder::BuildNode(const Matrix& X, const std::vector<int>& y,
       double wr = w_total - wl;
       double wr_pos = w_pos - wl_pos;
       double decrease = parent_impurity -
-                        (wl / w_total) * impurity(wl_pos, wl) -
-                        (wr / w_total) * impurity(wr_pos, wr);
+                        (wl / w_total) * Impurity(entropy, wl_pos, wl) -
+                        (wr / w_total) * Impurity(entropy, wr_pos, wr);
       if (decrease > best_decrease) {
         best_decrease = decrease;
         best_feature = static_cast<int>(f);

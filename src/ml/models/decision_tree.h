@@ -76,8 +76,11 @@ class FeatureRanks {
 /// group's last value when that midpoint is not finite. On FeatureRanks,
 /// each node and tried feature takes one of two scans, chosen from the
 /// node's row count m and the feature's distinct count D alone:
-///   - D <= 8m: count rows into rank buckets, in row order;
-///   - otherwise: sort unique (rank << 32 | row) keys and walk them once.
+///   - D <= 64m: count rows into rank buckets, in row order, marking each
+///     touched rank in a bitmap, then walk the set bits in rank order:
+///     O(m + D/64);
+///   - otherwise: sort unique (rank << 32 | row) keys and walk them once:
+///     O(m log m), for the few rows of a tall table's deep nodes.
 /// Both equal reference::FitClassifierTree bit for bit, under any standard
 /// library.
 class DecisionTreeClassifier : public Classifier {

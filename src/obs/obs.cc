@@ -1,8 +1,8 @@
 #include "obs/obs.h"
 
 #include <atomic>
-#include <cstdlib>
 
+#include "common/string_util.h"
 #include "io/atomic_file.h"
 #include "obs/flusher.h"
 #include "obs/profiler.h"
@@ -17,6 +17,19 @@ bool TakeFlagValue(const std::string& arg, const char* prefix,
   size_t len = std::char_traits<char>::length(prefix);
   if (arg.compare(0, len, prefix) != 0) return false;
   *out = arg.substr(len);
+  return true;
+}
+
+// Reads `flag`'s value as one number in [lo, hi] into *out, or returns
+// InvalidArgument naming the flag, as autoem_cli does.
+Result<bool> TakeNumber(const char* flag, const std::string& value, double lo,
+                        double hi, double* out) {
+  auto number = ParseNumber(value, lo, hi);
+  if (!number.ok()) {
+    return Status::InvalidArgument(std::string(flag) + ": " +
+                                   number.status().message());
+  }
+  *out = *number;
   return true;
 }
 
@@ -50,7 +63,7 @@ void WriteFinalMetrics(const std::string& path, const std::string& format) {
 
 }  // namespace
 
-bool ParseObsFlag(const std::string& arg, ObsOptions* options) {
+Result<bool> ParseObsFlag(const std::string& arg, ObsOptions* options) {
   if (arg == "--resources") {
     options->resources = true;
     return true;
@@ -61,13 +74,15 @@ bool ParseObsFlag(const std::string& arg, ObsOptions* options) {
         !(value == "0" || value == "false" || value == "off");
     return true;
   }
+  // The ranges autoem_cli checks: durations below 1e9 s keep deadlines in
+  // the clocks' 64-bit nanoseconds, and 1..10000 Hz keeps the profiler's
+  // sampling period a positive time_t.
   if (TakeFlagValue(arg, "--metrics-flush-interval=", &value)) {
-    options->metrics_flush_interval = std::strtod(value.c_str(), nullptr);
-    return true;
+    return TakeNumber("--metrics-flush-interval", value, 0.0, 1e9,
+                      &options->metrics_flush_interval);
   }
   if (TakeFlagValue(arg, "--profile-hz=", &value)) {
-    options->profile_hz = std::strtod(value.c_str(), nullptr);
-    return true;
+    return TakeNumber("--profile-hz", value, 1.0, 1e4, &options->profile_hz);
   }
   return TakeFlagValue(arg, "--log-level=", &options->log_level) ||
          TakeFlagValue(arg, "--trace-out=", &options->trace_path) ||

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "common/status.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -43,8 +44,8 @@ struct ObsOptions {
   /// (`--profile-out=`): the session runs the sampling profiler and dumps
   /// flamegraph.pl / speedscope / `autoem_cli report` compatible output.
   std::string profile_path;
-  /// Sampling rate for the profiler in Hz (`--profile-hz=`); 0 keeps the
-  /// default (97 Hz).
+  /// Sampling rate for the profiler in Hz (`--profile-hz=`, 1..10000); 0
+  /// keeps the default (97 Hz).
   double profile_hz = 0.0;
 
   bool Any() const {
@@ -58,10 +59,12 @@ struct ObsOptions {
 /// Parses one observability argument (`--log-level=X`, `--trace-out=P`,
 /// `--metrics-out=P`, `--resources[=0|1]`, `--metrics-flush-interval=S`,
 /// `--metrics-format=F`, `--profile-out=P`, `--profile-hz=N`) into
-/// `*options`. Returns false (leaving options
-/// untouched) when `arg` is not an observability flag, so callers can chain
-/// it into their existing flag loops.
-bool ParseObsFlag(const std::string& arg, ObsOptions* options);
+/// `*options`. Returns false (leaving options untouched) when `arg` is not
+/// an observability flag, so callers can chain it into their existing flag
+/// loops, and InvalidArgument naming the flag when a numeric value is not
+/// one number in range (`--profile-hz=` 1..10000, `--metrics-flush-interval=`
+/// 0..1e9, as autoem_cli checks them).
+Result<bool> ParseObsFlag(const std::string& arg, ObsOptions* options);
 
 /// Scoped activation of a set of ObsOptions:
 ///  * constructor: applies the log level; if no enclosing session is already

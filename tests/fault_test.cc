@@ -122,6 +122,12 @@ TEST_F(FailpointTest, ArmFromSpecRejectsMalformedEntries) {
   EXPECT_FALSE(FailpointRegistry::Global().ArmFromSpec("no-equals").ok());
   EXPECT_FALSE(FailpointRegistry::Global().ArmFromSpec("a=unknown").ok());
   EXPECT_FALSE(FailpointRegistry::Global().ArmFromSpec("a=sleep:xyz").ok());
+  // The whole argument is one int of at least 1 ms.
+  EXPECT_FALSE(FailpointRegistry::Global().ArmFromSpec("a=sleep:5ms").ok());
+  EXPECT_FALSE(FailpointRegistry::Global().ArmFromSpec("a=sleep:2.5").ok());
+  EXPECT_FALSE(
+      FailpointRegistry::Global().ArmFromSpec("a=sleep:99999999999").ok());
+  EXPECT_TRUE(FailpointRegistry::Global().ArmFromSpec("a=sleep:5").ok());
 }
 
 #if !AUTOEM_TSAN

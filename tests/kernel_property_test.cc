@@ -791,9 +791,9 @@ const double kSpecialValues[] = {
 // Columns cycle through the tie regimes: a 3-10 value alphabet mixing
 // special values with small reals, a mid-sized alphabet, and continuous
 // values. Labels follow the first columns' alphabet positions with noise,
-// so trees grow deep and node sizes sweep from n down to one row: with
-// whole weights, each feature's scan switches from counting buckets to
-// sorting keys as m falls below D/8.
+// so trees grow deep and node sizes sweep from n down to one row: each
+// feature's scan switches from counting buckets to sorting keys as m
+// falls below D/64.
 struct TieData {
   Matrix X;
   std::vector<int> y;
@@ -890,8 +890,8 @@ TEST(TreeFitDifferential, HeavyTiesAndSpecialValuesAcrossOptionGrid) {
 }
 
 TEST(TreeFitDifferential, ContinuousFeaturesCrossEveryRegime) {
-  // Mostly distinct values: with whole weights, nodes down to n/8 rows
-  // count buckets (D <= 8m) and smaller ones sort keys.
+  // Mostly distinct values: nodes down to n/64 rows count buckets
+  // (D <= 64m) and smaller ones, here at most 6 rows, sort keys.
   Rng rng(77);
   Matrix X = RandomMatrix(&rng, 400, 6, 0.05);
   std::vector<int> y(X.rows());
@@ -910,6 +910,38 @@ TEST(TreeFitDifferential, ContinuousFeaturesCrossEveryRegime) {
                           weights.empty() ? nullptr : &weights,
                           wname + " mf=" + std::to_string(max_features));
     }
+  }
+}
+
+TEST(TreeFitDifferential, TallTableSortsTiesPastInsertionSort) {
+  // Half of each column's cells come from {-0, +0, 1, NaN}, half from 2^20
+  // values, so D is about 2,000 and nodes of up to D/64, about 31 rows,
+  // sort keys. A sort of more than 16 keys partitions before its final
+  // insertion sort, which moves tied ranks out of row order: only the row
+  // half of each (rank << 32 | row) key puts ties back in the row order
+  // the reference sums them in.
+  Rng rng(2048);
+  Matrix X(4000, 6);
+  std::vector<int> y(X.rows());
+  const double kFew[] = {-0.0, 0.0, 1.0,
+                         std::numeric_limits<double>::quiet_NaN()};
+  for (size_t r = 0; r < X.rows(); ++r) {
+    for (size_t c = 0; c < X.cols(); ++c) {
+      X.At(r, c) =
+          rng.UniformIndex(2) == 0
+              ? kFew[rng.UniformIndex(4)]
+              : static_cast<double>(rng.UniformIndex(1 << 20)) / 64.0;
+    }
+    y[r] = (X.At(r, 0) > X.At(r, 1)) != (rng.UniformIndex(4) == 0);
+  }
+  FeatureRanks ranks(X);
+  auto variants = WeightVariants(&rng, y);
+  variants.emplace_back("unweighted", std::vector<double>());
+  for (const auto& [wname, weights] : variants) {
+    TreeOptions opt;
+    opt.seed = 3;
+    ExpectTreeFitsMatch(opt, X, ranks, y, weights.empty() ? nullptr : &weights,
+                        wname);
   }
 }
 

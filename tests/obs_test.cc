@@ -394,15 +394,68 @@ TEST(TraceTest, WriteTraceProducesLoadableFile) {
 TEST(ObsOptionsTest, ParseObsFlag) {
   obs::ObsOptions opt;
   EXPECT_FALSE(opt.Any());
-  EXPECT_TRUE(obs::ParseObsFlag("--log-level=debug", &opt));
-  EXPECT_TRUE(obs::ParseObsFlag("--trace-out=/tmp/t.json", &opt));
-  EXPECT_TRUE(obs::ParseObsFlag("--metrics-out=/tmp/m.json", &opt));
+  EXPECT_TRUE(*obs::ParseObsFlag("--log-level=debug", &opt));
+  EXPECT_TRUE(*obs::ParseObsFlag("--trace-out=/tmp/t.json", &opt));
+  EXPECT_TRUE(*obs::ParseObsFlag("--metrics-out=/tmp/m.json", &opt));
+  EXPECT_TRUE(*obs::ParseObsFlag("--profile-hz=250", &opt));
+  EXPECT_TRUE(*obs::ParseObsFlag("--metrics-flush-interval=0.5", &opt));
   EXPECT_EQ(opt.log_level, "debug");
   EXPECT_EQ(opt.trace_path, "/tmp/t.json");
   EXPECT_EQ(opt.metrics_path, "/tmp/m.json");
+  EXPECT_EQ(opt.profile_hz, 250.0);
+  EXPECT_EQ(opt.metrics_flush_interval, 0.5);
   EXPECT_TRUE(opt.Any());
-  EXPECT_FALSE(obs::ParseObsFlag("--threads=4", &opt));
-  EXPECT_FALSE(obs::ParseObsFlag("--log-level", &opt));  // missing '='
+  EXPECT_FALSE(*obs::ParseObsFlag("--threads=4", &opt));
+  EXPECT_FALSE(*obs::ParseObsFlag("--log-level", &opt));  // missing '='
+}
+
+// A numeric obs flag is read whole and in autoem_cli's range; a bad value is
+// an error naming the flag, distinct from "not an obs flag", and leaves the
+// option as it was.
+void ExpectRejected(const std::string& arg) {
+  obs::ObsOptions opt;
+  auto parsed = obs::ParseObsFlag(arg, &opt);
+  ASSERT_FALSE(parsed.ok()) << arg;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << arg;
+  const std::string flag = arg.substr(0, arg.find('='));
+  EXPECT_TRUE(StartsWith(parsed.status().message(), flag + ": "))
+      << parsed.status().message();
+  EXPECT_EQ(opt.profile_hz, 0.0) << arg;
+  EXPECT_EQ(opt.metrics_flush_interval, 0.0) << arg;
+}
+
+TEST(ObsOptionsTest, ProfileRateThatIsNotANumberIsRejected) {
+  ExpectRejected("--profile-hz=abc");
+}
+
+TEST(ObsOptionsTest, ProfileRateWithTrailingTextIsRejected) {
+  ExpectRejected("--profile-hz=97Hz");
+}
+
+TEST(ObsOptionsTest, EmptyProfileRateIsRejected) {
+  ExpectRejected("--profile-hz=");
+}
+
+TEST(ObsOptionsTest, ProfileRateBelowOneHertzIsRejected) {
+  // A 1e300 s sampling period does not fit the profiler's time_t.
+  ExpectRejected("--profile-hz=1e-300");
+}
+
+TEST(ObsOptionsTest, ProfileRateAboveTenKilohertzIsRejected) {
+  ExpectRejected("--profile-hz=20000");
+}
+
+TEST(ObsOptionsTest, NegativeFlushIntervalIsRejected) {
+  ExpectRejected("--metrics-flush-interval=-1");
+}
+
+TEST(ObsOptionsTest, FlushIntervalThatIsNotFiniteIsRejected) {
+  ExpectRejected("--metrics-flush-interval=nan");
+  ExpectRejected("--metrics-flush-interval=inf");
+}
+
+TEST(ObsOptionsTest, FlushIntervalThatIsNotANumberIsRejected) {
+  ExpectRejected("--metrics-flush-interval=5s");
 }
 
 TEST(ObsSessionTest, WritesTraceAndMetricsOnExit) {
