@@ -3,7 +3,7 @@
 
 // Shared main() body for the google-benchmark binaries, replacing
 // BENCHMARK_MAIN(): peels the autoem flags (--json-out=, the obs flags) off
-// the command line before google-benchmark parses it, opens the process
+// the command line before google-benchmark parses it, opens the process's
 // ObsSession, and runs the suite under a reporter that tees every finished
 // run into the standardized BenchReport schema — so `--json-out=F` produces
 // the same {name, params, counters, seconds} artifact from a micro-bench as
@@ -50,7 +50,7 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
 ///   int main(int argc, char** argv) {
 ///     return autoem::bench::RunGBenchMain(argc, argv);
 ///   }
-/// An obs flag with a malformed number returns 2 before any benchmark runs.
+/// An obs flag with a bad value returns 2 before any benchmark runs.
 inline int RunGBenchMain(int argc, char** argv) {
   obs::ObsOptions obs;
   std::string json_out;

@@ -8,6 +8,7 @@
 //   --evals=<n>   pipeline-search evaluation budget (the stand-in for the
 //                 paper's wall-clock budget; see DESIGN.md)
 //   --seed=<n>    RNG seed
+//   --threads=<n> worker threads (0 = all hardware threads)
 //   --datasets=a,b  comma-separated subset of Table III dataset names
 //   --json-out=<f>  standardized results artifact: every reported case in
 //                 the common {name, params, counters, seconds} schema (the
@@ -16,15 +17,21 @@
 //   --log-level=<l> --trace-out=<f> --metrics-out=<f> --metrics-format=<f>
 //   --metrics-flush-interval=<s> --resources --profile-out=<f>
 //   --profile-hz=<n>
-// A bench run with --metrics-out gets the full autoem::obs metrics snapshot
-// (counters/gauges/histograms JSON) written at exit — including any
-// bench-reported figures recorded via ReportBenchMetric below. This replaces
-// ad-hoc per-bench JSON counter dumps.
+// A numeric flag must be one finite number in its range (--scale > 0,
+// --evals >= 1, --threads 0..1024, as autoem_cli checks them); anything
+// else exits 2 naming the flag. A bench run with --metrics-out gets the
+// full autoem::obs metrics snapshot (counters/gauges/histograms JSON)
+// written at exit — including any bench-reported figures recorded via
+// ReportBenchMetric below. This replaces ad-hoc per-bench JSON counter
+// dumps.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -186,10 +193,12 @@ struct BenchArgs {
   int threads = 1;
   std::vector<std::string> datasets;  // empty = all
   obs::ObsOptions obs;
-  /// Held for the bench's lifetime; writes --trace-out/--metrics-out at
-  /// process exit. Shared so BenchArgs stays copyable.
+  /// The process's ObsSession, held for the bench's lifetime; writes
+  /// --trace-out/--metrics-out/--profile-out at process exit. Shared so
+  /// BenchArgs stays copyable.
   std::shared_ptr<obs::ObsSession> session;
 
+  /// Parses the flags and opens the process's ObsSession; call it once.
   static BenchArgs Parse(int argc, char** argv, double default_scale = 0.2,
                          int default_evals = 20) {
     BenchArgs args;
@@ -198,13 +207,15 @@ struct BenchArgs {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (StartsWith(arg, "--scale=")) {
-        args.scale = std::atof(arg.c_str() + 8);
+        Number("--scale", arg.substr(8),
+               std::numeric_limits<double>::denorm_min(),
+               std::numeric_limits<double>::max(), &args.scale);
       } else if (StartsWith(arg, "--evals=")) {
-        args.evals = std::atoi(arg.c_str() + 8);
+        Number("--evals", arg.substr(8), 1, INT_MAX, &args.evals);
       } else if (StartsWith(arg, "--seed=")) {
-        args.seed = static_cast<uint64_t>(std::atoll(arg.c_str() + 7));
+        Number("--seed", arg.substr(7), uint64_t{0}, UINT64_MAX, &args.seed);
       } else if (StartsWith(arg, "--threads=")) {
-        args.threads = std::atoi(arg.c_str() + 10);
+        Number("--threads", arg.substr(10), 0, 1024, &args.threads);
       } else if (StartsWith(arg, "--datasets=")) {
         args.datasets = Split(arg.substr(11), ',');
       } else if (StartsWith(arg, "--json-out=")) {
@@ -232,10 +243,21 @@ struct BenchArgs {
     if (!args.json_out.empty()) {
       BenchReport::Global().SetPath(args.json_out);
     }
-    if (args.obs.Any()) {
-      args.session = std::make_shared<obs::ObsSession>(args.obs);
-    }
+    args.session = std::make_shared<obs::ObsSession>(args.obs);
     return args;
+  }
+
+  /// Reads `flag`'s value as one finite number in [lo, hi] into *out, or
+  /// exits 2 naming the flag.
+  template <typename T>
+  static void Number(const char* flag, const std::string& value, T lo, T hi,
+                     T* out) {
+    auto number = ParseNumber(value, lo, hi);
+    if (!number.ok()) {
+      std::fprintf(stderr, "%s: %s\n", flag, number.status().message().c_str());
+      std::exit(2);
+    }
+    *out = *number;
   }
 
   Parallelism parallelism() const { return Parallelism{threads}; }

@@ -79,28 +79,35 @@ struct Flags {
   int checkpoint_every = 5;
   uint64_t chunk_size = 4096;
   double threshold = 0.5;
-  double metrics_flush_interval = 0.0;
-  double profile_hz = 0.0;  // 0 = the profiler's default
+  obs::ObsOptions obs;  // the obs flags, read by obs::ParseObsFlag
 
   // Accepts `--key value`, `--key=value`, and bare boolean flags
   // (`--resume`): a flag whose next token is absent or itself a flag
-  // stores "1". Exits 2 on a malformed or out-of-range numeric flag.
+  // stores "1". Each flag goes to obs::ParseObsFlag first, as
+  // `--key=value`. Exits 2 on a malformed or out-of-range numeric flag and
+  // on a bad obs flag value.
   static Flags Parse(int argc, char** argv, int first) {
     Flags flags;
     for (int i = first; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) continue;
       size_t eq = arg.find('=');
+      std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+      std::string value = "1";
       if (eq != std::string::npos) {
-        flags.values[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        value = arg.substr(eq + 1);
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        flags.values[arg.substr(2)] = argv[++i];
-      } else {
-        flags.values[arg.substr(2)] = "1";
+        value = argv[++i];
       }
+      auto obs_flag = obs::ParseObsFlag("--" + key + "=" + value, &flags.obs);
+      if (!obs_flag.ok()) {
+        AUTOEM_LOG(ERROR) << obs_flag.status().message();
+        std::exit(2);
+      }
+      if (!*obs_flag) flags.values[key] = value;
     }
     // Durations stay below 1e9 s, so deadlines fit the clocks' 64-bit
-    // nanoseconds; the profiler samples at most at 10 kHz.
+    // nanoseconds.
     flags.Number("evals", 1, INT_MAX, &flags.evals);
     flags.Number("seed", uint64_t{0}, UINT64_MAX, &flags.seed);
     flags.Number("threads", 0, 1024, &flags.threads);
@@ -108,9 +115,6 @@ struct Flags {
     flags.Number("checkpoint-every", 1, INT_MAX, &flags.checkpoint_every);
     flags.Number("chunk-size", uint64_t{1}, UINT64_MAX, &flags.chunk_size);
     flags.Number("threshold", 0.0, 1.0, &flags.threshold);
-    flags.Number("metrics-flush-interval", 0.0, 1e9,
-                 &flags.metrics_flush_interval);
-    flags.Number("profile-hz", 1.0, 1e4, &flags.profile_hz);
     return flags;
   }
 
@@ -139,21 +143,6 @@ struct Flags {
   // when one is open, and on stderr (leveled, timestamped) otherwise.
   AUTOEM_LOG(ERROR) << message;
   std::exit(1);
-}
-
-obs::ObsOptions ObsFromFlags(const Flags& flags) {
-  obs::ObsOptions obs;
-  obs.log_level = flags.Get("log-level");
-  obs.trace_path = flags.Get("trace-out");
-  obs.metrics_path = flags.Get("metrics-out");
-  std::string resources = flags.Get("resources", "0");
-  obs.resources =
-      !(resources == "0" || resources == "false" || resources == "off");
-  obs.metrics_flush_interval = flags.metrics_flush_interval;
-  obs.metrics_format = flags.Get("metrics-format");
-  obs.profile_path = flags.Get("profile-out");
-  obs.profile_hz = flags.profile_hz;
-  return obs;
 }
 
 Table MustReadCsv(const std::string& path, const std::string& name) {
@@ -208,7 +197,6 @@ EntityMatcher TrainMatcher(const Flags& flags, PairSet* train_out) {
   // --threads N: 0 = all hardware threads, 1 (default) = serial. Results
   // are identical at any setting; only wall-clock changes.
   options.automl.parallelism.threads = flags.threads;
-  options.automl.obs = ObsFromFlags(flags);
   // Fault tolerance: per-trial deadline plus crash-safe checkpoint/resume.
   options.automl.max_trial_seconds = flags.max_trial_seconds;
   options.automl.checkpoint.path = flags.Get("checkpoint");
@@ -487,7 +475,8 @@ void PrintUsage() {
       "  --trace-out F     write a Chrome trace_event JSON (open in\n"
       "                    chrome://tracing or https://ui.perfetto.dev)\n"
       "  --metrics-out F   write a counters/gauges/histograms snapshot\n"
-      "  --metrics-format F json (default) | jsonl | openmetrics\n"
+      "                    (jsonl: one JSON line at exit)\n"
+      "  --metrics-format F jsonl (default) | openmetrics\n"
       "  --metrics-flush-interval S\n"
       "                    rewrite the metrics file atomically every S\n"
       "                    seconds while running (live telemetry; jsonl\n"
@@ -507,9 +496,8 @@ void PrintUsage() {
       "\n"
       "  report joins those artifacts into one self-contained HTML file:\n"
       "    autoem_cli train-eval ... --resources --save-trajectory t.csv\n"
-      "        --metrics-out m.jsonl --metrics-format=jsonl\n"
-      "        --metrics-flush-interval=1 --trace-out tr.json\n"
-      "        --profile-out p.folded\n"
+      "        --metrics-out m.jsonl --metrics-flush-interval=1\n"
+      "        --trace-out tr.json --profile-out p.folded\n"
       "    autoem_cli report --trajectory t.csv --metrics m.jsonl\n"
       "        --trace tr.json --profile p.folded --out report.html\n");
 }
@@ -532,10 +520,9 @@ int main(int argc, char** argv) {
   // Name the main thread before the session starts tracing so the trace's
   // thread_name metadata covers it alongside worker-N / flusher.
   obs::SetCurrentThreadName("main");
-  // Top-level session: owns the trace for the whole invocation (the nested
-  // sessions inside the library piggyback on it) and writes trace/metrics
-  // when main returns.
-  obs::ObsSession obs_session(ObsFromFlags(flags));
+  // The process's one session: traces the whole invocation and writes the
+  // trace, profile and metrics when main returns.
+  obs::ObsSession obs_session(flags.obs);
   if (std::strcmp(argv[1], "train-eval") == 0 ||
       std::strcmp(argv[1], "train") == 0) {
     return RunTrainEval(flags);

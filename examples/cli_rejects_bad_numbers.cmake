@@ -1,6 +1,8 @@
 # ctest: autoem_cli reads its numeric flags before any work, and a value
 # that is malformed, not finite or out of range exits 2 naming the flag.
-# `--threads 0` (all hardware threads) stays valid.
+# So does an obs flag value obs::ParseObsFlag rejects, in the `--key=value`
+# and the `--key value` form. `--threads 0` (all hardware threads) stays
+# valid.
 #
 # Variables: CLI (the autoem_cli binary).
 
@@ -9,7 +11,8 @@ foreach(case IN ITEMS
     "train-eval|--evals=0" "train-eval|--evals=3.5" "train-eval|--seed=-1"
     "predict|--threads=abc" "predict|--threads=1025" "predict|--chunk-size=0"
     "train-eval|--max-trial-seconds=nan" "train-eval|--checkpoint-every=5x"
-    "report|--metrics-flush-interval=inf" "report|--profile-hz=")
+    "report|--metrics-flush-interval=inf" "report|--profile-hz="
+    "report|--metrics-format=json" "train-eval|--log-level|verbose")
   string(REPLACE "|" ";" args "${case}")
   list(GET args 1 flag)
   string(REGEX REPLACE "=.*" "" flag "${flag}")

@@ -44,6 +44,29 @@ std::vector<Seed> CsvSeeds() {
   return seeds;
 }
 
+std::vector<Seed> PairsSeeds() {
+  // Two row-count bytes (left, right), then the pairs CSV.
+  auto seed = [](const char* name, uint8_t left, uint8_t right,
+                 const std::string& csv) {
+    return Seed{name, std::string{char(left), char(right)} + csv};
+  };
+  const std::string header = "ltable_id,rtable_id,label\n";
+  return {
+      seed("valid", 3, 2, header + "0,1,1\n2,0,0\n1,1,-1\n"),
+      seed("no_label_column", 2, 2, "ltable_id,rtable_id\n0,0\n1,1\n"),
+      seed("empty_label", 2, 2, header + "0,0,\n1,1,1\n"),
+      seed("quoted_reordered", 3, 3,
+           "label,rtable_id,ltable_id,extra\n\"1\",\"0\",\"2\",x\n"),
+      seed("huge_id", 3, 2, header + "1e300,0,1\n"),
+      seed("negative_zero", 1, 1, header + "-0,-0,-0\n"),
+      seed("fractional_id", 3, 2, header + "2.5,0,0\n"),
+      seed("nan_id", 3, 2, header + "nan,0,1\n"),
+      seed("id_at_row_count", 3, 2, header + "0,1,1\n3,0,1\n"),
+      seed("bad_label", 3, 2, header + "0,0,2\n1,1,0.5\n"),
+      seed("empty_tables", 0, 0, header + "0,0,1\n"),
+  };
+}
+
 std::vector<Seed> ConfigSeeds() {
   std::vector<Seed> seeds;
   // Text form, through the real serializer so dialect drift is impossible.
@@ -647,6 +670,7 @@ Status WriteSeedDir(const std::string& dir, const std::string& harness,
 
 Status WriteSeedCorpus(const std::string& dir, bool with_model) {
   AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "csv", CsvSeeds()));
+  AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "pairs", PairsSeeds()));
   AUTOEM_RETURN_IF_ERROR(WriteSeedDir(dir, "config_io", ConfigSeeds()));
   AUTOEM_RETURN_IF_ERROR(
       WriteSeedDir(dir, "serialize_roundtrip", SerializeSeeds()));

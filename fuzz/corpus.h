@@ -29,6 +29,13 @@ struct Seed {
 /// embedded NUL/newline/comma, unterminated quotes, ragged rows.
 std::vector<Seed> CsvSeeds();
 
+/// Pairs CSVs behind two row-count bytes (left, right), in pairs_fuzzer's
+/// layout: valid pairs, a missing or empty label, quoted and reordered
+/// columns, and the ids and labels PairsFromTable must reject (1e300, 2.5,
+/// nan, an id equal to the row count, labels 2 and 0.5) next to `-0`,
+/// which it accepts as 0.
+std::vector<Seed> PairsSeeds();
+
 /// `key = value` configuration texts covering every ParamValue type plus
 /// malformed lines, and binary Configuration codec streams.
 std::vector<Seed> ConfigSeeds();
@@ -48,8 +55,8 @@ std::vector<Seed> CheckpointSeeds();
 std::vector<Seed> ModelEnvelopeSeeds();
 
 /// JSON documents of every kind the repo writes and reads back — traces in
-/// both Chrome layouts, metrics JSON and JSONL, a bench baseline — plus the
-/// hostile inputs that once broke the hand-written readers (deep nesting,
+/// both Chrome layouts, metrics JSONL (and the multi-line metrics JSON older
+/// builds wrote), a bench baseline — plus the hostile inputs that once broke the hand-written readers (deep nesting,
 /// out-of-range and non-JSON numbers). Fixed strings, so the seeds do not
 /// drift with the writers.
 std::vector<Seed> JsonSeeds();

@@ -64,7 +64,6 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   }
   if (oracle == nullptr) return Status::InvalidArgument("null oracle");
 
-  obs::ObsSession obs_session(options.obs);
   static obs::Counter* oracle_labels =
       obs::MetricsRegistry::Global().GetCounter("active.oracle_labels");
   static obs::Counter* self_train_labels =

@@ -49,10 +49,6 @@ struct ActiveLearningOptions {
   /// overriding `automl.parallelism`. Never changes which pairs are queried
   /// or the resulting model.
   Parallelism parallelism;
-  /// Observability sinks for the whole run (loop iterations plus the final
-  /// AutoML-EM search). Empty by default; never affects which pairs are
-  /// queried or the resulting model.
-  obs::ObsOptions obs;
   /// Crash-safe checkpoint/resume of the labeling loop. A checkpoint is
   /// written after every iteration (every_n_trials is ignored here — human
   /// labels are too expensive to ever lose); resuming replays no oracle

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/obs.h"
+
 namespace autoem {
 
 namespace {
@@ -34,7 +36,6 @@ Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train, const Dataset& valid,
     return Status::InvalidArgument("train/valid feature width mismatch");
   }
 
-  obs::ObsSession obs_session(options.obs);
   obs::Span search_span("automl.search");
   if (search_span.active()) {
     search_span.Arg("algorithm", options.algorithm == SearchAlgorithm::kSmac

@@ -11,7 +11,6 @@
 #include "automl/smac.h"
 #include "common/status.h"
 #include "features/feature_gen.h"
-#include "obs/obs.h"
 #include "table/table.h"
 
 namespace autoem {
@@ -49,11 +48,6 @@ struct AutoMlEmOptions {
   /// pipeline's forest fit and the final refit. The search trajectory and the returned model are
   /// bit-identical at any thread count.
   Parallelism parallelism;
-  /// Observability sinks (log level, Chrome trace path, metrics snapshot
-  /// path). All empty by default — zero overhead when unset. Instrumentation
-  /// never affects search results: trajectories are bit-identical with
-  /// tracing on or off.
-  obs::ObsOptions obs;
 };
 
 /// Outcome of an AutoML-EM run: the searched-best configuration, the final

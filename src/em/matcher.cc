@@ -68,9 +68,6 @@ Result<EntityMatcher> EntityMatcher::Train(const PairSet& labeled_pairs,
     return Status::InvalidArgument("no training pairs");
   }
   AUTOEM_RETURN_IF_ERROR(CheckPairIds(labeled_pairs));
-  // Opened here so featurization of the training pairs is traced; the
-  // nested session inside RunAutoMlEm piggybacks on this one.
-  obs::ObsSession obs_session(options.automl.obs);
   obs::Span span("em.train");
   if (span.active()) {
     span.Arg("pairs", labeled_pairs.pairs.size());

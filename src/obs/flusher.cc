@@ -1,5 +1,6 @@
 #include "obs/flusher.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -13,22 +14,21 @@ namespace obs {
 
 MetricsFlusher::MetricsFlusher(Options options)
     : options_(std::move(options)), start_us_(internal::NowMicros()) {
-  if (options_.interval_seconds < 0.01) options_.interval_seconds = 0.01;
-  if (options_.format != "jsonl" && options_.format != "openmetrics") {
-    AUTOEM_LOG(WARN) << "flusher: unknown metrics format '" << options_.format
-                     << "', using jsonl";
-    options_.format = "jsonl";
+  if (options_.interval_seconds > 0.0) {
+    options_.interval_seconds = std::max(options_.interval_seconds, 0.01);
+    thread_ = std::thread([this] { Loop(); });
   }
-  thread_ = std::thread([this] { Loop(); });
 }
 
 MetricsFlusher::~MetricsFlusher() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
+  if (thread_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      shutdown_ = true;
+    }
+    wake_.notify_all();
+    thread_.join();
   }
-  wake_.notify_all();
-  thread_.join();
   // Final snapshot, written after the thread is gone: the file ends with a
   // complete end-of-run record no matter where the flush cadence stood.
   // The counter bumps *before* serializing so the final snapshot reports

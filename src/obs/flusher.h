@@ -10,10 +10,11 @@
 namespace autoem {
 namespace obs {
 
-/// Live metrics export: a background thread that periodically serializes
-/// the global MetricsRegistry and atomically rewrites a telemetry file, so
-/// an operator can watch a long search converge (`watch cat metrics.txt`,
-/// or tail the JSONL series) instead of waiting for the end-of-run snapshot.
+/// The one writer of the metrics file (ObsSession hands it metrics_path).
+/// Its destructor writes the end-of-run snapshot; with a positive interval
+/// a background thread also rewrites the file every interval, so an
+/// operator can watch a long search converge (`watch cat metrics.txt`, or
+/// tail the JSONL series) instead of waiting for the end of the run.
 ///
 /// Formats (ObsOptions::metrics_format / --metrics-format=):
 ///  * "jsonl"        one compact `{"ts_s":...}` snapshot line per flush,
@@ -29,7 +30,8 @@ namespace obs {
 /// Shutdown handshake: the destructor signals the thread, the thread exits
 /// its wait loop, the destructor joins it and then writes one final
 /// snapshot itself. The final file therefore always contains a complete
-/// end-of-run snapshot, never a torn or stale one.
+/// end-of-run snapshot, never a torn or stale one. Without a thread that
+/// final snapshot is the file's one line (jsonl) or its one exposition.
 ///
 /// The flusher also exports its own health into the registry (and so into
 /// every snapshot it writes): `obs.flush_count` (snapshots serialized),
@@ -43,7 +45,7 @@ class MetricsFlusher {
  public:
   struct Options {
     std::string path;               // telemetry file (required)
-    double interval_seconds = 1.0;  // clamped to >= 0.01
+    double interval_seconds = 1.0;  // <= 0: no thread; else >= 0.01
     std::string format = "jsonl";   // "jsonl" | "openmetrics"
   };
 

@@ -93,66 +93,37 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-void MetricsRegistry::AppendJsonBody(std::string* out, bool pretty) const {
-  const char* kv_indent = pretty ? "    " : "";
-  const char* nl = pretty ? "\n" : "";
-
-  *out += "\"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    *out += first ? nl : (pretty ? ",\n" : ",");
-    first = false;
-    *out += kv_indent;
-    *out += JsonQuote(name) + ": " + std::to_string(counter->Total());
-  }
-  *out += first ? "}," : (pretty ? "\n  },\n" : "},");
-  if (pretty && first) *out += "\n";
-
-  *out += pretty ? "  \"gauges\": {" : "\"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    *out += first ? nl : (pretty ? ",\n" : ",");
-    first = false;
-    *out += kv_indent;
-    *out += JsonQuote(name) + ": " + JsonNumber(gauge->Value());
-  }
-  *out += first ? "}," : (pretty ? "\n  },\n" : "},");
-  if (pretty && first) *out += "\n";
-
-  *out += pretty ? "  \"histograms\": {" : "\"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    Histogram::Snapshot snap = histogram->Snap();
-    *out += first ? nl : (pretty ? ",\n" : ",");
-    first = false;
-    *out += kv_indent;
-    *out += JsonQuote(name) + ": {\"count\": " + std::to_string(snap.count) +
-            ", \"sum\": " + JsonNumber(snap.sum) + ", \"buckets\": [";
-    for (size_t b = 0; b < snap.counts.size(); ++b) {
-      if (b > 0) *out += ", ";
-      *out += "{\"le\": ";
-      *out += b < snap.bounds.size() ? JsonNumber(snap.bounds[b]) : "\"inf\"";
-      *out += ", \"count\": " + std::to_string(snap.counts[b]) + "}";
-    }
-    *out += "]}";
-  }
-  *out += first ? "}" : (pretty ? "\n  }\n" : "}");
-  if (pretty && first) *out += "\n";
-}
-
-std::string MetricsRegistry::SnapshotJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\n  ";
-  AppendJsonBody(&out, /*pretty=*/true);
-  out += "}\n";
-  return out;
-}
-
 std::string MetricsRegistry::SnapshotJsonLine(double ts_s) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"ts_s\": " + JsonNumber(ts_s) + ", ";
-  AppendJsonBody(&out, /*pretty=*/false);
-  out += "}";
+  std::string out = "{\"ts_s\": " + JsonNumber(ts_s) + ", \"counters\": {";
+  const char* sep = "";
+  for (const auto& [name, counter] : counters_) {
+    out += sep + JsonQuote(name) + ": " + std::to_string(counter->Total());
+    sep = ",";
+  }
+  out += "},\"gauges\": {";
+  sep = "";
+  for (const auto& [name, gauge] : gauges_) {
+    out += sep + JsonQuote(name) + ": " + JsonNumber(gauge->Value());
+    sep = ",";
+  }
+  out += "},\"histograms\": {";
+  sep = "";
+  for (const auto& [name, histogram] : histograms_) {
+    Histogram::Snapshot snap = histogram->Snap();
+    out += sep + JsonQuote(name) + ": {\"count\": " +
+           std::to_string(snap.count) + ", \"sum\": " + JsonNumber(snap.sum) +
+           ", \"buckets\": [";
+    for (size_t b = 0; b < snap.counts.size(); ++b) {
+      if (b > 0) out += ", ";
+      out += "{\"le\": ";
+      out += b < snap.bounds.size() ? JsonNumber(snap.bounds[b]) : "\"inf\"";
+      out += ", \"count\": " + std::to_string(snap.counts[b]) + "}";
+    }
+    out += "]}";
+    sep = ",";
+  }
+  out += "}}";
   return out;
 }
 
@@ -237,15 +208,6 @@ std::string MetricsRegistry::SnapshotOpenMetrics() const {
   }
   out += "# EOF\n";
   return out;
-}
-
-bool MetricsRegistry::WriteJson(const std::string& path) const {
-  std::string json = SnapshotJson();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  bool ok = std::fclose(f) == 0 && written == json.size();
-  return ok;
 }
 
 }  // namespace obs

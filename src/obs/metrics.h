@@ -120,15 +120,11 @@ class MetricsRegistry {
       const std::string& name,
       std::vector<double> bounds = Histogram::DefaultLatencyBucketsMs());
 
-  /// Cumulative snapshot of every registered metric as a JSON object:
-  ///   {"counters":{...},"gauges":{...},"histograms":{...}}
-  /// Keys are sorted, so the layout is stable run to run.
-  std::string SnapshotJson() const;
-
-  /// The same snapshot as a single compact JSON line (no internal
-  /// newlines), prefixed with a `ts_s` timestamp key — one record of the
-  /// append-only JSONL time series the MetricsFlusher emits:
+  /// Cumulative snapshot of every registered metric as a single compact
+  /// JSON object (no internal newlines), prefixed with a `ts_s` timestamp
+  /// key — one record of the JSONL time series the MetricsFlusher emits:
   ///   {"ts_s":1.25,"counters":{...},"gauges":{...},"histograms":{...}}
+  /// Keys are sorted, so the layout is stable run to run.
   std::string SnapshotJsonLine(double ts_s) const;
 
   /// The snapshot in OpenMetrics text exposition format: `# TYPE` comment
@@ -138,15 +134,8 @@ class MetricsRegistry {
   /// underscores).
   std::string SnapshotOpenMetrics() const;
 
-  /// Writes SnapshotJson() to `path`; false on I/O failure.
-  bool WriteJson(const std::string& path) const;
-
  private:
   MetricsRegistry() = default;
-
-  /// Shared body emitter for SnapshotJson / SnapshotJsonLine. Caller holds
-  /// mu_.
-  void AppendJsonBody(std::string* out, bool pretty) const;
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -2,8 +2,8 @@
 
 #include <atomic>
 
+#include "common/logging.h"
 #include "common/string_util.h"
-#include "io/atomic_file.h"
 #include "obs/flusher.h"
 #include "obs/profiler.h"
 
@@ -33,33 +33,8 @@ Result<bool> TakeNumber(const char* flag, const std::string& value, double lo,
   return true;
 }
 
-// Set while any ObsSession owns a live MetricsFlusher: inner sessions must
-// neither start a second flusher nor clobber the file it owns.
-std::atomic<bool> g_flusher_active{false};
-
-// Final (non-live) metrics write in the configured format. "json" keeps the
-// original pretty-snapshot behavior; "jsonl" and "openmetrics" go through
-// the same serializers the flusher uses so watchers and end-of-run readers
-// see one format.
-void WriteFinalMetrics(const std::string& path, const std::string& format) {
-  bool ok;
-  if (format == "openmetrics") {
-    ok = io::AtomicWriteFile(path, MetricsRegistry::Global().SnapshotOpenMetrics(),
-                             io::AtomicWriteOptions{/*durable=*/false})
-             .ok();
-  } else if (format == "jsonl") {
-    std::string line = MetricsRegistry::Global().SnapshotJsonLine(0.0);
-    line += '\n';
-    ok = io::AtomicWriteFile(path, line,
-                             io::AtomicWriteOptions{/*durable=*/false})
-             .ok();
-  } else {
-    ok = MetricsRegistry::Global().WriteJson(path);
-  }
-  if (!ok) {
-    AUTOEM_LOG(WARN) << "obs: failed to write metrics to " << path;
-  }
-}
+// Set while an ObsSession is live: there is at most one per process.
+std::atomic<bool> g_session_live{false};
 
 }  // namespace
 
@@ -84,80 +59,78 @@ Result<bool> ParseObsFlag(const std::string& arg, ObsOptions* options) {
   if (TakeFlagValue(arg, "--profile-hz=", &value)) {
     return TakeNumber("--profile-hz", value, 1.0, 1e4, &options->profile_hz);
   }
-  return TakeFlagValue(arg, "--log-level=", &options->log_level) ||
-         TakeFlagValue(arg, "--trace-out=", &options->trace_path) ||
+  if (TakeFlagValue(arg, "--log-level=", &value)) {
+    LogLevel level{};
+    if (!ParseLogLevel(value, &level)) {
+      return Status::InvalidArgument(
+          "--log-level: '" + value +
+          "' is not one of trace, debug, info, warn, error, off");
+    }
+    options->log_level = value;
+    return true;
+  }
+  if (TakeFlagValue(arg, "--metrics-format=", &value)) {
+    if (value != "jsonl" && value != "openmetrics") {
+      return Status::InvalidArgument("--metrics-format: '" + value +
+                                     "' is not jsonl or openmetrics");
+    }
+    options->metrics_format = value;
+    return true;
+  }
+  return TakeFlagValue(arg, "--trace-out=", &options->trace_path) ||
          TakeFlagValue(arg, "--metrics-out=", &options->metrics_path) ||
-         TakeFlagValue(arg, "--metrics-format=", &options->metrics_format) ||
          TakeFlagValue(arg, "--profile-out=", &options->profile_path);
 }
 
 ObsSession::ObsSession(ObsOptions options) : options_(std::move(options)) {
-  if (!options_.log_level.empty()) {
-    LogLevel level;
-    if (ParseLogLevel(options_.log_level, &level)) {
-      SetMinLogLevel(level);
-    } else {
-      AUTOEM_LOG(WARN) << "obs: unknown log level '" << options_.log_level
-                       << "' (ignored)";
-    }
-  }
-  if (!options_.trace_path.empty() && !TracingEnabled()) {
-    StartTracing();
-    owns_tracing_ = true;
-  }
-  if (options_.resources && !ResourceProbesEnabled()) {
+  AUTOEM_CHECK_MSG(!g_session_live.exchange(true, std::memory_order_acq_rel),
+                   "an ObsSession is already live; open one per process");
+  LogLevel level{};
+  if (ParseLogLevel(options_.log_level, &level)) SetMinLogLevel(level);
+  if (!options_.trace_path.empty()) StartTracing();
+  if (options_.resources) {
     SetResourceProbesEnabled(true);
     SetAllocationCounting(true);
-    owns_probes_ = true;
   }
-  if (!options_.profile_path.empty() && !ProfilingEnabled()) {
+  if (!options_.profile_path.empty()) {
     ProfilerOptions popts;
     if (options_.profile_hz > 0) popts.hz = options_.profile_hz;
-    owns_profiler_ = StartProfiling(popts);
+    StartProfiling(popts);
   }
-  if (!options_.metrics_path.empty() && options_.metrics_flush_interval > 0 &&
-      !g_flusher_active.exchange(true, std::memory_order_acq_rel)) {
-    MetricsFlusher::Options fopts;
-    fopts.path = options_.metrics_path;
-    fopts.interval_seconds = options_.metrics_flush_interval;
-    if (!options_.metrics_format.empty()) {
-      fopts.format = options_.metrics_format;
-    }
-    flusher_ = std::make_unique<MetricsFlusher>(std::move(fopts));
+  if (!options_.metrics_path.empty()) {
+    flusher_ = std::make_unique<MetricsFlusher>(MetricsFlusher::Options{
+        .path = options_.metrics_path,
+        .interval_seconds = options_.metrics_flush_interval,
+        .format = options_.metrics_format});
   }
 }
 
 ObsSession::~ObsSession() {
   // Profiler first: StopProfiling folds sample counts and per-span shares
   // into the metrics registry, so stopping before the flusher's final
-  // snapshot (or WriteFinalMetrics below) lands them in the metrics file.
-  if (owns_profiler_) {
+  // snapshot lands them in the metrics file.
+  if (!options_.profile_path.empty()) {
     StopProfiling();
     if (!WriteProfile(options_.profile_path)) {
       AUTOEM_LOG(WARN) << "obs: failed to write profile to "
                        << options_.profile_path;
     }
   }
-  if (owns_tracing_) {
+  if (!options_.trace_path.empty()) {
     StopTracing();
     if (!WriteTrace(options_.trace_path)) {
       AUTOEM_LOG(WARN) << "obs: failed to write trace to "
                        << options_.trace_path;
     }
   }
-  if (flusher_) {
-    // The flusher destructor joins its thread and writes the final
-    // end-of-run snapshot; no separate metrics write is needed.
-    flusher_.reset();
-    g_flusher_active.store(false, std::memory_order_release);
-  } else if (!options_.metrics_path.empty() &&
-             !g_flusher_active.load(std::memory_order_acquire)) {
-    WriteFinalMetrics(options_.metrics_path, options_.metrics_format);
-  }
-  if (owns_probes_) {
+  // The flusher's destructor joins its thread, if it has one, and writes
+  // the end-of-run snapshot.
+  flusher_.reset();
+  if (options_.resources) {
     SetAllocationCounting(false);
     SetResourceProbesEnabled(false);
   }
+  g_session_live.store(false, std::memory_order_release);
 }
 
 }  // namespace obs

@@ -15,14 +15,15 @@ namespace obs {
 
 class MetricsFlusher;
 
-/// Observability knobs carried through the options structs
-/// (AutoMlEmOptions::obs, ActiveLearningOptions::obs) and exposed as
+/// Observability knobs of the process's one ObsSession, exposed as
 /// `--log-level=`, `--trace-out=`, `--metrics-out=`, `--resources`,
-/// `--metrics-flush-interval=`, `--metrics-format=` by autoem_cli and every
-/// bench binary. All fields default to "off": empty strings mean no level
-/// change, no tracing, no metrics dump, and zero measurable overhead.
+/// `--metrics-flush-interval=`, `--metrics-format=`, `--profile-out=` and
+/// `--profile-hz=` by autoem_cli and every bench binary. All fields default
+/// to "off": empty strings mean no level change, no tracing, no metrics
+/// file, and zero measurable overhead.
 struct ObsOptions {
-  /// "trace"/"debug"/"info"/"warn"/"error"/"off"; empty = leave unchanged.
+  /// "trace"/"debug"/"info"/"warn"/"error"/"off"; any other value (empty
+  /// included) leaves the level unchanged.
   std::string log_level;
   /// Chrome trace_event JSON written here when non-empty.
   std::string trace_path;
@@ -33,13 +34,14 @@ struct ObsOptions {
   /// counting hook (`--resources`). Measurement only: outputs stay
   /// bit-identical with probes on or off.
   bool resources = false;
-  /// When > 0 and metrics_path is set, a background MetricsFlusher rewrites
-  /// the metrics file every this-many seconds (`--metrics-flush-interval=`).
+  /// When > 0 and metrics_path is set, the MetricsFlusher also rewrites the
+  /// metrics file every this-many seconds while the run goes on
+  /// (`--metrics-flush-interval=`).
   double metrics_flush_interval = 0.0;
-  /// Serialization for the metrics file: "json" (default; pretty snapshot),
-  /// "jsonl" (one snapshot line per flush, an append-only time series), or
-  /// "openmetrics" (text exposition). (`--metrics-format=`)
-  std::string metrics_format;
+  /// Serialization for the metrics file: "jsonl" (one `{"ts_s":...}`
+  /// snapshot line per flush; without live flushes, the one end-of-run
+  /// line) or "openmetrics" (text exposition). (`--metrics-format=`)
+  std::string metrics_format = "jsonl";
   /// Collapsed-stack CPU profile written here when non-empty
   /// (`--profile-out=`): the session runs the sampling profiler and dumps
   /// flamegraph.pl / speedscope / `autoem_cli report` compatible output.
@@ -47,13 +49,6 @@ struct ObsOptions {
   /// Sampling rate for the profiler in Hz (`--profile-hz=`, 1..10000); 0
   /// keeps the default (97 Hz).
   double profile_hz = 0.0;
-
-  bool Any() const {
-    return !log_level.empty() || !trace_path.empty() ||
-           !metrics_path.empty() || resources ||
-           metrics_flush_interval > 0.0 || !metrics_format.empty() ||
-           !profile_path.empty();
-  }
 };
 
 /// Parses one observability argument (`--log-level=X`, `--trace-out=P`,
@@ -61,29 +56,25 @@ struct ObsOptions {
 /// `--metrics-format=F`, `--profile-out=P`, `--profile-hz=N`) into
 /// `*options`. Returns false (leaving options untouched) when `arg` is not
 /// an observability flag, so callers can chain it into their existing flag
-/// loops, and InvalidArgument naming the flag when a numeric value is not
-/// one number in range (`--profile-hz=` 1..10000, `--metrics-flush-interval=`
-/// 0..1e9, as autoem_cli checks them).
+/// loops, and InvalidArgument naming the flag when its value is not valid:
+/// a log level ParseLogLevel does not know, a format other than `jsonl` or
+/// `openmetrics`, or a number that is not one number in range
+/// (`--profile-hz=` 1..10000, `--metrics-flush-interval=` 0..1e9).
 Result<bool> ParseObsFlag(const std::string& arg, ObsOptions* options);
 
-/// Scoped activation of a set of ObsOptions:
-///  * constructor: applies the log level; if no enclosing session is already
-///    tracing, starts the tracer; if `resources` is set and no enclosing
-///    session enabled probes, turns on ResourceProbes + allocation counting;
-///    if a flush interval is set and no enclosing session is flushing,
-///    starts a MetricsFlusher on `metrics_path`;
-///  * destructor: tears each of those down in reverse (only the ones this
-///    session started), writing the trace file and the final metrics
-///    snapshot in the configured format.
+/// The process's observability session, and the one writer of its
+/// artifacts. main() (autoem_cli), BenchArgs::Parse or RunGBenchMain opens
+/// it; the library never does. A caller that wants one library call
+/// observed opens a session around that call.
+///  * constructor: applies the log level; starts the tracer, the profiler
+///    and the ResourceProbes (with allocation counting) as configured; hands
+///    metrics_path to a MetricsFlusher, which flushes live only for a
+///    positive metrics_flush_interval;
+///  * destructor: stops each of those and writes the profile, the trace and
+///    (through the flusher) the final metrics snapshot.
 ///
-/// Sessions nest safely — every library entry point (RunAutoMlEm,
-/// RunAutoMlEmActive, EntityMatcher::Train) opens one from its options, and
-/// a process-wide session opened in main() (what autoem_cli does) simply
-/// owns the trace, probes, and flusher while the inner sessions become
-/// no-ops. Metrics are cumulative, so when nested sessions share a metrics
-/// path the outermost write is the complete one and it is the file's final
-/// content; while a flusher is live it owns the file and inner sessions do
-/// not write it.
+/// Opening a second session while one is live is a CHECK failure: its
+/// StartTracing would clear the first session's trace buffer.
 class ObsSession {
  public:
   explicit ObsSession(ObsOptions options);
@@ -94,9 +85,6 @@ class ObsSession {
 
  private:
   ObsOptions options_;
-  bool owns_tracing_ = false;
-  bool owns_probes_ = false;
-  bool owns_profiler_ = false;
   std::unique_ptr<MetricsFlusher> flusher_;
 };
 

@@ -5,6 +5,7 @@
 #include "obs/critical_path.h"
 #include "obs/json.h"
 #include "obs/log.h"
+#include "table/csv.h"
 
 namespace autoem {
 namespace obs {
@@ -33,21 +34,6 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-std::vector<std::string> SplitCsvRow(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      fields.push_back(Trimmed(line.substr(start)));
-      break;
-    }
-    fields.push_back(Trimmed(line.substr(start, comma - start)));
-    start = comma + 1;
-  }
-  return fields;
-}
-
 /// True when `text` is one JSON value of type `type`: the test for
 /// embedding a file's text verbatim in the payload.
 bool ParsesAs(const std::string& text, JsonValue::Type type) {
@@ -62,15 +48,21 @@ bool QuotedColumn(const std::string& name) {
 }
 
 /// trajectory.csv -> JSON array of row objects keyed by the header names.
+/// Text the CSV reader rejects (an unterminated quote) embeds no trials.
 std::string TrajectoryToJson(const std::string& csv) {
-  std::vector<std::string> lines = SplitLines(csv);
-  if (lines.empty()) return "[]";
-  std::vector<std::string> header = SplitCsvRow(lines[0]);
+  auto rows = ParseCsvCells(csv);
+  if (!rows.ok()) {
+    AUTOEM_LOG(WARN) << "report: trajectory is not valid CSV: "
+                     << rows.status().message();
+    return "[]";
+  }
+  if (rows->empty()) return "[]";
+  const std::vector<std::string>& header = (*rows)[0];
   std::string out = "[";
   bool first_row = true;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (Trimmed(lines[i]).empty()) continue;
-    std::vector<std::string> fields = SplitCsvRow(lines[i]);
+  for (size_t i = 1; i < rows->size(); ++i) {
+    const std::vector<std::string>& fields = (*rows)[i];
+    if (fields.size() == 1 && Trimmed(fields[0]).empty()) continue;
     if (!first_row) out += ",";
     first_row = false;
     out += "\n{";
@@ -93,7 +85,6 @@ std::string TrajectoryToJson(const std::string& csv) {
 
 /// Classifies the metrics file and emits the three payload fields. Formats:
 ///  * jsonl  — every nonempty line is a JSON object -> series + final;
-///  * json   — one pretty object (the default end-of-run snapshot) -> final;
 ///  * openmetrics — anything else -> raw text, parsed client-side.
 /// Text is embedded verbatim only after ParseJson accepts it; a file that
 /// looks like JSON but does not parse falls back to raw text with a WARN.
@@ -122,10 +113,6 @@ void AppendMetricsJson(const std::string& metrics_text, std::string* out) {
     }
     *out += "\n],\"metrics_final\":";
     *out += lines.back();
-    *out += ",\"metrics_raw\":null";
-  } else if (ParsesAs(trimmed, JsonValue::Type::kObject)) {
-    *out += "\"metrics_series\":null,\"metrics_final\":";
-    *out += trimmed;
     *out += ",\"metrics_raw\":null";
   } else {
     if (trimmed.front() == '{') {
@@ -453,7 +440,7 @@ function axes(c, x0, x1, y0, y1, yfmt) {
   if (pts.length < 2) {
     document.getElementById("poolwrap").innerHTML =
       '<div class="empty">No thread-pool time series — rerun with ' +
-      '--metrics-flush-interval and --metrics-format=jsonl.</div>';
+      '--metrics-flush-interval.</div>';
     return;
   }
   const c = setup("pool");

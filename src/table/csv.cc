@@ -7,10 +7,7 @@
 
 namespace autoem {
 
-namespace {
-
-// Splits CSV text into rows of raw cells, honoring quoting.
-Result<std::vector<std::vector<std::string>>> ParseCells(
+Result<std::vector<std::vector<std::string>>> ParseCsvCells(
     const std::string& text) {
   std::vector<std::vector<std::string>> rows;
   std::vector<std::string> row;
@@ -74,6 +71,8 @@ Result<std::vector<std::vector<std::string>>> ParseCells(
   return rows;
 }
 
+namespace {
+
 bool NeedsQuoting(const std::string& s) {
   return s.find_first_of(",\"\n\r") != std::string::npos;
 }
@@ -93,7 +92,7 @@ std::string QuoteCell(const std::string& s) {
 
 Result<Table> ParseCsv(const std::string& text,
                        const std::string& table_name) {
-  auto cells = ParseCells(text);
+  auto cells = ParseCsvCells(text);
   if (!cells.ok()) return cells.status();
   const auto& rows = *cells;
   if (rows.empty()) {

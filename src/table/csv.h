@@ -2,6 +2,7 @@
 #define AUTOEM_TABLE_CSV_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "table/table.h"
@@ -15,6 +16,11 @@ Result<Table> ReadCsv(const std::string& path, const std::string& table_name);
 
 /// Parses CSV text directly (same dialect as ReadCsv); useful for tests.
 Result<Table> ParseCsv(const std::string& text, const std::string& table_name);
+
+/// Splits CSV text (same dialect) into rows of raw, untyped cells, with no
+/// arity check: the reader under ParseCsv, for callers that want strings.
+Result<std::vector<std::vector<std::string>>> ParseCsvCells(
+    const std::string& text);
 
 /// Writes a Table as CSV with a header line. Quotes cells containing commas,
 /// quotes, or newlines.

@@ -466,6 +466,19 @@ TEST(RunReportTest, CsvFieldsEmbedOnlyJsonNumbers) {
   EXPECT_EQ(trials[1].Find("elapsed_seconds")->string, "nan");
 }
 
+// The trajectory is read with the CSV reader, so a quoted cell holding a
+// comma stays one cell.
+TEST(RunReportTest, QuotedTrajectoryCellStaysOneCell) {
+  obs::ReportInputs inputs;
+  inputs.trajectory_csv = "trial,failure\n0,\"a,b\"\n";
+  obs::JsonValue payload = Payload(obs::BuildRunReportHtml(inputs));
+  ASSERT_TRUE(payload.is_object());
+  const std::vector<obs::JsonValue>& trials = payload.Find("trials")->array;
+  ASSERT_EQ(trials.size(), 1u);
+  EXPECT_EQ(trials[0].Find("trial")->number, 0.0);
+  EXPECT_EQ(trials[0].Find("failure")->string, "a,b");
+}
+
 // A trial run without probes carries empty telemetry cells, which the
 // payload embeds as "" — so the page's `sampled` filter skips it and the
 // resources chart shows its "rerun with --resources" hint instead of a

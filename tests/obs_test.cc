@@ -6,6 +6,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -212,7 +213,7 @@ TEST(MetricsTest, SnapshotJsonIsParseable) {
   obs::MetricsRegistry::Global()
       .GetHistogram("test.snap_hist")
       ->Observe(4.2);
-  std::string json = obs::MetricsRegistry::Global().SnapshotJson();
+  std::string json = obs::MetricsRegistry::Global().SnapshotJsonLine(0.0);
   EXPECT_TRUE(IsValidJson(json)) << json;
   EXPECT_NE(json.find("\"test.snap_counter\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -222,7 +223,8 @@ TEST(MetricsTest, SnapshotJsonIsParseable) {
   obs::MetricsRegistry::Global()
       .GetGauge("test.snap_nan")
       ->Set(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_TRUE(IsValidJson(obs::MetricsRegistry::Global().SnapshotJson()));
+  EXPECT_TRUE(
+      IsValidJson(obs::MetricsRegistry::Global().SnapshotJsonLine(0.0)));
 }
 
 // ---- logging --------------------------------------------------------------
@@ -393,25 +395,26 @@ TEST(TraceTest, WriteTraceProducesLoadableFile) {
 
 TEST(ObsOptionsTest, ParseObsFlag) {
   obs::ObsOptions opt;
-  EXPECT_FALSE(opt.Any());
+  EXPECT_EQ(opt.metrics_format, "jsonl");
   EXPECT_TRUE(*obs::ParseObsFlag("--log-level=debug", &opt));
   EXPECT_TRUE(*obs::ParseObsFlag("--trace-out=/tmp/t.json", &opt));
   EXPECT_TRUE(*obs::ParseObsFlag("--metrics-out=/tmp/m.json", &opt));
+  EXPECT_TRUE(*obs::ParseObsFlag("--metrics-format=openmetrics", &opt));
   EXPECT_TRUE(*obs::ParseObsFlag("--profile-hz=250", &opt));
   EXPECT_TRUE(*obs::ParseObsFlag("--metrics-flush-interval=0.5", &opt));
   EXPECT_EQ(opt.log_level, "debug");
   EXPECT_EQ(opt.trace_path, "/tmp/t.json");
   EXPECT_EQ(opt.metrics_path, "/tmp/m.json");
+  EXPECT_EQ(opt.metrics_format, "openmetrics");
   EXPECT_EQ(opt.profile_hz, 250.0);
   EXPECT_EQ(opt.metrics_flush_interval, 0.5);
-  EXPECT_TRUE(opt.Any());
   EXPECT_FALSE(*obs::ParseObsFlag("--threads=4", &opt));
   EXPECT_FALSE(*obs::ParseObsFlag("--log-level", &opt));  // missing '='
 }
 
-// A numeric obs flag is read whole and in autoem_cli's range; a bad value is
-// an error naming the flag, distinct from "not an obs flag", and leaves the
-// option as it was.
+// A numeric obs flag is read whole and in autoem_cli's range, and a level or
+// format must be one the session knows; a bad value is an error naming the
+// flag, distinct from "not an obs flag", and leaves the option as it was.
 void ExpectRejected(const std::string& arg) {
   obs::ObsOptions opt;
   auto parsed = obs::ParseObsFlag(arg, &opt);
@@ -422,6 +425,8 @@ void ExpectRejected(const std::string& arg) {
       << parsed.status().message();
   EXPECT_EQ(opt.profile_hz, 0.0) << arg;
   EXPECT_EQ(opt.metrics_flush_interval, 0.0) << arg;
+  EXPECT_EQ(opt.log_level, "") << arg;
+  EXPECT_EQ(opt.metrics_format, "jsonl") << arg;
 }
 
 TEST(ObsOptionsTest, ProfileRateThatIsNotANumberIsRejected) {
@@ -458,6 +463,15 @@ TEST(ObsOptionsTest, FlushIntervalThatIsNotANumberIsRejected) {
   ExpectRejected("--metrics-flush-interval=5s");
 }
 
+TEST(ObsOptionsTest, UnknownLogLevelIsRejected) {
+  ExpectRejected("--log-level=verbose");
+}
+
+TEST(ObsOptionsTest, MetricsFormatOtherThanJsonlOrOpenMetricsIsRejected) {
+  ExpectRejected("--metrics-format=xml");
+  ExpectRejected("--metrics-format=json");  // the retired pretty snapshot
+}
+
 TEST(ObsSessionTest, WritesTraceAndMetricsOnExit) {
   std::string trace_path = TempPath("obs_session_trace.json");
   std::string metrics_path = TempPath("obs_session_metrics.json");
@@ -467,13 +481,6 @@ TEST(ObsSessionTest, WritesTraceAndMetricsOnExit) {
     opt.metrics_path = metrics_path;
     obs::ObsSession session(opt);
     EXPECT_TRUE(obs::TracingEnabled());
-    {
-      // A nested session must not stop the outer session's tracing.
-      obs::ObsOptions inner_opt;
-      inner_opt.trace_path = trace_path;
-      obs::ObsSession inner(inner_opt);
-    }
-    EXPECT_TRUE(obs::TracingEnabled());
     AUTOEM_SPAN("test.session_span");
   }
   EXPECT_FALSE(obs::TracingEnabled());
@@ -481,10 +488,26 @@ TEST(ObsSessionTest, WritesTraceAndMetricsOnExit) {
   std::string trace = ReadFile(trace_path);
   std::string metrics = ReadFile(metrics_path);
   EXPECT_TRUE(IsValidJson(trace)) << trace;
-  EXPECT_TRUE(IsValidJson(metrics));
   EXPECT_NE(trace.find("test.session_span"), std::string::npos);
+  // Without live flushes the metrics file is one JSON line: the flusher's
+  // end-of-run snapshot, which marks itself final.
+  ASSERT_FALSE(metrics.empty());
+  EXPECT_EQ(metrics.find('\n'), metrics.size() - 1) << metrics;
+  EXPECT_TRUE(IsValidJson(metrics)) << metrics;
+  EXPECT_NE(metrics.find("\"obs.flush_final\""), std::string::npos);
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
+}
+
+// A second session would restart the tracer and clear the first one's
+// trace buffer, so it is a CHECK failure.
+TEST(ObsSessionDeathTest, SecondLiveSessionDies) {
+  EXPECT_DEATH(
+      {
+        obs::ObsSession outer{obs::ObsOptions{}};
+        obs::ObsSession inner{obs::ObsOptions{}};
+      },
+      "already live");
 }
 
 // ---- instrumentation must not change results ------------------------------
@@ -526,15 +549,19 @@ TEST(ObsDeterminismTest, SearchIsBitIdenticalWithTracingOnAndOff) {
 
   AutoMlEmResult off = MustRunSearch(train, valid, options);
 
-  AutoMlEmOptions traced_options = options;
-  traced_options.obs.trace_path = TempPath("obs_determinism_trace.json");
-  AutoMlEmResult on = MustRunSearch(train, valid, traced_options);
+  obs::ObsOptions traced;
+  traced.trace_path = TempPath("obs_determinism_trace.json");
+  AutoMlEmResult on;
+  {
+    obs::ObsSession session(traced);
+    on = MustRunSearch(train, valid, options);
+  }
 
   // The trace was actually produced...
-  std::string trace = ReadFile(traced_options.obs.trace_path);
+  std::string trace = ReadFile(traced.trace_path);
   EXPECT_TRUE(IsValidJson(trace));
   EXPECT_NE(trace.find("automl.pipeline_eval"), std::string::npos);
-  std::remove(traced_options.obs.trace_path.c_str());
+  std::remove(traced.trace_path.c_str());
 
   // ...and had zero effect on the search: identical configs and
   // bit-identical scores, trial by trial.
@@ -549,6 +576,32 @@ TEST(ObsDeterminismTest, SearchIsBitIdenticalWithTracingOnAndOff) {
                              &on.trajectory[i].valid_f1, sizeof(double)))
         << "trial " << i;
   }
+}
+
+// The session is the metrics file's one writer: a search run inside it
+// writes nothing itself, so a metrics path that cannot be written (a
+// directory) costs one warning, at the session's end.
+TEST(ObsSessionTest, SearchInsideASessionWritesMetricsOnce) {
+  obs::ObsOptions opt;
+  opt.log_level = "warn";
+  opt.metrics_path = TempPath("obs_metrics_dir");
+  std::filesystem::create_directories(opt.metrics_path);
+  AutoMlEmOptions options;
+  options.max_evaluations = 2;
+  options.seed = 3;
+  testing::internal::CaptureStderr();
+  {
+    obs::ObsSession session(opt);
+    MustRunSearch(MakeEmLikeData(120, 41), MakeEmLikeData(60, 42), options);
+  }
+  std::string err = testing::internal::GetCapturedStderr();
+  size_t failed_writes = 0;
+  for (size_t at = err.find("flusher: write to"); at != std::string::npos;
+       at = err.find("flusher: write to", at + 1)) {
+    ++failed_writes;
+  }
+  EXPECT_EQ(failed_writes, 1u) << err;
+  std::filesystem::remove(opt.metrics_path);
 }
 
 TEST(ObsDeterminismTest, EvalRecordsCarryTrialAndElapsed) {

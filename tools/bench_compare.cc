@@ -10,6 +10,9 @@
 // which is how the CI perf-gate runs each gated bench 5x and still gets a
 // stable verdict out of a noisy runner.
 //
+// --noise and --min-seconds must be finite and >= 0; a bad value exits 2
+// naming the flag.
+//
 // Verdicts per case: ok | improved | regressed | skipped (under
 // --min-seconds) | missing_in_current | new. With --check the process exits
 // 1 when any case regressed beyond the +/-noise band or a timed baseline
@@ -23,9 +26,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "io/atomic_file.h"
 #include "tools/bench_compare_lib.h"
 
@@ -41,6 +46,19 @@ int Usage() {
       "       bench_compare --merge-out=F RUN1.json [RUN2.json ...]\n"
       "BASELINE/CURRENT: a --json-out artifact or a directory of them.\n");
   return 2;
+}
+
+/// Reads `flag`'s value as one finite number >= 0 into *out, or prints an
+/// error naming the flag and returns false.
+bool NonNegative(const char* flag, const std::string& value, double* out) {
+  auto number = ParseNumber(value, 0.0, std::numeric_limits<double>::max());
+  if (!number.ok()) {
+    std::fprintf(stderr, "bench_compare: %s: %s\n", flag,
+                 number.status().message().c_str());
+    return false;
+  }
+  *out = *number;
+  return true;
 }
 
 /// A path argument expands to itself, or — for a directory — to every
@@ -79,9 +97,11 @@ int Main(int argc, char** argv) {
     if (arg == "--check") {
       check = true;
     } else if (arg.rfind("--noise=", 0) == 0) {
-      options.noise = std::atof(arg.c_str() + 8);
+      if (!NonNegative("--noise", arg.substr(8), &options.noise)) return 2;
     } else if (arg.rfind("--min-seconds=", 0) == 0) {
-      options.min_seconds = std::atof(arg.c_str() + 14);
+      if (!NonNegative("--min-seconds", arg.substr(14), &options.min_seconds)) {
+        return 2;
+      }
     } else if (arg.rfind("--json-out=", 0) == 0) {
       json_out = arg.substr(11);
     } else if (arg.rfind("--merge-out=", 0) == 0) {
