@@ -13,6 +13,13 @@
 //                          definition of the split search
 //                          (reference::FitClassifierTree), the in-binary
 //                          denominator of the speedup
+//   BM_ForestPredict/v     the BM_ForestFit/0 forest scores the pool it was
+//                          fit on through the flattened walk (v: 0
+//                          PredictProba, 1 PredictProbaAndConfidence, the
+//                          labeling loop's committee vote)
+//   BM_ForestPredictReference
+//                          the same sums through each tree's scalar
+//                          PredictRowProba, the in-binary denominator
 // Counters: rows and cols of the matrix, and nodes of the fitted tree.
 #include <benchmark/benchmark.h>
 
@@ -24,6 +31,7 @@
 #include "common/parallelism.h"
 #include "datagen/benchmark_gen.h"
 #include "features/feature_gen.h"
+#include "io/serialize.h"
 #include "ml/models/decision_tree.h"
 #include "ml/models/random_forest.h"
 #include "preprocess/balancing.h"
@@ -125,6 +133,77 @@ void BM_TreeFitReference(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 BENCHMARK(BM_TreeFitReference)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The BM_ForestFit/0 forest, fitted once, and its trees as standalone
+// classifiers for the scalar reference walk.
+struct FittedForest {
+  RandomForestClassifier forest;
+  std::vector<DecisionTreeClassifier> trees;
+};
+
+const FittedForest& SharedForest() {
+  static FittedForest* f = [] {
+    const Workload& w = SharedWorkload();
+    RandomForestOptions opt;
+    opt.n_estimators = 80;
+    opt.parallelism = Parallelism::Serial();
+    auto* out = new FittedForest{RandomForestClassifier(opt), {}};
+    io::Writer writer;
+    if (!out->forest.Fit(w.pool.X, w.pool.y).ok() ||
+        !out->forest.SaveFitted(&writer).ok()) {
+      std::fprintf(stderr, "forest fit failed\n");
+      std::exit(1);
+    }
+    io::Reader reader(writer.data());
+    uint64_t count = 0;
+    bool ok = reader.U64(&count).ok();
+    out->trees.resize(static_cast<size_t>(count));
+    for (auto& tree : out->trees) ok = ok && tree.LoadFitted(&reader).ok();
+    if (!ok) {
+      std::fprintf(stderr, "forest reload failed\n");
+      std::exit(1);
+    }
+    return out;
+  }();
+  return *f;
+}
+
+void BM_ForestPredict(benchmark::State& state) {
+  const Workload& w = SharedWorkload();
+  const RandomForestClassifier& rf = SharedForest().forest;
+  for (auto _ : state) {
+    if (state.range(0) != 0) {
+      auto scored = rf.PredictProbaAndConfidence(w.pool.X);
+      benchmark::DoNotOptimize(scored.proba.data());
+      benchmark::DoNotOptimize(scored.confidence.data());
+    } else {
+      std::vector<double> proba = rf.PredictProba(w.pool.X);
+      benchmark::DoNotOptimize(proba.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  SetShapeCounters(state, w.pool.X);
+}
+BENCHMARK(BM_ForestPredict)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_ForestPredictReference(benchmark::State& state) {
+  const Workload& w = SharedWorkload();
+  const std::vector<DecisionTreeClassifier>& trees = SharedForest().trees;
+  std::vector<double> proba(w.pool.X.rows());
+  for (auto _ : state) {
+    for (size_t r = 0; r < proba.size(); ++r) {
+      double sum = 0.0;
+      for (const auto& tree : trees) {
+        sum += tree.PredictRowProba(w.pool.X.RowPtr(r));
+      }
+      proba[r] = sum / static_cast<double>(trees.size());
+    }
+    benchmark::DoNotOptimize(proba.data());
+    benchmark::ClobberMemory();
+  }
+  SetShapeCounters(state, w.pool.X);
+}
+BENCHMARK(BM_ForestPredictReference)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace autoem

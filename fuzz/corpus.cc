@@ -399,6 +399,23 @@ Status SetSectionLength(std::string* bytes, size_t idx, uint64_t value) {
   return Status::OK();
 }
 
+Status SetSectionPayload(std::string* bytes, size_t idx,
+                         const std::string& payload) {
+  auto sections = ListModelSections(*bytes);
+  AUTOEM_RETURN_IF_ERROR(sections.status());
+  if (idx >= sections->size()) {
+    return Status::InvalidArgument("section index out of range");
+  }
+  const SectionRef& s = (*sections)[idx];
+  if (s.size > bytes->size() - s.payload_pos) {
+    return Status::InvalidArgument("section payload cut off");
+  }
+  bytes->replace(s.payload_pos, static_cast<size_t>(s.size), payload);
+  OverwriteLe(bytes, s.size_pos, payload.size(), 8);
+  OverwriteLe(bytes, s.crc_pos, io::Crc32(payload), 4);
+  return Status::OK();
+}
+
 std::vector<Seed> JsonSeeds() {
   std::vector<Seed> seeds;
   seeds.push_back(

@@ -131,6 +131,12 @@ Status SwapSectionIds(std::string* bytes, size_t a, size_t b);
 /// (e.g. UINT64_MAX or remaining+1 for overflow probing).
 Status SetSectionLength(std::string* bytes, size_t idx, uint64_t value);
 
+/// Replaces section `idx`'s payload with `payload` and rewrites its size
+/// and CRC to match, so the container stays valid and only the section's
+/// consumer sees the change.
+Status SetSectionPayload(std::string* bytes, size_t idx,
+                         const std::string& payload);
+
 /// Writes every seed list into `dir`/<harness>/<name>. Creates
 /// directories as needed. `with_model` additionally trains a tiny matcher
 /// (deterministic seed) and writes the serialized container into

@@ -1,7 +1,9 @@
 // Differential fuzzing of the CART split search (src/ml/models/
 // decision_tree.h): the input decodes to a matrix, labels, weights and tree
 // options, and DecisionTreeClassifier::Fit must return the same status and
-// the same node array, bit for bit, as reference::FitClassifierTree.
+// the same node array, bit for bit, as reference::FitClassifierTree. The
+// fitted tree, flattened into a FlatForest (src/ml/models/flat_forest.h),
+// must then score every decoded row as the tree's scalar walk does.
 #include "fuzz/fuzzer_util.h"
 
 #include <bit>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "ml/models/decision_tree.h"
+#include "ml/models/flat_forest.h"
 
 namespace {
 
@@ -123,6 +126,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     AUTOEM_FUZZ_ASSERT(Bits(a.threshold) == Bits(b.threshold));
     AUTOEM_FUZZ_ASSERT(a.left == b.left && a.right == b.right);
     AUTOEM_FUZZ_ASSERT(Bits(a.prob_positive) == Bits(b.prob_positive));
+  }
+
+  FlatForest flat;
+  flat.AppendTree(fast, [](const DecisionTreeClassifier::Node& n) {
+    return n.prob_positive;
+  });
+  std::vector<double> sums(rows);
+  std::vector<uint32_t> votes(rows);
+  flat.AccumulateRows(X, 0, rows, sums.data(), votes.data());
+  for (size_t r = 0; r < rows; ++r) {
+    const double p = tree.PredictRowProba(X.RowPtr(r));
+    double per_tree = 0.0;
+    flat.PredictRowPerTree(X.RowPtr(r), &per_tree);
+    AUTOEM_FUZZ_ASSERT(Bits(sums[r]) == Bits(p));
+    AUTOEM_FUZZ_ASSERT(Bits(per_tree) == Bits(p));
+    AUTOEM_FUZZ_ASSERT(votes[r] == (p >= 0.5 ? 1u : 0u));
   }
   return 0;
 }

@@ -164,6 +164,24 @@ Result<EmPipeline> EmPipeline::LoadFitted(io::Reader* r) {
   return pipeline;
 }
 
+Status EmPipeline::CheckWidths(size_t input_width) const {
+  size_t width = input_width;
+  for (const Transform* stage :
+       {imputer_.get(), scaler_.get(), preprocessor_.get()}) {
+    if (stage == nullptr) continue;
+    auto out = stage->OutputWidth(width);
+    if (!out.ok()) return out.status();
+    width = *out;
+  }
+  if (width != active_feature_names_.size()) {
+    return Status::InvalidArgument(
+        "pipeline: transforms write " + std::to_string(width) +
+        " columns, the model names " +
+        std::to_string(active_feature_names_.size()) + " features");
+  }
+  return classifier_->CheckInputWidth(width);
+}
+
 Result<EmPipeline> EmPipeline::Compile(const Configuration& config) {
   EmPipeline pipeline;
   pipeline.config_ = config;

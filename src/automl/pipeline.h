@@ -73,6 +73,13 @@ class EmPipeline {
   Status SaveFitted(io::Writer* w) const;
   static Result<EmPipeline> LoadFitted(io::Reader* r);
 
+  /// Checks that a fitted (or loaded) pipeline's stages fit together for
+  /// inputs `input_width` columns wide: each transform reads what the stage
+  /// before it writes, the last width equals active_feature_names().size(),
+  /// and the classifier reads no column past it. InvalidArgument naming the
+  /// stage otherwise.
+  Status CheckWidths(size_t input_width) const;
+
  private:
   Matrix RunTransforms(const Matrix& X) const;
 

@@ -143,6 +143,7 @@ Result<EntityMatcher> DeserializeModel(const std::string& bytes) {
   Reader pipe_reader(*payload);
   auto pipeline = EmPipeline::LoadFitted(&pipe_reader);
   if (!pipeline.ok()) return pipeline.status();
+  AUTOEM_RETURN_IF_ERROR(pipeline->CheckWidths((*generator)->num_features()));
 
   AutoMlEmResult automl;
   automl.model = std::move(*pipeline);

@@ -86,6 +86,14 @@ class Classifier {
     (void)r;
     return Status::Unimplemented(name() + ": model persistence not supported");
   }
+
+  /// Checks a fitted (or loaded) model against inputs `width` columns wide:
+  /// InvalidArgument naming the model when its state reads a column at or
+  /// past `width`. Model loading calls it before any prediction.
+  virtual Status CheckInputWidth(size_t width) const {
+    (void)width;
+    return Status::Unimplemented(name() + ": model persistence not supported");
+  }
 };
 
 /// Optional per-row weights must cover every row and be finite: a NaN or

@@ -795,6 +795,9 @@ Status DecisionTreeClassifier::LoadFitted(io::Reader* r) {
   uint64_t count;
   // 28 bytes per encoded node: 2 doubles + 3 i32.
   AUTOEM_RETURN_IF_ERROR(r->Len(&count, 28));
+  if (count == 0) {
+    return Status::InvalidArgument("decision_tree: tree has no nodes");
+  }
   nodes_.assign(static_cast<size_t>(count), Node{});
   for (Node& n : nodes_) {
     AUTOEM_RETURN_IF_ERROR(r->I32(&n.feature));
@@ -811,6 +814,11 @@ Status DecisionTreeClassifier::LoadFitted(io::Reader* r) {
     const int64_t limit = static_cast<int64_t>(count);
     if (n.feature < -1) {
       return Status::InvalidArgument("decision_tree: bad feature index");
+    }
+    // Every walk sends a NaN cell left, but a NaN threshold would send the
+    // scalar walk right and the flattened one left.
+    if (n.feature >= 0 && std::isnan(n.threshold)) {
+      return Status::InvalidArgument("decision_tree: NaN split threshold");
     }
     if (n.feature >= 0 &&
         (n.left <= self || n.left >= limit || n.right <= self ||
@@ -829,6 +837,17 @@ Status DecisionTreeClassifier::LoadFitted(io::Reader* r) {
     }
     referenced[n.left] = true;
     referenced[n.right] = true;
+  }
+  return Status::OK();
+}
+
+Status DecisionTreeClassifier::CheckInputWidth(size_t width) const {
+  for (const Node& n : nodes_) {
+    if (n.feature >= 0 && static_cast<size_t>(n.feature) >= width) {
+      return Status::InvalidArgument(
+          name() + ": splits on feature " + std::to_string(n.feature) +
+          ", input has " + std::to_string(width) + " columns");
+    }
   }
   return Status::OK();
 }

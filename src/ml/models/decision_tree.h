@@ -103,6 +103,7 @@ class DecisionTreeClassifier : public Classifier {
   std::string name() const override { return "decision_tree"; }
   Status SaveFitted(io::Writer* w) const override;
   Status LoadFitted(io::Reader* r) override;
+  Status CheckInputWidth(size_t width) const override;
 
   /// P(y=1) for a single feature row.
   double PredictRowProba(const double* row) const;

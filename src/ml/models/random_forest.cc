@@ -203,8 +203,8 @@ void RandomForestClassifier::Score(const Matrix& X, double* proba,
       obs::MetricsRegistry::Global().GetHistogram("ml.rf_predict_ms");
   Stopwatch timer;
   // Batched pair-major traversal over the flattened node array: each worker
-  // takes a contiguous row chunk and walks a block of rows through all
-  // trees in lockstep with prefetched node fetches. Every row still
+  // takes a contiguous row chunk and walks a block of rows through each
+  // tree in lockstep (flat_forest.h). Every row still
   // accumulates its trees in forest order, so the floating-point sum — and
   // therefore the output — is bit-identical to the scalar per-row walk at
   // any thread count and chunking. Votes are integer counts, exact in any
@@ -243,6 +243,9 @@ Status RandomForestClassifier::LoadFitted(io::Reader* r) {
   uint64_t count;
   // Every encoded tree carries at least its 8-byte node count.
   AUTOEM_RETURN_IF_ERROR(r->Len(&count, 8));
+  if (count == 0) {
+    return Status::InvalidArgument(name() + ": forest has no trees");
+  }
   // Prediction only walks the stored nodes, so loaded trees are built with
   // default TreeOptions; the forest-level options_ came from Compile.
   trees_.assign(static_cast<size_t>(count), DecisionTreeClassifier());
@@ -251,6 +254,14 @@ Status RandomForestClassifier::LoadFitted(io::Reader* r) {
     AUTOEM_RETURN_IF_ERROR(tree.LoadFitted(r));
   }
   RebuildFlat();
+  return Status::OK();
+}
+
+Status RandomForestClassifier::CheckInputWidth(size_t width) const {
+  for (const auto& tree : trees_) {
+    Status st = tree.CheckInputWidth(width);
+    if (!st.ok()) return Status::InvalidArgument(name() + ": " + st.message());
+  }
   return Status::OK();
 }
 

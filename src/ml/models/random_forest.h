@@ -49,6 +49,7 @@ class RandomForestClassifier : public Classifier {
   std::unique_ptr<Classifier> CloneConfig() const override;
   Status SaveFitted(io::Writer* w) const override;
   Status LoadFitted(io::Reader* r) override;
+  Status CheckInputWidth(size_t width) const override;
   void SetParallelism(const Parallelism& parallelism) override {
     options_.parallelism = parallelism;
   }

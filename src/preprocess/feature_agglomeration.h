@@ -21,6 +21,11 @@ class FeatureAgglomeration : public Transform {
   std::vector<std::string> OutputNames(
       const std::vector<std::string>& input_names) const override;
   std::string name() const override { return "feature_agglomeration"; }
+  Result<size_t> OutputWidth(size_t input_width) const override {
+    auto width = SameWidth(name(), cluster_of_.size(), input_width);
+    if (!width.ok()) return width;
+    return num_clusters_;
+  }
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 

@@ -21,6 +21,21 @@ Result<std::vector<double>> ComputeScores(const std::string& score_func,
   return Status::InvalidArgument("unknown score function: " + score_func);
 }
 
+// OutputWidth of a column selection: every kept index must lie inside the
+// input.
+Result<size_t> SelectedWidth(const std::string& component,
+                             const std::vector<size_t>& selected,
+                             size_t input_width) {
+  for (size_t c : selected) {
+    if (c >= input_width) {
+      return Status::InvalidArgument(
+          component + ": selects column " + std::to_string(c) +
+          ", input has " + std::to_string(input_width));
+    }
+  }
+  return selected.size();
+}
+
 std::vector<std::string> SelectNames(const std::vector<std::string>& names,
                                      const std::vector<size_t>& selected) {
   std::vector<std::string> out;
@@ -163,6 +178,18 @@ std::vector<std::string> VarianceThreshold::OutputNames(
   return SelectNames(input_names, selected_);
 }
 
+
+Result<size_t> SelectPercentile::OutputWidth(size_t input_width) const {
+  return SelectedWidth(name(), selected_, input_width);
+}
+
+Result<size_t> SelectRates::OutputWidth(size_t input_width) const {
+  return SelectedWidth(name(), selected_, input_width);
+}
+
+Result<size_t> VarianceThreshold::OutputWidth(size_t input_width) const {
+  return SelectedWidth(name(), selected_, input_width);
+}
 
 Status SelectPercentile::SaveState(io::Writer* w) const {
   w->VecIdx(selected_);

@@ -21,6 +21,7 @@ class SelectPercentile : public Transform {
   std::vector<std::string> OutputNames(
       const std::vector<std::string>& input_names) const override;
   std::string name() const override { return "select_percentile"; }
+  Result<size_t> OutputWidth(size_t input_width) const override;
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 
@@ -46,6 +47,7 @@ class SelectRates : public Transform {
   std::vector<std::string> OutputNames(
       const std::vector<std::string>& input_names) const override;
   std::string name() const override { return "select_rates"; }
+  Result<size_t> OutputWidth(size_t input_width) const override;
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 
@@ -68,6 +70,7 @@ class VarianceThreshold : public Transform {
   std::vector<std::string> OutputNames(
       const std::vector<std::string>& input_names) const override;
   std::string name() const override { return "variance_threshold"; }
+  Result<size_t> OutputWidth(size_t input_width) const override;
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 

@@ -21,6 +21,9 @@ class SimpleImputer : public Transform {
   Status Fit(const Matrix& X, const std::vector<int>& y) override;
   Matrix Apply(const Matrix& X) const override;
   std::string name() const override { return "imputer_" + strategy_; }
+  Result<size_t> OutputWidth(size_t input_width) const override {
+    return SameWidth(name(), fill_.size(), input_width);
+  }
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 

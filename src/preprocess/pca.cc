@@ -172,6 +172,20 @@ std::vector<std::string> Pca::OutputNames(
 }
 
 
+Result<size_t> Pca::OutputWidth(size_t input_width) const {
+  auto width = SameWidth(name(), mean_.size(), input_width);
+  if (!width.ok()) return width;
+  for (const auto& axis : components_) {
+    if (axis.size() != input_width) {
+      return Status::InvalidArgument(name() + ": a component has " +
+                                     std::to_string(axis.size()) +
+                                     " entries, input has " +
+                                     std::to_string(input_width) + " columns");
+    }
+  }
+  return components_.size();
+}
+
 Status Pca::SaveState(io::Writer* w) const {
   w->VecF64(mean_);
   w->U64(components_.size());

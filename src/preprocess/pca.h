@@ -22,6 +22,7 @@ class Pca : public Transform {
   std::vector<std::string> OutputNames(
       const std::vector<std::string>& input_names) const override;
   std::string name() const override { return "pca"; }
+  Result<size_t> OutputWidth(size_t input_width) const override;
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 

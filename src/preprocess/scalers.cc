@@ -10,6 +10,18 @@ namespace autoem {
 
 namespace {
 
+// OutputWidth of an AffineApply transform: both statistics span the input.
+Result<size_t> AffineWidth(const std::string& component,
+                           const std::vector<double>& center,
+                           const std::vector<double>& inv_scale,
+                           size_t input_width) {
+  if (center.size() != inv_scale.size()) {
+    return Status::InvalidArgument(component +
+                                   ": center and scale lengths differ");
+  }
+  return SameWidth(component, center.size(), input_width);
+}
+
 // Applies out = (v - center) * inv_scale element-wise, skipping NaN.
 Matrix AffineApply(const Matrix& X, const std::vector<double>& center,
                    const std::vector<double>& inv_scale) {
@@ -99,6 +111,18 @@ Matrix RobustScaler::Apply(const Matrix& X) const {
   return AffineApply(X, center_, inv_scale_);
 }
 
+
+Result<size_t> StandardScaler::OutputWidth(size_t input_width) const {
+  return AffineWidth(name(), mean_, inv_std_, input_width);
+}
+
+Result<size_t> MinMaxScaler::OutputWidth(size_t input_width) const {
+  return AffineWidth(name(), min_, inv_range_, input_width);
+}
+
+Result<size_t> RobustScaler::OutputWidth(size_t input_width) const {
+  return AffineWidth(name(), center_, inv_scale_, input_width);
+}
 
 Status StandardScaler::SaveState(io::Writer* w) const {
   w->VecF64(mean_);

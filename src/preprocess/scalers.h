@@ -14,6 +14,7 @@ class StandardScaler : public Transform {
   Status Fit(const Matrix& X, const std::vector<int>& y) override;
   Matrix Apply(const Matrix& X) const override;
   std::string name() const override { return "standard_scaler"; }
+  Result<size_t> OutputWidth(size_t input_width) const override;
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 
@@ -29,6 +30,7 @@ class MinMaxScaler : public Transform {
   Status Fit(const Matrix& X, const std::vector<int>& y) override;
   Matrix Apply(const Matrix& X) const override;
   std::string name() const override { return "minmax_scaler"; }
+  Result<size_t> OutputWidth(size_t input_width) const override;
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 
@@ -47,6 +49,7 @@ class RobustScaler : public Transform {
   Status Fit(const Matrix& X, const std::vector<int>& y) override;
   Matrix Apply(const Matrix& X) const override;
   std::string name() const override { return "robust_scaler"; }
+  Result<size_t> OutputWidth(size_t input_width) const override;
   Status SaveState(io::Writer* w) const override;
   Status LoadState(io::Reader* r) override;
 

@@ -40,6 +40,13 @@ class Transform {
   /// Stable component name, e.g. "robust_scaler".
   virtual std::string name() const = 0;
 
+  /// The column count Apply returns for an input `input_width` columns
+  /// wide, or InvalidArgument naming the component when the fitted state
+  /// cannot read such an input: it was fitted on another width, or it
+  /// selects a column past it. Model loading chains these from the feature
+  /// generator's width, so a crafted file is rejected before Apply runs.
+  virtual Result<size_t> OutputWidth(size_t input_width) const = 0;
+
   /// Model persistence (src/io): writes the *fitted* statistics — never the
   /// hyperparameters, which the pipeline Compile step reconstructs from the
   /// saved Configuration. A loaded transform must Apply bit-identically to
@@ -53,6 +60,18 @@ class Transform {
     return Status::Unimplemented(name() + ": persistence not supported");
   }
 };
+
+/// OutputWidth of a width-preserving transform whose fitted state holds
+/// `fitted` per-column statistics.
+inline Result<size_t> SameWidth(const std::string& component, size_t fitted,
+                                size_t input_width) {
+  if (fitted != input_width) {
+    return Status::InvalidArgument(
+        component + ": fitted on " + std::to_string(fitted) +
+        " columns, input has " + std::to_string(input_width));
+  }
+  return input_width;
+}
 
 }  // namespace autoem
 

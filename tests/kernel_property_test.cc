@@ -535,6 +535,8 @@ TEST(KernelPropertyTokenizers, ArenaWhitespaceMatchesAllocating) {
 
 // ---- flattened forest vs per-tree scalar walks ------------------------------
 
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
 Matrix RandomMatrix(Rng* rng, size_t rows, size_t cols, double nan_frac) {
   Matrix X(rows, cols);
   for (size_t r = 0; r < rows; ++r) {
@@ -736,11 +738,300 @@ TEST(FlatForestDifferential, ForestPredictionsThreadCountInvariant) {
   }
 }
 
+// Hand-built forests stress what fitted ones rarely show: a 300-split chain
+// whose rows stop at every depth, next to single-leaf trees that take no
+// step, cells equal to thresholds, and the values the comparison must route
+// like the scalar walk (NaN, both zeros, both infinities, denormals).
+
+using ClassifierNode = DecisionTreeClassifier::Node;
+
+ClassifierNode LeafNode(double prob) {
+  ClassifierNode n;
+  n.prob_positive = prob;
+  return n;
+}
+
+// `depth` splits in a chain: split i tests column i % cols against
+// threshold i, its left child is a leaf and its right child the next split;
+// the last split's right child is the deepest leaf. A row stops at the
+// first split whose cell is <= its threshold (NaN included), so constant
+// rows of value k stop at depth k + 1 and +inf rows reach the bottom.
+// Every leaf's payload differs from its neighbours' and from the splits'
+// (0), so a row that stops one node early or late changes its sum.
+std::vector<ClassifierNode> ChainTree(size_t depth, size_t cols) {
+  std::vector<ClassifierNode> nodes;
+  for (size_t i = 0; i < depth; ++i) {
+    ClassifierNode split;
+    split.feature = static_cast<int>(i % cols);
+    split.threshold = static_cast<double>(i);
+    split.left = static_cast<int>(nodes.size()) + 1;
+    split.right = static_cast<int>(nodes.size()) + 2;
+    nodes.push_back(split);
+    nodes.push_back(LeafNode(static_cast<double>((i * 37) % 101 + 1) / 128.0));
+  }
+  nodes.push_back(LeafNode(0.875));
+  return nodes;
+}
+
+// One split on column `feature` at `threshold`.
+std::vector<ClassifierNode> StumpTree(int feature, double threshold) {
+  ClassifierNode root;
+  root.feature = feature;
+  root.threshold = threshold;
+  root.left = 1;
+  root.right = 2;
+  return {root, LeafNode(0.125), LeafNode(0.625)};
+}
+
+// `trees` in RandomForestClassifier::SaveFitted's encoding.
+std::string ForestBytes(
+    const std::vector<std::vector<ClassifierNode>>& trees) {
+  io::Writer w;
+  w.U64(trees.size());
+  for (const auto& tree : trees) {
+    w.U64(tree.size());
+    for (const ClassifierNode& n : tree) {
+      w.I32(n.feature);
+      w.F64(n.threshold);
+      w.I32(n.left);
+      w.I32(n.right);
+      w.F64(n.prob_positive);
+    }
+  }
+  return w.data();
+}
+
+// The trees of ForestBytes output, loaded one by one: the scalar oracle.
+std::vector<DecisionTreeClassifier> LoadTrees(const std::string& bytes) {
+  io::Reader r(bytes);
+  uint64_t count = 0;
+  EXPECT_TRUE(r.U64(&count).ok());
+  std::vector<DecisionTreeClassifier> trees(static_cast<size_t>(count));
+  for (auto& tree : trees) EXPECT_TRUE(tree.LoadFitted(&r).ok());
+  return trees;
+}
+
+FlatForest Flatten(const std::vector<DecisionTreeClassifier>& trees) {
+  FlatForest flat;
+  for (const auto& tree : trees) {
+    flat.AppendTree(tree.nodes(), [](const ClassifierNode& n) {
+      return n.prob_positive;
+    });
+  }
+  return flat;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+
+// Cells the walks must route alike: every chain threshold's neighbourhood,
+// both zeros, both infinities, denormals and NaN.
+const double kHostileCells[] = {
+    std::numeric_limits<double>::quiet_NaN(),
+    -0.0, 0.0, -kInf, kInf, kDenorm, -kDenorm, 1.0, 2.0, 3.0, 5.5, 150.0,
+    298.0, 299.0, 300.0, 1e300};
+
+// Rows of three kinds: constant rows (each of a depth list, so the chain's
+// rows stop at depths 1..301 in one block), rows of hostile cells, and rows
+// whose cells are chain thresholds.
+Matrix HostileRows(Rng* rng, size_t rows, size_t cols) {
+  const double constants[] = {kInf, 299.0, 300.0, 150.0, 0.0, -0.0,
+                              kDenorm, 7.0, 64.0, 255.0, 1e300, -kInf};
+  Matrix X(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      switch (r % 3) {
+        case 0:
+          X.At(r, c) = constants[(r / 3) % std::size(constants)];
+          break;
+        case 1:
+          X.At(r, c) =
+              kHostileCells[rng->UniformIndex(std::size(kHostileCells))];
+          break;
+        default:
+          X.At(r, c) = static_cast<double>(rng->UniformIndex(302));
+          break;
+      }
+    }
+  }
+  return X;
+}
+
+TEST(FlatForestDifferential, HandBuiltForestMatchesScalarWalkBitForBit) {
+  const size_t kCols = 4;
+  const std::vector<std::vector<ClassifierNode>> forest = {
+      {LeafNode(0.6)},
+      ChainTree(300, kCols),
+      {LeafNode(0.25)},
+      StumpTree(static_cast<int>(kCols) - 1, 0.0),  // the last column, at 0
+      ChainTree(301, kCols),
+      {LeafNode(0.5)},
+  };
+  const std::vector<DecisionTreeClassifier> trees =
+      LoadTrees(ForestBytes(forest));
+  ASSERT_EQ(trees.size(), forest.size());
+  ASSERT_EQ(trees[1].Depth(), 300u);
+  const FlatForest flat = Flatten(trees);
+
+  Rng rng(97);
+  Matrix eval = HostileRows(&rng, 120, kCols);
+  std::vector<double> want(eval.rows(), 0.0);
+  std::vector<uint32_t> want_votes(eval.rows(), 0);
+  for (size_t r = 0; r < eval.rows(); ++r) {
+    for (const auto& tree : trees) {
+      const double p = tree.PredictRowProba(eval.RowPtr(r));
+      want[r] += p;
+      want_votes[r] += p >= 0.5;
+    }
+  }
+
+  // Block tails and offsets: ranges of 1, 15, 16, 17 and 33 rows.
+  for (size_t n : {1, 15, 16, 17, 33}) {
+    for (size_t begin : {size_t{0}, size_t{5}, eval.rows() - n}) {
+      std::vector<double> sums(n, -1.0);
+      std::vector<double> vote_sums(n, -1.0);
+      std::vector<uint32_t> votes(n, 99);
+      flat.AccumulateRows(eval, begin, begin + n, sums.data());
+      flat.AccumulateRows(eval, begin, begin + n, vote_sums.data(),
+                          votes.data());
+      for (size_t i = 0; i < n; ++i) {
+        const size_t r = begin + i;
+        EXPECT_EQ(Bits(sums[i]), Bits(want[r]))
+            << n << " rows from " << begin << ", row " << r;
+        EXPECT_EQ(Bits(vote_sums[i]), Bits(want[r])) << "row " << r;
+        EXPECT_EQ(votes[i], want_votes[r]) << "row " << r;
+      }
+    }
+  }
+
+  // The single-row walk the surrogate uses, tree by tree.
+  std::vector<double> per_tree(trees.size(), -1.0);
+  for (size_t r = 0; r < eval.rows(); ++r) {
+    flat.PredictRowPerTree(eval.RowPtr(r), per_tree.data());
+    for (size_t t = 0; t < trees.size(); ++t) {
+      EXPECT_EQ(Bits(per_tree[t]),
+                Bits(trees[t].PredictRowProba(eval.RowPtr(r))))
+          << "row " << r << " tree " << t;
+    }
+  }
+}
+
+// The same forest loaded from saved bytes: PredictProba and the committee
+// walk against the per-tree walk, at 1, 2 and 8 threads.
+TEST(FlatForestDifferential, LoadedForestMatchesScalarWalkBitForBit) {
+  const size_t kCols = 3;
+  const std::vector<std::vector<ClassifierNode>> forest = {
+      ChainTree(320, kCols), {LeafNode(0.75)}, StumpTree(2, 150.0),
+      {LeafNode(0.0)}, ChainTree(17, kCols)};
+  const std::string bytes = ForestBytes(forest);
+  const std::vector<DecisionTreeClassifier> trees = LoadTrees(bytes);
+  ASSERT_EQ(trees.size(), forest.size());
+
+  Rng rng(101);
+  Matrix eval = HostileRows(&rng, 300, kCols);
+  for (int threads : {1, 2, 8}) {
+    RandomForestOptions opt;
+    opt.parallelism = Parallelism::Threads(threads);
+    RandomForestClassifier rf(opt);
+    io::Reader r(bytes);
+    ASSERT_TRUE(rf.LoadFitted(&r).ok());
+    ASSERT_EQ(rf.NumTrees(), forest.size());
+    const std::vector<double> proba = rf.PredictProba(eval);
+    const auto committee = rf.PredictProbaAndConfidence(eval);
+    for (size_t row = 0; row < eval.rows(); ++row) {
+      double sum = 0.0;
+      double pos = 0.0;
+      for (const auto& tree : trees) {
+        const double p = tree.PredictRowProba(eval.RowPtr(row));
+        sum += p;
+        pos += p >= 0.5 ? 1.0 : 0.0;
+      }
+      const double n = static_cast<double>(trees.size());
+      const double frac = pos / n;
+      EXPECT_EQ(Bits(proba[row]), Bits(sum / n)) << "row " << row;
+      EXPECT_EQ(Bits(committee.proba[row]), Bits(sum / n)) << "row " << row;
+      EXPECT_EQ(Bits(committee.confidence[row]),
+                Bits(std::max(frac, 1.0 - frac)))
+          << "row " << row;
+    }
+  }
+}
+
+// PredictRowPerTree over fitted regression trees (the SMAC surrogate's
+// walk), on training cells drawn from the hostile values and on rows whose
+// cells equal the fitted thresholds.
+TEST(FlatForestDifferential, RegressionPerTreeWalkOnHostileCells) {
+  Rng rng(103);
+  const size_t kRows = 90, kCols = 3;
+  Matrix X(kRows, kCols);
+  std::vector<double> y(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t c = 0; c < kCols; ++c) {
+      X.At(r, c) = kHostileCells[rng.UniformIndex(std::size(kHostileCells))];
+    }
+    y[r] = static_cast<double>(rng.UniformIndex(1000)) / 10.0;
+  }
+  std::vector<RegressionTree> trees;
+  FlatForest flat;
+  for (int t = 0; t < 6; ++t) {
+    TreeOptions opt;
+    opt.seed = 300 + t;
+    opt.max_features = 0.7;
+    trees.emplace_back(opt);
+    ASSERT_TRUE(trees.back().Fit(X, y).ok());
+    flat.AppendTree(trees.back().nodes(),
+                    [](const RegressionTree::Node& n) { return n.value; });
+  }
+  // Rows whose cells sit exactly on the fitted thresholds, besides X.
+  std::vector<double> thresholds;
+  for (const auto& tree : trees) {
+    for (const auto& n : tree.nodes()) {
+      if (n.feature >= 0) thresholds.push_back(n.threshold);
+    }
+  }
+  ASSERT_FALSE(thresholds.empty());
+  Matrix on(thresholds.size(), kCols);
+  for (size_t r = 0; r < on.rows(); ++r) {
+    for (size_t c = 0; c < kCols; ++c) {
+      on.At(r, c) = thresholds[(r + c) % thresholds.size()];
+    }
+  }
+  std::vector<double> per_tree(trees.size(), -1.0);
+  for (const Matrix* eval : {&X, &on}) {
+    for (size_t r = 0; r < eval->rows(); ++r) {
+      flat.PredictRowPerTree(eval->RowPtr(r), per_tree.data());
+      for (size_t t = 0; t < trees.size(); ++t) {
+        EXPECT_EQ(Bits(per_tree[t]),
+                  Bits(trees[t].PredictRow(eval->RowPtr(r))))
+            << "row " << r << " tree " << t;
+      }
+    }
+  }
+}
+
+// The relayout keeps siblings side by side and makes every leaf absorb.
+TEST(FlatForestDifferential, NodesAreSixteenBytesWithAbsorbingLeaves) {
+  static_assert(sizeof(FlatForest::Node) == 16);
+  const FlatForest flat =
+      Flatten(LoadTrees(ForestBytes({ChainTree(5, 2), StumpTree(1, 0.0)})));
+  size_t leaves = 0;
+  for (size_t k = 0; k < flat.nodes().size(); ++k) {
+    const FlatForest::Node& n = flat.nodes()[k];
+    if (n.left == k) {
+      ++leaves;
+      EXPECT_EQ(n.threshold, kInf) << "node " << k;
+      EXPECT_EQ(n.feature, 0) << "node " << k;
+    } else {
+      EXPECT_GT(n.left, k) << "node " << k;
+      EXPECT_LT(n.left + 1, flat.nodes().size()) << "node " << k;
+    }
+  }
+  EXPECT_EQ(leaves, 6u + 2u);
+}
+
 // ---- rank-based tree builder vs the sorting reference ----------------------
 
 using TreeNode = DecisionTreeClassifier::Node;
-
-uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 // Byte for byte: feature, threshold bits, children, leaf probability bits.
 void ExpectSameNodes(const std::vector<TreeNode>& fast,

@@ -16,6 +16,7 @@
 
 #include "gtest/gtest.h"
 
+#include "automl/config_io.h"
 #include "automl/pipeline.h"
 #include "automl/search_space.h"
 #include "common/rng.h"
@@ -25,6 +26,7 @@
 #include "fuzz/corpus.h"
 #include "io/model_io.h"
 #include "io/serialize.h"
+#include "ml/models/decision_tree.h"
 #include "preprocess/feature_agglomeration.h"
 #include "preprocess/feature_selection.h"
 #include "preprocess/imputer.h"
@@ -222,6 +224,16 @@ void CheckTransformRoundTrip(Transform* fitted, Transform* fresh,
 
   ExpectBitIdentical(fitted->Apply(test), fresh->Apply(test),
                      fitted->name() + " round-trip");
+
+  // The loaded state reports the width Apply writes, and refuses an input
+  // it was not fitted on.
+  auto width = fresh->OutputWidth(train.cols());
+  ASSERT_TRUE(width.ok()) << width.status().ToString();
+  EXPECT_EQ(*width, fitted->Apply(test).cols()) << fresh->name();
+  auto narrow = fresh->OutputWidth(0);
+  ASSERT_FALSE(narrow.ok()) << fresh->name();
+  EXPECT_NE(narrow.status().message().find(fresh->name()), std::string::npos)
+      << narrow.status().ToString();
 
   // Truncated state must fail cleanly, not half-load.
   for (size_t cut : {size_t{0}, w.size() / 2, w.size() - 1}) {
@@ -635,6 +647,153 @@ TEST_F(ModelCorruptionTest, SyntheticEnvelopeSeedsParseStructurally) {
     (void)sections;
     (void)parsed;  // any Status is fine; this guards against crashes
   }
+}
+
+// ---- crafted pipelines: checked before they are walked ---------------------
+//
+// Each container below is the tiny matcher's, with its pipeline section
+// replaced by a hand-written one whose CRC is valid: the default
+// configuration (mean imputer, no scaler or preprocessor, random forest)
+// with chosen fill values, feature names and trees. Loading must reject
+// every inconsistent one with InvalidArgument naming the component, before
+// any prediction could abort or read past a fitted array.
+
+using CraftedTree = std::vector<DecisionTreeClassifier::Node>;
+
+DecisionTreeClassifier::Node Leaf(double prob) {
+  DecisionTreeClassifier::Node n;
+  n.prob_positive = prob;
+  return n;
+}
+
+// A root split on `feature` at `threshold` with two leaves.
+CraftedTree Stump(int feature, double threshold = 0.5) {
+  DecisionTreeClassifier::Node root;
+  root.feature = feature;
+  root.threshold = threshold;
+  root.left = 1;
+  root.right = 2;
+  return {root, Leaf(0.25), Leaf(0.75)};
+}
+
+struct CraftedPipeline {
+  size_t names = 0;          // feature names written
+  std::vector<double> fill;  // imputer fill values
+  std::vector<CraftedTree> trees;
+};
+
+class CraftedModelTest : public ModelCorruptionTest {
+ protected:
+  // The generator's width: a consistent pipeline reads and names this many
+  // columns.
+  static size_t Width() {
+    auto loaded = io::DeserializeModel(*bytes_);
+    AUTOEM_CHECK(loaded.ok());
+    return loaded->feature_generator().num_features();
+  }
+
+  static CraftedPipeline Consistent() {
+    CraftedPipeline p;
+    p.names = Width();
+    p.fill.assign(p.names, 0.0);
+    p.trees = {Stump(0), Stump(static_cast<int>(p.names) - 1)};
+    return p;
+  }
+
+  static Result<EntityMatcher> Load(const CraftedPipeline& p) {
+    io::Writer w;
+    WriteConfigurationBinary(
+        &w, DefaultEmConfiguration(ModelSpace::kRandomForestOnly));
+    w.U64(p.names);
+    for (size_t f = 0; f < p.names; ++f) w.Str("f" + std::to_string(f));
+    w.Str("imputer_mean");
+    w.VecF64(p.fill);
+    w.U8(0);  // no scaler
+    w.U8(0);  // no preprocessor
+    w.Str("random_forest");
+    w.U64(p.trees.size());
+    for (const CraftedTree& tree : p.trees) {
+      w.U64(tree.size());
+      for (const auto& n : tree) {
+        w.I32(n.feature);
+        w.F64(n.threshold);
+        w.I32(n.left);
+        w.I32(n.right);
+        w.F64(n.prob_positive);
+      }
+    }
+    std::string bytes = *bytes_;
+    auto sections = fuzz::ListModelSections(bytes);
+    AUTOEM_CHECK(sections.ok());
+    for (size_t i = 0; i < sections->size(); ++i) {
+      if ((*sections)[i].id ==
+          static_cast<uint32_t>(io::ModelSection::kPipeline)) {
+        AUTOEM_CHECK(fuzz::SetSectionPayload(&bytes, i, w.data()).ok());
+      }
+    }
+    return io::DeserializeModel(bytes);
+  }
+
+  static void ExpectRejected(const CraftedPipeline& p,
+                             const std::string& component) {
+    auto loaded = Load(p);
+    ASSERT_FALSE(loaded.ok()) << "accepted; expected a " << component
+                              << " error";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(component), std::string::npos)
+        << loaded.status().ToString();
+  }
+};
+
+TEST_F(CraftedModelTest, ConsistentPipelineLoadsAndScores) {
+  auto loaded = Load(Consistent());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Matrix X(3, Width(), std::numeric_limits<double>::quiet_NaN());
+  // NaN cells impute to 0 <= 0.5: both stumps answer their left leaf.
+  for (double p : loaded->automl_result().model.PredictProba(X)) {
+    EXPECT_EQ(p, 0.25);
+  }
+}
+
+TEST_F(CraftedModelTest, ForestWithNoTreesRejected) {
+  CraftedPipeline p = Consistent();
+  p.trees.clear();
+  ExpectRejected(p, "random_forest");
+}
+
+TEST_F(CraftedModelTest, TreeWithNoNodesRejected) {
+  CraftedPipeline p = Consistent();
+  p.trees.push_back({});
+  ExpectRejected(p, "decision_tree");
+}
+
+TEST_F(CraftedModelTest, SplitPastTheInputWidthRejected) {
+  CraftedPipeline p = Consistent();
+  p.trees.push_back(Stump(1000));
+  ExpectRejected(p, "random_forest: decision_tree: splits on feature 1000");
+  p.trees.back() = Stump(static_cast<int>(p.names));  // one past the end
+  ExpectRejected(p, "random_forest");
+}
+
+TEST_F(CraftedModelTest, NanSplitThresholdRejected) {
+  CraftedPipeline p = Consistent();
+  p.trees.push_back(Stump(0, std::numeric_limits<double>::quiet_NaN()));
+  ExpectRejected(p, "decision_tree");
+}
+
+TEST_F(CraftedModelTest, ImputerFittedOnAnotherWidthRejected) {
+  CraftedPipeline p = Consistent();
+  p.fill.assign(1, 0.0);
+  ExpectRejected(p, "imputer_mean");
+}
+
+TEST_F(CraftedModelTest, FeatureNamesOfAnotherWidthRejected) {
+  CraftedPipeline p = Consistent();
+  p.names += 1;
+  p.fill.assign(p.names, 0.0);  // the imputer's width is then wrong too
+  ExpectRejected(p, "imputer_mean");
+  p.fill.assign(Width(), 0.0);
+  ExpectRejected(p, "pipeline");
 }
 
 }  // namespace
