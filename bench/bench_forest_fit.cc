@@ -20,11 +20,18 @@
 //   BM_ForestPredictReference
 //                          the same sums through each tree's scalar
 //                          PredictRowProba, the in-binary denominator
+//   BM_FeatureRanks/d      the split ranks of the pool's first 1,225 rows,
+//                          the labeled set of a labeling session's last
+//                          refit (d: 0 sorted from the rows' values,
+//                          FeatureRanks(X); 1 derived from the pool's
+//                          ranks, built once, as the session derives them)
 // Counters: rows and cols of the matrix, and nodes of the fitted tree.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <utility>
 
 #include "bench/bench_gbench_report.h"
@@ -204,6 +211,26 @@ void BM_ForestPredictReference(benchmark::State& state) {
   SetShapeCounters(state, w.pool.X);
 }
 BENCHMARK(BM_ForestPredictReference)->Unit(benchmark::kMillisecond);
+
+void BM_FeatureRanks(benchmark::State& state) {
+  const Workload& w = SharedWorkload();
+  std::vector<size_t> rows(std::min<size_t>(1225, w.pool.X.rows()));
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  const Matrix X = w.pool.X.SelectRows(rows);
+  const FeatureRanks pool_ranks(w.pool.X);
+  for (auto _ : state) {
+    if (state.range(0) != 0) {
+      FeatureRanks ranks(pool_ranks, rows);
+      benchmark::DoNotOptimize(ranks.Ranks(0));
+    } else {
+      FeatureRanks ranks(X);
+      benchmark::DoNotOptimize(ranks.Ranks(0));
+    }
+    benchmark::ClobberMemory();
+  }
+  SetShapeCounters(state, X);
+}
+BENCHMARK(BM_FeatureRanks)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace autoem

@@ -490,7 +490,10 @@ void PrintUsage() {
       "                    in collapsed-stack format (flamegraph.pl /\n"
       "                    speedscope / `report --profile` compatible);\n"
       "                    samples are attributed to the innermost span\n"
-      "  --profile-hz N    profiler sampling rate (default 97 Hz)\n"
+      "  --profile-hz N    profiler sampling rate (default 97 Hz); the\n"
+      "                    per-thread CPU-clock timers fire at most once\n"
+      "                    per kernel scheduler tick, so rates above the\n"
+      "                    tick add no samples\n"
       "  Instrumentation never changes results: search output is\n"
       "  bit-identical with tracing, probes, and the profiler on or off.\n"
       "\n"

@@ -659,6 +659,13 @@ std::vector<Seed> TreeSeeds() {
                            [](int r, int c) {
                              return PaletteCell((r * 5 + c) % 16);
                            }));
+  // Fractional weights, whose sums depend on row order, and the derived
+  // leg's rows reversed: their ranks come from the superset's in another
+  // order than the rows'.
+  seeds.push_back(TreeCase("reversed_class_weight_fractions", 64, 4, 0x24, 1,
+                           8, [](int r, int c) {
+                             return PaletteCell((r * (c + 3) + c) % 16);
+                           }));
   return seeds;
 }
 

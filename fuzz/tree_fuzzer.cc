@@ -3,13 +3,18 @@
 // options, and DecisionTreeClassifier::Fit must return the same status and
 // the same node array, bit for bit, as reference::FitClassifierTree. The
 // fitted tree, flattened into a FlatForest (src/ml/models/flat_forest.h),
-// must then score every decoded row as the tree's scalar walk does.
+// must then score every decoded row as the tree's scalar walk does. Last,
+// the decoded rows' ranks are derived from those of a superset (the decoded
+// rows plus the shadow rows) without a sort, and a tree fitted on them must
+// equal the reference fit of the decoded rows alone.
 #include "fuzz/fuzzer_util.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "ml/models/decision_tree.h"
@@ -51,12 +56,33 @@ constexpr size_t kShadowRows = 2048;
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
+// Both fits of one tree agree on status and, bit for bit, on every node.
+bool SameFit(const autoem::Status& st,
+             const std::vector<autoem::DecisionTreeClassifier::Node>& fast,
+             const autoem::Result<
+                 std::vector<autoem::DecisionTreeClassifier::Node>>& ref) {
+  if (st.code() != ref.status().code()) return false;
+  if (!st.ok()) return true;
+  if (fast.size() != ref->size()) return false;
+  for (size_t k = 0; k < fast.size(); ++k) {
+    const auto& a = fast[k];
+    const auto& b = (*ref)[k];
+    if (a.feature != b.feature || Bits(a.threshold) != Bits(b.threshold) ||
+        a.left != b.left || a.right != b.right ||
+        Bits(a.prob_positive) != Bits(b.prob_positive)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace autoem;
   // Layout (fuzz::TreeSeeds): rows, cols, a flags byte (bit 0 entropy,
-  // bits 1-2 weight mode, bit 3 random thresholds, bit 4 tall),
+  // bits 1-2 weight mode, bit 3 random thresholds, bit 4 tall, bit 5 the
+  // derived ranks take the decoded rows in reverse order),
   // min_samples_leaf, min_samples_split, max_depth, max_features,
   // min_impurity_decrease, the tree seed; then per row a label byte, a
   // weight byte, and one byte per cell (a palette index, or 0x80 followed
@@ -70,6 +96,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const int weight_mode = (flags >> 1) & 3;
   opt.random_thresholds = (flags & 8) != 0;
   const size_t shadows = (flags & 16) ? kShadowRows : 0;
+  const bool reversed = (flags & 32) != 0;
   opt.min_samples_leaf = 1 + in.Byte() % 5;
   opt.min_samples_split = 2 + in.Byte() % 10;
   opt.max_depth = in.Byte() % 8;
@@ -77,9 +104,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   opt.min_impurity_decrease = (in.Byte() % 4) / 64.0;
   opt.seed = in.Byte();
 
-  Matrix X(rows + shadows, cols);
-  std::vector<int> y(rows + shadows);
-  std::vector<double> w(rows + shadows, 0.0);
+  // The superset always holds the shadows; X only when the tall flag is
+  // set.
+  Matrix superset(rows + kShadowRows, cols);
+  std::vector<int> y(rows + kShadowRows);
+  std::vector<double> w(rows + kShadowRows, 0.0);
   for (size_t r = 0; r < rows; ++r) {
     y[r] = in.Byte() & 1;
     const uint8_t b = in.Byte();
@@ -99,34 +128,57 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
     for (size_t c = 0; c < cols; ++c) {
       const uint8_t cell = in.Byte();
-      X.At(r, c) = (cell & 0x80) ? std::bit_cast<double>(in.U64())
-                                 : kPalette[cell % 16];
+      superset.At(r, c) = (cell & 0x80) ? std::bit_cast<double>(in.U64())
+                                        : kPalette[cell % 16];
     }
   }
-  for (size_t k = 0; k < shadows; ++k) {
+  for (size_t k = 0; k < kShadowRows; ++k) {
     const size_t t = rows + k;
     y[t] = y[k % rows];
-    for (size_t c = 0; c < cols; ++c) X.At(t, c) = X.At(k % rows, c);
-    X.At(t, 0) = static_cast<double>(k) / 128.0 - 4.0;
+    for (size_t c = 0; c < cols; ++c) {
+      superset.At(t, c) = superset.At(k % rows, c);
+    }
+    superset.At(t, 0) = static_cast<double>(k) / 128.0 - 4.0;
   }
+
+  std::vector<size_t> decoded(rows);
+  std::iota(decoded.begin(), decoded.end(), size_t{0});
+
+  // The derived leg first: the decoded rows, in input order or reversed,
+  // with ranks derived from the superset's.
+  {
+    std::vector<size_t> picked = decoded;
+    if (reversed) std::reverse(picked.begin(), picked.end());
+    const Matrix sub = superset.SelectRows(picked);
+    std::vector<int> sub_y;
+    std::vector<double> sub_w;
+    for (size_t i : picked) {
+      sub_y.push_back(y[i]);
+      sub_w.push_back(w[i]);
+    }
+    const std::vector<double>* sub_weights =
+        weight_mode == 0 ? nullptr : &sub_w;
+    const FeatureRanks derived(FeatureRanks(superset), picked);
+    DecisionTreeClassifier tree(opt);
+    const Status st = tree.Fit(sub, derived, sub_y, sub_weights);
+    AUTOEM_FUZZ_ASSERT(SameFit(
+        st, tree.nodes(),
+        reference::FitClassifierTree(opt, sub, sub_y, sub_weights)));
+  }
+
+  const Matrix X = shadows != 0 ? superset : superset.SelectRows(decoded);
+  y.resize(rows + shadows);
+  w.resize(rows + shadows);
   const std::vector<double>* weights =
       weight_mode == 0 && shadows == 0 ? nullptr : &w;
 
   DecisionTreeClassifier tree(opt);
   const Status st = tree.Fit(X, y, weights);
-  const auto ref = reference::FitClassifierTree(opt, X, y, weights);
-  AUTOEM_FUZZ_ASSERT(st.code() == ref.status().code());
+  AUTOEM_FUZZ_ASSERT(
+      SameFit(st, tree.nodes(),
+              reference::FitClassifierTree(opt, X, y, weights)));
   if (!st.ok()) return 0;
   const auto& fast = tree.nodes();
-  AUTOEM_FUZZ_ASSERT(fast.size() == ref->size());
-  for (size_t k = 0; k < fast.size(); ++k) {
-    const auto& a = fast[k];
-    const auto& b = (*ref)[k];
-    AUTOEM_FUZZ_ASSERT(a.feature == b.feature);
-    AUTOEM_FUZZ_ASSERT(Bits(a.threshold) == Bits(b.threshold));
-    AUTOEM_FUZZ_ASSERT(a.left == b.left && a.right == b.right);
-    AUTOEM_FUZZ_ASSERT(Bits(a.prob_positive) == Bits(b.prob_positive));
-  }
 
   FlatForest flat;
   flat.AppendTree(fast, [](const DecisionTreeClassifier::Node& n) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "active/active_checkpoint.h"
 #include "ml/metrics.h"
@@ -35,21 +37,33 @@ struct LabeledRow {
   bool machine;
 };
 
-Dataset BuildDataset(const Dataset& pool, const std::vector<LabeledRow>& rows) {
+std::vector<size_t> PoolIndices(const std::vector<LabeledRow>& rows) {
   std::vector<size_t> idx;
   idx.reserve(rows.size());
   for (const auto& r : rows) idx.push_back(r.pool_index);
-  Dataset out = pool.SelectRows(idx);
+  return idx;
+}
+
+Dataset BuildDataset(const Dataset& pool, const std::vector<LabeledRow>& rows) {
+  Dataset out = pool.SelectRows(PoolIndices(rows));
   for (size_t i = 0; i < rows.size(); ++i) out.y[i] = rows[i].label;
   return out;
 }
 
-// Fits the iteration model. The pool may contain NaN, and the iteration
-// model is a plain RF, which handles NaN natively — no pipeline needed.
-// (Kept unweighted, as in the paper's Algorithm 1: class weighting here
-// inflates confidence on borderline positives and poisons self-training.)
-Status FitIterationModel(RandomForestClassifier* model, const Dataset& data) {
-  return model->Fit(data.X, data.y);
+// Fits the iteration model on the labeled rows. The pool may contain NaN,
+// and the iteration model is a plain RF, which handles NaN natively — no
+// pipeline needed. (Kept unweighted, as in the paper's Algorithm 1: class
+// weighting here inflates confidence on borderline positives and poisons
+// self-training.) The labeled rows are pool rows, so their split ranks are
+// derived from the pool's instead of sorted again; `pool_ranks` is null
+// only for Extra-Trees, which never scans.
+Status FitIterationModel(RandomForestClassifier* model, const Dataset& pool,
+                         const FeatureRanks* pool_ranks,
+                         const std::vector<LabeledRow>& labeled) {
+  const Dataset data = BuildDataset(pool, labeled);
+  if (pool_ranks == nullptr) return model->Fit(data.X, data.y);
+  return model->Fit(data.X, FeatureRanks(*pool_ranks, PoolIndices(labeled)),
+                    data.y, nullptr);
 }
 
 }  // namespace
@@ -61,6 +75,13 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   if (pool.size() == 0) return Status::InvalidArgument("empty pool");
   if (options.init_size == 0) {
     return Status::InvalidArgument("init_size must be positive");
+  }
+  // The budget counts the initial sample: a larger sample would spend more
+  // human labels than it allows before the loop could stop.
+  if (options.init_size > options.label_budget) {
+    return Status::InvalidArgument(
+        "init_size " + std::to_string(options.init_size) +
+        " exceeds label_budget " + std::to_string(options.label_budget));
   }
   if (oracle == nullptr) return Status::InvalidArgument("null oracle");
 
@@ -184,7 +205,16 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   model_opt.seed = model_seed;
   model_opt.parallelism = options.parallelism;
   RandomForestClassifier model(model_opt);
-  AUTOEM_RETURN_IF_ERROR(FitIterationModel(&model, BuildDataset(pool, labeled)));
+  // Built once for the session: every refit derives its ranks from these.
+  std::optional<FeatureRanks> pool_ranks;
+  if (!model_opt.random_thresholds) {
+    if (pool.size() > FeatureRanks::kMaxRows) {
+      return Status::InvalidArgument("active: pool has too many rows");
+    }
+    pool_ranks.emplace(pool.X);
+  }
+  const FeatureRanks* ranks = pool_ranks ? &*pool_ranks : nullptr;
+  AUTOEM_RETURN_IF_ERROR(FitIterationModel(&model, pool, ranks, labeled));
 
   auto record_iteration = [&](size_t iter) {
     ActiveIterationStats stats;
@@ -332,8 +362,7 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
     }
     unlabeled = std::move(next_unlabeled);
 
-    AUTOEM_RETURN_IF_ERROR(
-        FitIterationModel(&model, BuildDataset(pool, labeled)));
+    AUTOEM_RETURN_IF_ERROR(FitIterationModel(&model, pool, ranks, labeled));
     record_iteration(static_cast<size_t>(iter));
     save_checkpoint(static_cast<size_t>(iter));
 

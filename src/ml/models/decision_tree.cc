@@ -103,6 +103,13 @@ bool RandomThresholdSplit(const std::vector<std::pair<double, size_t>>& vals,
 // sort's O(m log m) stays cheaper for a few rows over a tall table's D.
 constexpr size_t kCountingMaxDistinctPerRow = 64;
 
+// A row's weight and its positive weight (the weight when y == 1, else
+// +0.0), added lane by lane: one IEEE add per lane, exactly the scalar add,
+// so every sum keeps its bits. A positive-weight sum starts at +0.0 and only
+// grows, so it is never -0.0, and adding a negative row's +0.0 leaves it
+// unchanged: no branch on the label.
+typedef double WeightPair __attribute__((vector_size(16)));
+
 // The rank-based CART builder (DESIGN.md §13). A node's rows live in
 // rows_[begin, end) in ascending order (the root takes rows in order and
 // the stable partition keeps it), so both scans meet each value group's
@@ -123,7 +130,12 @@ class RankTreeBuilder {
         rows_(std::move(rows)),
         nodes_(nodes),
         entropy_(options.criterion == "entropy"),
-        min_leaf_(static_cast<size_t>(options.min_samples_leaf)) {
+        min_leaf_(static_cast<size_t>(options.min_samples_leaf)),
+        weights_(y.size()),
+        right_(rows_.size()) {
+    for (size_t i = 0; i < y.size(); ++i) {
+      weights_[i] = WeightPair{w[i], y[i] == 1 ? w[i] : 0.0};
+    }
     if (ranks_ == nullptr) return;
     uint32_t max_distinct = 0;
     for (size_t f = 0; f < X.cols(); ++f) {
@@ -137,11 +149,12 @@ class RankTreeBuilder {
   void Build(Rng* rng) { BuildNode(0, rows_.size(), 0, rng); }
 
  private:
+  // A rank's rows: their weight pairs, and one word holding their count
+  // (high half) and last row (low half), so a row updates both with one
+  // 8-byte read-modify-write. A count never passes kMaxRows rows.
   struct Bucket {
-    double w = 0.0;
-    double w_pos = 0.0;
-    uint32_t n = 0;
-    uint32_t row = 0;  // the bucket's last row
+    WeightPair w = {0.0, 0.0};
+    uint64_t count_row = 0;
   };
 
   // A node's split search state: the sums every cut is scored against and
@@ -158,18 +171,17 @@ class RankTreeBuilder {
     double random_threshold = 0.0;  // random-threshold mode only
   };
 
-  // Scores the cut that puts `nl` rows with weight `wl` (`wl_pos` positive)
-  // on the left of feature f, between the values of rows lo and hi. The
-  // same checks and expressions as the reference's scan, so the same cut
-  // wins.
-  void Consider(Search* s, size_t f, double wl, double wl_pos, size_t nl,
-                uint32_t lo, uint32_t hi) const {
+  // Scores the cut that puts `nl` rows with weight pair `wl` on the left of
+  // feature f, between the values of rows lo and hi. The same checks and
+  // expressions as the reference's scan, so the same cut wins.
+  void Consider(Search* s, size_t f, WeightPair wl, size_t nl, uint32_t lo,
+                uint32_t hi) const {
     size_t nr = s->m - nl;
     if (nl < min_leaf_ || nr < min_leaf_) return;
-    double wr = s->w_total - wl;
-    double wr_pos = s->w_pos - wl_pos;
+    double wr = s->w_total - wl[0];
+    double wr_pos = s->w_pos - wl[1];
     double decrease = s->parent_impurity -
-                      (wl / s->w_total) * Impurity(entropy_, wl_pos, wl) -
+                      (wl[0] / s->w_total) * Impurity(entropy_, wl[1], wl[0]) -
                       (wr / s->w_total) * Impurity(entropy_, wr_pos, wr);
     if (decrease > s->best_decrease) {
       s->best_decrease = decrease;
@@ -179,35 +191,33 @@ class RankTreeBuilder {
     }
   }
 
-  // Few distinct values: sum each rank's rows into a bucket, in row order,
-  // marking the rank's bit in touched_; then walk the set bits in rank
-  // order and cut between consecutive buckets. The walk clears every
-  // bucket and word it visits, so both are all zero between scans and a
-  // scan costs O(m + D/64).
+  // Few distinct values: add each row's weight pair to its rank's bucket,
+  // in row order, marking the rank's bit in touched_; then walk the set bits
+  // in rank order and cut between consecutive buckets. The walk clears
+  // every bucket and word it visits, so both are all zero between scans and
+  // a scan costs O(m + D/64).
   void CountingScan(Search* s, size_t f, const uint32_t* rows) {
     const uint32_t* rank = ranks_->Ranks(f);
     for (size_t k = 0; k < s->m; ++k) {
       const uint32_t i = rows[k];
       const uint32_t r = rank[i];
       Bucket& b = buckets_[r];
-      b.w += w_[i];
-      if (y_[i] == 1) b.w_pos += w_[i];
-      ++b.n;
-      b.row = i;
+      b.w += weights_[i];
+      b.count_row = ((b.count_row >> 32) + 1) << 32 | i;
       touched_[r / 64] |= uint64_t{1} << (r % 64);
     }
-    double wl = 0.0, wl_pos = 0.0;
+    WeightPair wl = {0.0, 0.0};
     size_t nl = 0;
     uint32_t prev = 0;
     for (size_t word = 0; nl < s->m; ++word) {
       for (uint64_t bits = std::exchange(touched_[word], 0); bits != 0;
            bits &= bits - 1) {
         Bucket& b = buckets_[word * 64 + std::countr_zero(bits)];
-        if (nl > 0) Consider(s, f, wl, wl_pos, nl, prev, b.row);
+        const uint32_t row = static_cast<uint32_t>(b.count_row);
+        if (nl > 0) Consider(s, f, wl, nl, prev, row);
         wl += b.w;
-        wl_pos += b.w_pos;
-        nl += b.n;
-        prev = b.row;
+        nl += b.count_row >> 32;
+        prev = row;
         b = Bucket{};
       }
     }
@@ -223,28 +233,24 @@ class RankTreeBuilder {
       keys[k] = uint64_t{rank[rows[k]]} << 32 | rows[k];
     }
     std::sort(keys, keys + static_cast<ptrdiff_t>(s->m));
-    double wl = 0.0, wl_pos = 0.0, gw = 0.0, gw_pos = 0.0;
+    WeightPair wl = {0.0, 0.0}, group = {0.0, 0.0};
     for (size_t k = 0; k + 1 < s->m; ++k) {
       const uint32_t i = static_cast<uint32_t>(keys[k]);
-      gw += w_[i];
-      if (y_[i] == 1) gw_pos += w_[i];
+      group += weights_[i];
       if ((keys[k] >> 32) == (keys[k + 1] >> 32)) continue;  // ties
-      wl += gw;
-      wl_pos += gw_pos;
-      gw = gw_pos = 0.0;
-      Consider(s, f, wl, wl_pos, k + 1, i, static_cast<uint32_t>(keys[k + 1]));
+      wl += group;
+      group = WeightPair{0.0, 0.0};
+      Consider(s, f, wl, k + 1, i, static_cast<uint32_t>(keys[k + 1]));
     }
   }
 
   int BuildNode(size_t begin, size_t end, int depth, Rng* rng) {
     uint32_t* const rows = rows_.data() + begin;
     const size_t m = end - begin;
-    double w_total = 0.0;
-    double w_pos = 0.0;
-    for (size_t k = 0; k < m; ++k) {
-      w_total += w_[rows[k]];
-      if (y_[rows[k]] == 1) w_pos += w_[rows[k]];
-    }
+    WeightPair total = {0.0, 0.0};
+    for (size_t k = 0; k < m; ++k) total += weights_[rows[k]];
+    const double w_total = total[0];
+    const double w_pos = total[1];
 
     int node_id = static_cast<int>(nodes_->size());
     nodes_->emplace_back();
@@ -303,18 +309,22 @@ class RankTreeBuilder {
             : CutThreshold(SplitValue(X_.At(s.lo_row, best_feature)),
                            SplitValue(X_.At(s.hi_row, best_feature)));
 
-    // Stable partition by value, as the reference routes rows.
-    scratch_.clear();
-    size_t nl = 0;
+    // Stable partition by value, as the reference routes rows, without a
+    // branch: each row is written to the next left slot and the next right
+    // scratch slot, and only the cursor of its side advances. No threshold
+    // is NaN, so !(v > threshold) is SplitValue(v) <= threshold: a NaN cell
+    // goes left.
+    uint32_t* const right = right_.data();
+    size_t nl = 0, nr = 0;
     for (size_t k = 0; k < m; ++k) {
       const uint32_t i = rows[k];
-      if (SplitValue(X_.At(i, best_feature)) <= threshold) {
-        rows[nl++] = i;
-      } else {
-        scratch_.push_back(i);
-      }
+      const bool left = !(X_.At(i, best_feature) > threshold);
+      rows[nl] = i;
+      right[nr] = i;
+      nl += left;
+      nr += !left;
     }
-    std::copy(scratch_.begin(), scratch_.end(), rows + nl);
+    std::copy(right, right + nr, rows + nl);
     if (nl == 0 || nl == m) return node_id;  // degenerate
 
     int left_id = BuildNode(begin, begin + nl, depth + 1, rng);
@@ -336,10 +346,11 @@ class RankTreeBuilder {
   std::vector<Node>* nodes_;
   const bool entropy_;
   const size_t min_leaf_;
+  std::vector<WeightPair> weights_;  // per row of X, built once per tree
+  std::vector<uint32_t> right_;  // a partition's right rows, in order
   std::vector<Bucket> buckets_;  // all zero between scans
   std::vector<uint64_t> touched_;  // bit r set: buckets_[r] holds rows
   std::vector<uint64_t> keys_;
-  std::vector<uint32_t> scratch_;
 };
 
 }  // namespace
@@ -365,6 +376,42 @@ FeatureRanks::FeatureRanks(const Matrix& X)
       rank[vals[j].second] = r;
     }
     distinct_[f] = rows_ == 0 ? 0 : r + 1;
+  }
+}
+
+// Values tie in the subset exactly when their ranks in `whole` do, and keep
+// their order, so a subset row's dense rank is the number of distinct
+// `whole` ranks the subset holds below its own: a prefix popcount over the
+// presence bitmap.
+FeatureRanks::FeatureRanks(const FeatureRanks& whole,
+                           const std::vector<size_t>& rows)
+    : rows_(rows.size()),
+      ranks_(rows.size() * whole.cols()),
+      distinct_(whole.cols(), 0) {
+  AUTOEM_CHECK(rows_ <= kMaxRows);
+  for (size_t i : rows) AUTOEM_CHECK(i < whole.rows());
+  std::vector<uint64_t> present;
+  std::vector<uint32_t> below;  // set bits in the words before each word
+  for (size_t f = 0; f < cols(); ++f) {
+    const uint32_t* from = whole.Ranks(f);
+    const size_t words = (size_t{whole.Distinct(f)} + 63) / 64;
+    present.assign(words, 0);
+    for (size_t i : rows) {
+      present[from[i] / 64] |= uint64_t{1} << (from[i] % 64);
+    }
+    below.resize(words);
+    uint32_t count = 0;
+    for (size_t k = 0; k < words; ++k) {
+      below[k] = count;
+      count += static_cast<uint32_t>(std::popcount(present[k]));
+    }
+    uint32_t* rank = ranks_.data() + f * rows_;
+    for (size_t j = 0; j < rows_; ++j) {
+      const uint32_t r = from[rows[j]];
+      const uint64_t lower = present[r / 64] & ((uint64_t{1} << (r % 64)) - 1);
+      rank[j] = below[r / 64] + static_cast<uint32_t>(std::popcount(lower));
+    }
+    distinct_[f] = count;
   }
 }
 

@@ -43,14 +43,24 @@ struct TreeOptions {
 /// A random forest builds these once per Fit and shares them read-only with
 /// every tree: bootstrap is expressed as weights, so all trees see the same
 /// X. AdaBoost shares them across its rounds the same way. A standalone
-/// DecisionTreeClassifier::Fit builds its own.
+/// DecisionTreeClassifier::Fit builds its own. A labeling session builds the
+/// pool's once and derives each refit's from them, without a sort.
 class FeatureRanks {
  public:
   /// Row ids and ranks are 32-bit; Fit rejects taller matrices.
   static constexpr size_t kMaxRows = 0xffffffffu;
 
-  /// Precondition: X.rows() <= kMaxRows (checked).
+  /// Sorts each column. Precondition: X.rows() <= kMaxRows (checked).
   explicit FeatureRanks(const Matrix& X);
+
+  /// The ranks of the matrix whose row j is `whole`'s row rows[j]
+  /// (X.SelectRows(rows) when `whole` describes X), equal bit for bit to
+  /// FeatureRanks(X.SelectRows(rows)). Per feature, a bitmap marks the ranks
+  /// of `whole` the rows hold, and a row's rank is the number of marked
+  /// ranks below its own: O(rows + Distinct/64), no sort. Rows may repeat
+  /// and come in any order. Preconditions (checked): every rows[j] <
+  /// whole.rows(), and rows.size() <= kMaxRows.
+  FeatureRanks(const FeatureRanks& whole, const std::vector<size_t>& rows);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return distinct_.size(); }
@@ -95,6 +105,8 @@ class DecisionTreeClassifier : public Classifier {
   Status Fit(const Matrix& X, const std::vector<int>& y,
              const std::vector<double>* sample_weights = nullptr) override;
   /// Fit with ranks built once for X and shared by several trees.
+  /// Precondition: `ranks` describe X, as FeatureRanks(X) or one derived
+  /// from a superset of X's rows; a shape other than X's is rejected.
   Status Fit(const Matrix& X, const FeatureRanks& ranks,
              const std::vector<int>& y,
              const std::vector<double>* sample_weights);

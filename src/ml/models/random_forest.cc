@@ -37,10 +37,26 @@ std::unique_ptr<Classifier> RandomForestClassifier::FromParams(
 
 Status RandomForestClassifier::Fit(const Matrix& X, const std::vector<int>& y,
                                    const std::vector<double>* sample_weights) {
+  return FitWith(X, nullptr, y, sample_weights);
+}
+
+Status RandomForestClassifier::Fit(const Matrix& X, const FeatureRanks& ranks,
+                                   const std::vector<int>& y,
+                                   const std::vector<double>* sample_weights) {
+  return FitWith(X, &ranks, y, sample_weights);
+}
+
+Status RandomForestClassifier::FitWith(
+    const Matrix& X, const FeatureRanks* given_ranks,
+    const std::vector<int>& y, const std::vector<double>* sample_weights) {
   AUTOEM_RETURN_IF_ERROR(ValidateFitInputs(X, y, sample_weights));
   AUTOEM_FAILPOINT("rf.fit");
   if (options_.n_estimators <= 0) {
     return Status::InvalidArgument("n_estimators must be positive");
+  }
+  if (given_ranks != nullptr && (given_ranks->rows() != X.rows() ||
+                                 given_ranks->cols() != X.cols())) {
+    return Status::InvalidArgument("random_forest: ranks do not match X");
   }
   static obs::Counter* trees_trained =
       obs::MetricsRegistry::Global().GetCounter("ml.rf_trees_trained");
@@ -76,14 +92,19 @@ Status RandomForestClassifier::Fit(const Matrix& X, const std::vector<int>& y,
   std::vector<double> base_w =
       sample_weights ? *sample_weights : std::vector<double>(n, 1.0);
   // Bootstrap is expressed as weights, so every tree splits the same X:
-  // its split ranks are built once here and shared read-only. Random
-  // thresholds never scan, so Extra-Trees skips them.
-  std::optional<FeatureRanks> ranks;
+  // its split ranks are built once here, unless the caller passed them, and
+  // shared read-only. Random thresholds never scan, so Extra-Trees skips
+  // them.
+  std::optional<FeatureRanks> built;
+  const FeatureRanks* ranks = nullptr;
   if (!options_.random_thresholds) {
-    if (n > FeatureRanks::kMaxRows) {
-      return Status::InvalidArgument("random_forest: too many rows");
+    if (given_ranks == nullptr) {
+      if (n > FeatureRanks::kMaxRows) {
+        return Status::InvalidArgument("random_forest: too many rows");
+      }
+      built.emplace(X);
     }
-    ranks.emplace(X);
+    ranks = given_ranks != nullptr ? given_ranks : &*built;
   }
 
   // Every tree's randomness (split seed + bootstrap weights) is drawn from

@@ -43,8 +43,17 @@ class RandomForestClassifier : public Classifier {
   /// Builds from an AutoML hyperparameter map; unknown keys are ignored.
   static std::unique_ptr<Classifier> FromParams(const ParamMap& params);
 
+  /// Builds FeatureRanks(X) (unless random_thresholds, which never scans)
+  /// and fits as the overload below.
   Status Fit(const Matrix& X, const std::vector<int>& y,
              const std::vector<double>* sample_weights = nullptr) override;
+  /// Fit with ranks built by the caller, as a labeling session derives each
+  /// refit's from its pool's (FeatureRanks(whole, rows)); the fitted forest
+  /// is the one Fit(X, y, w) gives. Precondition: `ranks` describe X; a
+  /// shape other than X's is rejected. Extra-Trees ignores them.
+  Status Fit(const Matrix& X, const FeatureRanks& ranks,
+             const std::vector<int>& y,
+             const std::vector<double>* sample_weights);
   std::vector<double> PredictProba(const Matrix& X) const override;
   std::unique_ptr<Classifier> CloneConfig() const override;
   Status SaveFitted(io::Writer* w) const override;
@@ -78,6 +87,11 @@ class RandomForestClassifier : public Classifier {
   const RandomForestOptions& options() const { return options_; }
 
  private:
+  /// Both Fits: `ranks` is null when Fit(X, y, w) should build them.
+  Status FitWith(const Matrix& X, const FeatureRanks* ranks,
+                 const std::vector<int>& y,
+                 const std::vector<double>* sample_weights);
+
   /// Rebuilds the flattened inference layout from trees_ (after Fit and
   /// LoadFitted); PredictProba walks flat_, trees_ stays the source of
   /// truth for serialization and the scalar reference walk.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "active/active_learner.h"
 #include "active/oracle.h"
@@ -220,6 +221,47 @@ TEST(ActiveLearnerTest, ZeroInitialSampleIsInvalidArgumentNotNaN) {
   ASSERT_FALSE(empty_pool.ok());
   EXPECT_EQ(empty_pool.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(oracle.num_queries(), 0u);  // rejected before any labeling
+}
+
+// Regression: the budget counts the initial sample, so an initial sample
+// larger than the budget is rejected before the oracle is asked anything;
+// it used to spend all init_size labels and return OK.
+TEST(ActiveLearnerTest, InitialSampleOverBudgetIsRejectedBeforeAnyQuery) {
+  Dataset pool = MakePool(300, 11);
+  GroundTruthOracle oracle(pool.y);
+  ActiveLearningOptions options = FastOptions();
+  options.init_size = 100;
+  options.label_budget = 40;
+  auto result = RunAutoMlEmActive(pool, &oracle, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("100"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("40"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(oracle.num_queries(), 0u);
+
+  // A budget of exactly the initial sample is spent on it, and no more.
+  options.label_budget = 100;
+  GroundTruthOracle exact(pool.y);
+  result = RunAutoMlEmActive(pool, &exact, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->human_labels_used, 100u);
+  EXPECT_EQ(exact.num_queries(), 100u);
+}
+
+// Refits derive their split ranks from the pool's, but Extra-Trees never
+// scans, so its session builds no ranks at all and still runs to budget.
+TEST(ActiveLearnerTest, ExtraTreesSessionRunsWithoutRanks) {
+  Dataset pool = MakePool(400, 17);
+  ActiveLearningOptions options = FastOptions();
+  options.model.random_thresholds = true;
+  options.model.bootstrap = false;
+  options.max_iterations = 6;  // 60 initial labels + 6 batches of 10
+  GroundTruthOracle oracle(pool.y);
+  auto result = RunAutoMlEmActive(pool, &oracle, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->human_labels_used, options.label_budget);
 }
 
 TEST(ActiveLearnerTest, PoolExhaustionStopsGracefully) {

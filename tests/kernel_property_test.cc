@@ -1,9 +1,11 @@
-// Differential and property tests for the fast similarity kernels and the
-// flattened forest traversal (DESIGN.md §13). The scalar reference kernels
-// under `autoem::reference` and the per-tree node walks are the oracles;
-// every fast path must agree *exactly* — bit-identical doubles, equal
-// integers — on random and hostile inputs. These tests are what license
-// future rewrites of the fast paths.
+// Differential and property tests for the fast similarity kernels, the
+// rank-based tree builder, derived split ranks and the flattened forest
+// traversal (DESIGN.md §13). The scalar reference kernels under
+// `autoem::reference`, the sorting tree builder, ranks sorted from the
+// selected rows and the per-tree node walks are the oracles; every fast
+// path must agree *exactly* — bit-identical doubles, equal integers — on
+// random and hostile inputs. These tests are what license future rewrites
+// of the fast paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -1342,6 +1345,133 @@ TEST(TreeFitDifferential, RejectedInputsAgree) {
     EXPECT_EQ(reference::FitClassifierTree({}, X, y, &w).status().code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+// ---- ranks of a row subset, derived from a superset's ----------------------
+
+// Byte for byte: every feature's distinct count and ranks.
+void ExpectSameRanks(const FeatureRanks& got, const FeatureRanks& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (size_t f = 0; f < want.cols(); ++f) {
+    EXPECT_EQ(got.Distinct(f), want.Distinct(f)) << what << " feature " << f;
+    for (size_t j = 0; j < want.rows(); ++j) {
+      ASSERT_EQ(got.Ranks(f)[j], want.Ranks(f)[j])
+          << what << " feature " << f << " row " << j;
+    }
+  }
+}
+
+// The row lists a derivation must handle: none, one, all in order, all
+// permuted, draws with repeats (a bootstrap), a random half in order and
+// shuffled (a labeling session's labeled rows), and a prefix.
+std::vector<std::pair<std::string, std::vector<size_t>>> RowLists(
+    Rng* rng, size_t n) {
+  std::vector<std::pair<std::string, std::vector<size_t>>> out;
+  out.emplace_back("empty", std::vector<size_t>());
+  out.emplace_back("first", std::vector<size_t>{0});
+  out.emplace_back("single", std::vector<size_t>{rng->UniformIndex(n)});
+  std::vector<size_t> full(n);
+  std::iota(full.begin(), full.end(), size_t{0});
+  out.emplace_back("full", full);
+  std::vector<size_t> permuted = full;
+  rng->Shuffle(&permuted);
+  out.emplace_back("permuted", permuted);
+  std::vector<size_t> repeated(n);
+  for (size_t& i : repeated) i = rng->UniformIndex(n);
+  out.emplace_back("repeated", repeated);
+  std::vector<size_t> half;
+  for (size_t i = 0; i < n; ++i) {
+    if (rng->UniformIndex(2) == 0) half.push_back(i);
+  }
+  out.emplace_back("half", half);
+  rng->Shuffle(&half);
+  out.emplace_back("half_shuffled", half);
+  out.emplace_back("prefix",
+                   std::vector<size_t>(full.begin(), full.begin() + n * 4 / 5));
+  return out;
+}
+
+TEST(DerivedFeatureRanks, EqualRanksSortedFromTheSelectedRows) {
+  Rng rng(1225);
+  for (int round = 0; round < 4; ++round) {
+    // Columns from 3-value alphabets of special values (NaN, both zeros,
+    // both infinities, denormals) up to all-distinct reals, so Distinct
+    // spans one to several bitmap words and varies feature to feature.
+    TieData d = MakeTieData(&rng, 120 + 130 * round, 12);
+    const FeatureRanks whole(d.X);
+    for (const auto& [name, rows] : RowLists(&rng, d.X.rows())) {
+      ExpectSameRanks(FeatureRanks(whole, rows),
+                      FeatureRanks(d.X.SelectRows(rows)),
+                      "round " + std::to_string(round) + " " + name);
+    }
+  }
+}
+
+// RandomForestClassifier::SaveFitted bytes: every tree's nodes.
+std::string FittedBytes(const RandomForestClassifier& forest) {
+  io::Writer w;
+  EXPECT_TRUE(forest.SaveFitted(&w).ok());
+  return w.data();
+}
+
+TEST(DerivedFeatureRanks, ForestOnDerivedRanksEqualsForestThatSorts) {
+  // The labeling session's refit: the rows are a shuffled part of the pool,
+  // their ranks derived from the pool's; the forest must hold the nodes
+  // Fit(X, y, w) builds from sorted ranks, under every weight regime.
+  Rng rng(80);
+  TieData pool = MakeTieData(&rng, 360, 10);
+  const FeatureRanks pool_ranks(pool.X);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < pool.X.rows(); ++i) {
+    if (rng.UniformIndex(5) != 0) rows.push_back(i);
+  }
+  rng.Shuffle(&rows);
+  const Matrix X = pool.X.SelectRows(rows);
+  std::vector<int> y;
+  for (size_t i : rows) y.push_back(pool.y[i]);
+  const FeatureRanks derived(pool_ranks, rows);
+  auto variants = WeightVariants(&rng, y);
+  variants.emplace_back("unweighted", std::vector<double>());
+  for (const auto& [wname, weights] : variants) {
+    const std::vector<double>* w = weights.empty() ? nullptr : &weights;
+    for (const char* criterion : {"gini", "entropy"}) {
+      RandomForestOptions opt;
+      opt.n_estimators = 6;
+      opt.criterion = criterion;
+      opt.seed = 17;
+      RandomForestClassifier sorted(opt), reused(opt);
+      ASSERT_TRUE(sorted.Fit(X, y, w).ok()) << wname;
+      ASSERT_TRUE(reused.Fit(X, derived, y, w).ok()) << wname;
+      const std::string bytes = FittedBytes(sorted);
+      EXPECT_GT(bytes.size(), 6u * 100) << wname << ": trees too small";
+      EXPECT_TRUE(FittedBytes(reused) == bytes) << wname << " " << criterion;
+    }
+  }
+}
+
+TEST(DerivedFeatureRanks, RanksOfAnotherShapeAreRejected) {
+  Rng rng(5);
+  TieData d = MakeTieData(&rng, 40, 4);
+  const FeatureRanks whole(d.X);
+  const Matrix X = d.X.SelectRows({0, 1, 2, 3, 4, 5, 6, 7});
+  const std::vector<int> y = {0, 1, 0, 1, 0, 1, 0, 1};
+  const FeatureRanks wrong_rows(whole, {0, 1, 2, 3, 4, 5, 6});
+  const FeatureRanks wrong_cols(X.SelectCols({0, 1, 2}));
+  const FeatureRanks right(whole, {0, 1, 2, 3, 4, 5, 6, 7});
+  RandomForestOptions opt;
+  opt.n_estimators = 3;
+  for (const FeatureRanks* ranks : {&wrong_rows, &wrong_cols}) {
+    RandomForestClassifier forest(opt);
+    EXPECT_EQ(forest.Fit(X, *ranks, y, nullptr).code(),
+              StatusCode::kInvalidArgument);
+    DecisionTreeClassifier tree;
+    EXPECT_EQ(tree.Fit(X, *ranks, y, nullptr).code(),
+              StatusCode::kInvalidArgument);
+  }
+  RandomForestClassifier forest(opt);
+  EXPECT_TRUE(forest.Fit(X, right, y, nullptr).ok());
 }
 
 }  // namespace

@@ -19,11 +19,14 @@ The file holds one record per change that claimed an end-to-end gain:
      "notes": "..."}]}                                         (optional)
 
 A record is rejected when a field is missing or mistyped, when it names a
-workload or metric BENCHMARK.json does not define, or when no run holds
-the claimed workload and metric. The script also drops each required
-field from the first record in turn and confirms the check rejects every
-copy, so a check that accepts anything cannot pass. Exit status 1 on any
-problem.
+workload or metric BENCHMARK.json does not define, when no run holds the
+claimed workload and metric, or when the claimed pair did not improve in
+a run that holds it (its "better" direction comes from BENCHMARK.json): a
+claim its own medians contradict. The script also drops each required
+field from the first record in turn, and mirrors the first record's
+claimed change median to the wrong side of its parent's, and confirms the
+check rejects every copy, so a check that accepts anything cannot pass.
+Exit status 1 on any problem.
 """
 
 import copy
@@ -36,10 +39,18 @@ REQUIRED = ("parent", "title", "claim", "claimed", "cpu_model", "runs")
 
 
 def benchmark_names():
+    """The workload names, and each end_to_end metric's better direction."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     return ({w["name"] for w in spec["workloads"]},
-            {m["name"] for m in spec["end_to_end"]})
+            {m["name"]: m["better"] for m in spec["end_to_end"]})
+
+
+def improved(pair, better):
+    """Whether the change median beat the parent's in the better direction."""
+    if better == "lower":
+        return pair["change"] < pair["parent"]
+    return pair["change"] > pair["parent"]
 
 
 def is_number(v):
@@ -104,9 +115,29 @@ def record_problems(record, workloads, metrics):
                 elif (workload == claimed.get("workload") and
                       metric == claimed.get("metric")):
                     holds_claim = True
+                    if not improved(pair, metrics[metric]):
+                        problems.append(
+                            f"{where}: the claimed pair did not improve "
+                            f"(parent {pair['parent']}, change "
+                            f"{pair['change']}, {metrics[metric]} is "
+                            "better)")
     if claimed and not holds_claim:
         problems.append("no run holds the claimed workload and metric")
     return problems
+
+
+def flip_claimed_change(record):
+    """A copy of `record` whose first claimed change median is mirrored
+    around its parent's, so the claimed gain reads as an equal loss."""
+    bad = copy.deepcopy(record)
+    claimed = bad.get("claimed") or {}
+    for run in bad.get("runs") or []:
+        pair = ((run.get("medians") or {}).get(claimed.get("workload"))
+                or {}).get(claimed.get("metric"))
+        if isinstance(pair, dict) and "parent" in pair and "change" in pair:
+            pair["change"] = 2 * pair["parent"] - pair["change"]
+            return bad
+    return None
 
 
 def main():
@@ -141,6 +172,15 @@ def main():
         if not record_problems(bad, workloads, metrics):
             print(f"self-test: a record without {key} was accepted")
             failed = True
+    # ... and a record whose claimed pair moved the wrong way.
+    flipped = flip_claimed_change(probe)
+    if flipped is None:
+        print("self-test: the first record holds no claimed pair to flip")
+        failed = True
+    elif not record_problems(flipped, workloads, metrics):
+        print("self-test: a record whose claimed pair got worse was "
+              "accepted")
+        failed = True
     if not failed:
         print(f"{path}: {len(records)} records ok")
     return 1 if failed else 0
