@@ -139,8 +139,7 @@ struct Flags {
 };
 
 [[noreturn]] void Fail(const std::string& message) {
-  // Through the structured sink: the message lands in the JSONL log file
-  // when one is open, and on stderr (leveled, timestamped) otherwise.
+  // Through the logger: a leveled, timestamped line on stderr.
   AUTOEM_LOG(ERROR) << message;
   std::exit(1);
 }

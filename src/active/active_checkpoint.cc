@@ -52,8 +52,7 @@ void WriteActivePayload(const ActiveCheckpoint& state, io::Writer* w) {
     payload.I32(row.label);
     payload.U8(row.machine ? 1 : 0);
   }
-  payload.U64(state.unlabeled.size());
-  for (uint64_t idx : state.unlabeled) payload.U64(idx);
+  payload.VecIdx(state.unlabeled);
   payload.U64(state.stats.size());
   for (const ActiveIterationStats& s : state.stats) {
     payload.U64(s.iteration);
@@ -63,44 +62,43 @@ void WriteActivePayload(const ActiveCheckpoint& state, io::Writer* w) {
   }
 }
 
+// Reads one u64 count or index into a size_t field.
+Status ReadSize(io::Reader* r, size_t* out) {
+  uint64_t value;
+  AUTOEM_RETURN_IF_ERROR(r->U64(&value));
+  *out = static_cast<size_t>(value);
+  return Status::OK();
+}
+
 Result<ActiveCheckpoint> ParseActivePayload(const std::string& payload) {
   io::Reader r(payload);
   ActiveCheckpoint state;
   AUTOEM_RETURN_IF_ERROR(r.U64(&state.seed));
   AUTOEM_RETURN_IF_ERROR(r.Str(&state.rng_state));
   AUTOEM_RETURN_IF_ERROR(r.U64(&state.model_seed));
-  AUTOEM_RETURN_IF_ERROR(r.U64(&state.iteration));
+  AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &state.iteration));
   AUTOEM_RETURN_IF_ERROR(r.F64(&state.alpha));
-  AUTOEM_RETURN_IF_ERROR(r.U64(&state.human_used));
-  AUTOEM_RETURN_IF_ERROR(r.U64(&state.machine_added));
-  AUTOEM_RETURN_IF_ERROR(r.U64(&state.machine_correct));
+  AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &state.human_used));
+  AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &state.machine_added));
+  AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &state.machine_correct));
   uint64_t n_labeled;
   AUTOEM_RETURN_IF_ERROR(r.Len(&n_labeled, 13));  // u64 + i32 + u8
   state.labeled.resize(static_cast<size_t>(n_labeled));
   for (ActiveLabeledRow& row : state.labeled) {
-    AUTOEM_RETURN_IF_ERROR(r.U64(&row.pool_index));
+    AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &row.pool_index));
     AUTOEM_RETURN_IF_ERROR(r.I32(&row.label));
     uint8_t machine;
     AUTOEM_RETURN_IF_ERROR(r.U8(&machine));
     row.machine = machine != 0;
   }
-  uint64_t n_unlabeled;
-  AUTOEM_RETURN_IF_ERROR(r.Len(&n_unlabeled, 8));
-  state.unlabeled.resize(static_cast<size_t>(n_unlabeled));
-  for (uint64_t& idx : state.unlabeled) {
-    AUTOEM_RETURN_IF_ERROR(r.U64(&idx));
-  }
+  AUTOEM_RETURN_IF_ERROR(r.VecIdx(&state.unlabeled));
   uint64_t n_stats;
   AUTOEM_RETURN_IF_ERROR(r.Len(&n_stats, 32));  // 3x u64 + f64
   state.stats.resize(static_cast<size_t>(n_stats));
   for (ActiveIterationStats& s : state.stats) {
-    uint64_t iteration, human, machine;
-    AUTOEM_RETURN_IF_ERROR(r.U64(&iteration));
-    AUTOEM_RETURN_IF_ERROR(r.U64(&human));
-    AUTOEM_RETURN_IF_ERROR(r.U64(&machine));
-    s.iteration = static_cast<size_t>(iteration);
-    s.human_labels = static_cast<size_t>(human);
-    s.machine_labels = static_cast<size_t>(machine);
+    AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &s.iteration));
+    AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &s.human_labels));
+    AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &s.machine_labels));
     AUTOEM_RETURN_IF_ERROR(r.F64(&s.iteration_model_test_f1));
   }
   if (r.remaining() != 0) {

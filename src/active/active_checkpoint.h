@@ -10,19 +10,20 @@
 
 namespace autoem {
 
-/// One collected label in an active-learning checkpoint.
+/// One collected label of a labeling session.
 struct ActiveLabeledRow {
-  uint64_t pool_index = 0;
+  size_t pool_index = 0;
   int32_t label = 0;
   bool machine = false;  // true for self-training (machine) labels
 };
 
-/// State of AutoML-EM-Active at an iteration boundary — everything the loop
-/// reads: the RNG stream, the collected labels (so a resume never re-spends
-/// oracle budget), the remaining pool order, the Remark-2 class ratio, and
-/// the per-iteration stats. The iteration model itself is NOT serialized:
-/// refitting the same forest seed on the restored labels reproduces it
-/// bit-identically.
+/// State of AutoML-EM-Active — everything the loop reads and writes: the
+/// RNG stream, the collected labels (so a resume never re-spends oracle
+/// budget), the remaining pool order, the Remark-2 class ratio, and the
+/// per-iteration stats. RunAutoMlEmActive works on one of these and saves
+/// it at each iteration boundary. The iteration model itself is NOT
+/// serialized: refitting the same forest seed on the restored labels
+/// reproduces it bit-identically. Counts and indices are written as u64.
 ///
 /// Shares the AEMK container with search checkpoints (automl/checkpoint.h)
 /// under kActiveCheckpointKind, so the two flavors can never be confused.
@@ -37,15 +38,16 @@ struct ActiveCheckpoint {
   uint64_t model_seed = 0;
   /// Last completed iteration (0 = only the initial sample is done); the
   /// resumed loop starts at iteration + 1.
-  uint64_t iteration = 0;
+  size_t iteration = 0;
   /// α, the positive ratio of the initial sample (Remark 2).
   double alpha = 0.0;
-  uint64_t human_used = 0;
-  uint64_t machine_added = 0;
-  uint64_t machine_correct = 0;
+  size_t human_used = 0;
+  size_t machine_added = 0;
+  /// Machine labels that agree with the caller's `true_labels` (0 without).
+  size_t machine_correct = 0;
   std::vector<ActiveLabeledRow> labeled;
   /// Remaining unlabeled pool indices, in draw order.
-  std::vector<uint64_t> unlabeled;
+  std::vector<size_t> unlabeled;
   /// ActiveLearningResult::iterations so far.
   std::vector<ActiveIterationStats> stats;
 };

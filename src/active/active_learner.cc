@@ -31,20 +31,15 @@ std::ostream& operator<<(std::ostream& os, QueryStrategy strategy) {
 
 namespace {
 
-struct LabeledRow {
-  size_t pool_index;
-  int label;
-  bool machine;
-};
-
-std::vector<size_t> PoolIndices(const std::vector<LabeledRow>& rows) {
+std::vector<size_t> PoolIndices(const std::vector<ActiveLabeledRow>& rows) {
   std::vector<size_t> idx;
   idx.reserve(rows.size());
   for (const auto& r : rows) idx.push_back(r.pool_index);
   return idx;
 }
 
-Dataset BuildDataset(const Dataset& pool, const std::vector<LabeledRow>& rows) {
+Dataset BuildDataset(const Dataset& pool,
+                     const std::vector<ActiveLabeledRow>& rows) {
   Dataset out = pool.SelectRows(PoolIndices(rows));
   for (size_t i = 0; i < rows.size(); ++i) out.y[i] = rows[i].label;
   return out;
@@ -59,11 +54,42 @@ Dataset BuildDataset(const Dataset& pool, const std::vector<LabeledRow>& rows) {
 // only for Extra-Trees, which never scans.
 Status FitIterationModel(RandomForestClassifier* model, const Dataset& pool,
                          const FeatureRanks* pool_ranks,
-                         const std::vector<LabeledRow>& labeled) {
+                         const std::vector<ActiveLabeledRow>& labeled) {
   const Dataset data = BuildDataset(pool, labeled);
   if (pool_ranks == nullptr) return model->Fit(data.X, data.y);
   return model->Fit(data.X, FeatureRanks(*pool_ranks, PoolIndices(labeled)),
                     data.y, nullptr);
+}
+
+// Checks a loaded checkpoint against this run before the session adopts
+// it: the seed must match, the RNG text must parse (into `rng`), and every
+// pool index must lie inside `pool_size`.
+Status ValidateCheckpoint(const ActiveCheckpoint& state, uint64_t seed,
+                          size_t pool_size, Rng* rng) {
+  if (state.seed != seed) {
+    return Status::InvalidArgument(
+        "checkpoint seed " + std::to_string(state.seed) +
+        " does not match run seed " + std::to_string(seed) +
+        "; refusing to resume a different run");
+  }
+  std::istringstream in(state.rng_state);
+  in >> rng->engine();
+  if (in.fail()) {
+    return Status::InvalidArgument("checkpoint: unreadable RNG state");
+  }
+  for (const ActiveLabeledRow& row : state.labeled) {
+    if (row.pool_index >= pool_size) {
+      return Status::InvalidArgument(
+          "checkpoint does not match this pool (row index out of range)");
+    }
+  }
+  for (size_t idx : state.unlabeled) {
+    if (idx >= pool_size) {
+      return Status::InvalidArgument(
+          "checkpoint does not match this pool (pool index out of range)");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -101,16 +127,9 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   }
 
   Rng rng(options.seed);
-  ActiveLearningResult result;
-
-  std::vector<size_t> unlabeled;
-  std::vector<LabeledRow> labeled;
-  size_t human_used = 0;
-  size_t machine_added = 0;
-  size_t machine_correct = 0;
-  double alpha = 0.0;
-  uint64_t model_seed = 0;
-  int start_iter = 1;
+  // The session's whole state: resumed from the checkpoint or built fresh,
+  // updated in place by the loop, and saved as is after every iteration.
+  ActiveCheckpoint state;
   bool resumed = false;
 
   const CheckpointOptions& ckpt = options.checkpoint;
@@ -124,55 +143,23 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
       AUTOEM_LOG(INFO) << "active: no checkpoint at " << ckpt.path
                        << ", starting fresh";
     } else {
-      ActiveCheckpoint& state = *loaded;
-      if (state.seed != options.seed) {
-        return Status::InvalidArgument(
-            "checkpoint seed " + std::to_string(state.seed) +
-            " does not match run seed " + std::to_string(options.seed) +
-            "; refusing to resume a different run");
-      }
-      {
-        std::istringstream in(state.rng_state);
-        in >> rng.engine();
-        if (in.fail()) {
-          return Status::InvalidArgument("checkpoint: unreadable RNG state");
-        }
-      }
-      for (const ActiveLabeledRow& row : state.labeled) {
-        if (row.pool_index >= pool.size()) {
-          return Status::InvalidArgument(
-              "checkpoint does not match this pool (row index out of range)");
-        }
-        labeled.push_back({static_cast<size_t>(row.pool_index), row.label,
-                           row.machine});
-      }
-      for (uint64_t idx : state.unlabeled) {
-        if (idx >= pool.size()) {
-          return Status::InvalidArgument(
-              "checkpoint does not match this pool (pool index out of range)");
-        }
-        unlabeled.push_back(static_cast<size_t>(idx));
-      }
-      model_seed = state.model_seed;
-      alpha = state.alpha;
-      human_used = static_cast<size_t>(state.human_used);
-      machine_added = static_cast<size_t>(state.machine_added);
-      machine_correct = static_cast<size_t>(state.machine_correct);
-      result.iterations = state.stats;
-      start_iter = static_cast<int>(state.iteration) + 1;
+      AUTOEM_RETURN_IF_ERROR(
+          ValidateCheckpoint(*loaded, options.seed, pool.size(), &rng));
+      state = std::move(*loaded);
       resumed = true;
       AUTOEM_LOG(INFO) << "active: resumed iteration " << state.iteration
-                       << " from " << ckpt.path << " (" << labeled.size()
-                       << " labels, " << unlabeled.size()
-                       << " pool rows left)";
+                       << " from " << ckpt.path << " ("
+                       << state.labeled.size() << " labels, "
+                       << state.unlabeled.size() << " pool rows left)";
     }
   }
 
   if (!resumed) {
+    state.seed = options.seed;
     // Unlabeled pool U as an index set.
-    unlabeled.resize(pool.size());
-    std::iota(unlabeled.begin(), unlabeled.end(), 0);
-    rng.Shuffle(&unlabeled);
+    state.unlabeled.resize(pool.size());
+    std::iota(state.unlabeled.begin(), state.unlabeled.end(), 0);
+    rng.Shuffle(&state.unlabeled);
 
     // ---- Algorithm 1, lines 1-4: initial human-labeled sample ----
     size_t n_init = std::min(options.init_size, pool.size());
@@ -184,25 +171,25 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
       return Status::InvalidArgument("empty initial sample (n_init == 0)");
     }
     for (size_t k = 0; k < n_init; ++k) {
-      size_t idx = unlabeled.back();
-      unlabeled.pop_back();
-      labeled.push_back({idx, oracle->Label(idx), /*machine=*/false});
+      size_t idx = state.unlabeled.back();
+      state.unlabeled.pop_back();
+      state.labeled.push_back({idx, oracle->Label(idx), /*machine=*/false});
     }
-    human_used = n_init;
+    state.human_used = n_init;
     oracle_labels->Add(n_init);
 
     // α: positive ratio of the initial training data (Remark 2).
     size_t init_pos = 0;
-    for (const auto& r : labeled) init_pos += (r.label == 1);
-    alpha = static_cast<double>(init_pos) / static_cast<double>(n_init);
+    for (const auto& r : state.labeled) init_pos += (r.label == 1);
+    state.alpha = static_cast<double>(init_pos) / static_cast<double>(n_init);
     AUTOEM_LOG(INFO) << "active: init " << n_init << " labels, alpha="
-                     << alpha;
-    model_seed = rng.engine()();
+                     << state.alpha;
+    state.model_seed = rng.engine()();
   }
-  positive_ratio->Set(alpha);
+  positive_ratio->Set(state.alpha);
 
   RandomForestOptions model_opt = options.model;
-  model_opt.seed = model_seed;
+  model_opt.seed = state.model_seed;
   model_opt.parallelism = options.parallelism;
   RandomForestClassifier model(model_opt);
   // Built once for the session: every refit derives its ranks from these.
@@ -214,18 +201,19 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
     pool_ranks.emplace(pool.X);
   }
   const FeatureRanks* ranks = pool_ranks ? &*pool_ranks : nullptr;
-  AUTOEM_RETURN_IF_ERROR(FitIterationModel(&model, pool, ranks, labeled));
+  AUTOEM_RETURN_IF_ERROR(
+      FitIterationModel(&model, pool, ranks, state.labeled));
 
   auto record_iteration = [&](size_t iter) {
     ActiveIterationStats stats;
     stats.iteration = iter;
-    stats.human_labels = human_used;
-    stats.machine_labels = machine_added;
+    stats.human_labels = state.human_used;
+    stats.machine_labels = state.machine_added;
     if (test != nullptr) {
       stats.iteration_model_test_f1 =
           F1Score(test->y, model.Predict(test->X));
     }
-    result.iterations.push_back(stats);
+    state.stats.push_back(stats);
   };
 
   // Checkpoint after every iteration: human labels are too expensive to
@@ -233,26 +221,10 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   // resume granularity but never kills a healthy run.
   auto save_checkpoint = [&](size_t iter) {
     if (ckpt.path.empty()) return;
-    ActiveCheckpoint state;
-    state.seed = options.seed;
-    {
-      std::ostringstream out;
-      out << rng.engine();
-      state.rng_state = out.str();
-    }
-    state.model_seed = model_seed;
+    std::ostringstream rng_text;
+    rng_text << rng.engine();
+    state.rng_state = rng_text.str();
     state.iteration = iter;
-    state.alpha = alpha;
-    state.human_used = human_used;
-    state.machine_added = machine_added;
-    state.machine_correct = machine_correct;
-    state.labeled.reserve(labeled.size());
-    for (const auto& r : labeled) {
-      state.labeled.push_back({static_cast<uint64_t>(r.pool_index),
-                               static_cast<int32_t>(r.label), r.machine});
-    }
-    state.unlabeled.assign(unlabeled.begin(), unlabeled.end());
-    state.stats = result.iterations;
     Status st = SaveActiveCheckpoint(state, ckpt.path);
     if (!st.ok()) {
       AUTOEM_LOG(WARN) << "active: checkpoint write to " << ckpt.path
@@ -266,21 +238,24 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   }
 
   // ---- Algorithm 1, lines 5-12: the labeling loop ----
-  for (int iter = start_iter; iter <= options.max_iterations; ++iter) {
-    if (unlabeled.empty() || human_used >= options.label_budget) break;
+  for (int iter = static_cast<int>(state.iteration) + 1;
+       iter <= options.max_iterations; ++iter) {
+    if (state.unlabeled.empty() || state.human_used >= options.label_budget) {
+      break;
+    }
 
     obs::Span iter_span("active.iteration");
     if (iter_span.active()) iter_span.Arg("iteration", iter);
     obs::ResourceProbe iter_probe;
-    size_t machine_before = machine_added;
+    size_t machine_before = state.machine_added;
 
     // Confidence of every unlabeled pair under the current model.
-    Dataset u_data = pool.SelectRows(unlabeled);
+    Dataset u_data = pool.SelectRows(state.unlabeled);
     auto [proba, conf] = model.PredictProbaAndConfidence(u_data.X);
 
     // Query priority: smaller = queried earlier. Self-training always uses
     // the committee confidence for its high-confidence end.
-    std::vector<double> query_score(unlabeled.size());
+    std::vector<double> query_score(state.unlabeled.size());
     switch (options.query_strategy) {
       case QueryStrategy::kCommittee:
         query_score = conf;
@@ -297,7 +272,8 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
         break;
     }
 
-    std::vector<size_t> order(unlabeled.size());  // positions into unlabeled
+    // Positions into the unlabeled pool.
+    std::vector<size_t> order(state.unlabeled.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return query_score[a] < query_score[b];
@@ -310,26 +286,26 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
                 [&](size_t a, size_t b) { return conf[a] < conf[b]; });
     }
 
-    std::vector<bool> taken(unlabeled.size(), false);
+    std::vector<bool> taken(state.unlabeled.size(), false);
 
     // Active learning: lowest-confidence pairs go to the human.
-    size_t ac_take = std::min({options.ac_batch, unlabeled.size(),
-                               options.label_budget - human_used});
+    size_t ac_take = std::min({options.ac_batch, state.unlabeled.size(),
+                               options.label_budget - state.human_used});
     for (size_t k = 0; k < ac_take; ++k) {
       size_t pos = order[k];
       taken[pos] = true;
-      size_t idx = unlabeled[pos];
-      labeled.push_back({idx, oracle->Label(idx), /*machine=*/false});
+      size_t idx = state.unlabeled[pos];
+      state.labeled.push_back({idx, oracle->Label(idx), /*machine=*/false});
     }
-    human_used += ac_take;
+    state.human_used += ac_take;
 
     // Self-training: highest-confidence pairs keep their predicted labels,
     // with the class mix pinned to α (Remark 2) unless disabled.
     if (options.st_batch > 0) {
       size_t st_take = std::min(options.st_batch,
-                                unlabeled.size() - ac_take);
+                                state.unlabeled.size() - ac_take);
       size_t want_pos = options.preserve_class_ratio
-                            ? static_cast<size_t>(alpha * st_take + 0.5)
+                            ? static_cast<size_t>(state.alpha * st_take + 0.5)
                             : st_take;  // naive mode: no quota
       size_t got_pos = 0;
       size_t got_neg = 0;
@@ -343,12 +319,12 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
           if (pred == 0 && got_neg >= st_take - want_pos) continue;
         }
         taken[pos] = true;
-        size_t idx = unlabeled[pos];
-        labeled.push_back({idx, pred, /*machine=*/true});
-        ++machine_added;
+        size_t idx = state.unlabeled[pos];
+        state.labeled.push_back({idx, pred, /*machine=*/true});
+        ++state.machine_added;
         if (true_labels != nullptr &&
             ((*true_labels)[idx] == 1) == (pred == 1)) {
-          ++machine_correct;
+          ++state.machine_correct;
         }
         (pred == 1 ? got_pos : got_neg) += 1;
       }
@@ -356,19 +332,20 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
 
     // Remove the taken pairs from U.
     std::vector<size_t> next_unlabeled;
-    next_unlabeled.reserve(unlabeled.size());
-    for (size_t pos = 0; pos < unlabeled.size(); ++pos) {
-      if (!taken[pos]) next_unlabeled.push_back(unlabeled[pos]);
+    next_unlabeled.reserve(state.unlabeled.size());
+    for (size_t pos = 0; pos < state.unlabeled.size(); ++pos) {
+      if (!taken[pos]) next_unlabeled.push_back(state.unlabeled[pos]);
     }
-    unlabeled = std::move(next_unlabeled);
+    state.unlabeled = std::move(next_unlabeled);
 
-    AUTOEM_RETURN_IF_ERROR(FitIterationModel(&model, pool, ranks, labeled));
+    AUTOEM_RETURN_IF_ERROR(
+        FitIterationModel(&model, pool, ranks, state.labeled));
     record_iteration(static_cast<size_t>(iter));
     save_checkpoint(static_cast<size_t>(iter));
 
     oracle_labels->Add(ac_take);
-    self_train_labels->Add(machine_added - machine_before);
-    pool_remaining->Set(static_cast<double>(unlabeled.size()));
+    self_train_labels->Add(state.machine_added - machine_before);
+    pool_remaining->Set(static_cast<double>(state.unlabeled.size()));
     if (iter_probe.active()) {
       static obs::Histogram* iter_cpu_ms =
           obs::MetricsRegistry::Global().GetHistogram(
@@ -382,25 +359,30 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
       }
     }
     if (iter_span.active()) {
-      iter_span.Arg("human_labels", human_used);
-      iter_span.Arg("machine_labels", machine_added);
-      iter_span.Arg("pool_remaining", unlabeled.size());
-      iter_span.Arg("test_f1", result.iterations.back().iteration_model_test_f1);
+      iter_span.Arg("human_labels", state.human_used);
+      iter_span.Arg("machine_labels", state.machine_added);
+      iter_span.Arg("pool_remaining", state.unlabeled.size());
+      iter_span.Arg("test_f1", state.stats.back().iteration_model_test_f1);
     }
-    AUTOEM_LOG(DEBUG) << "active: iteration " << iter << " human="
-                      << human_used << " machine=" << machine_added
-                      << " pool=" << unlabeled.size();
+    AUTOEM_LOG(DEBUG) << "active: iteration " << iter
+                      << " human=" << state.human_used
+                      << " machine=" << state.machine_added
+                      << " pool=" << state.unlabeled.size();
   }
 
-  result.collected = BuildDataset(pool, labeled);
-  result.is_machine_label.reserve(labeled.size());
-  for (const auto& r : labeled) result.is_machine_label.push_back(r.machine);
-  result.human_labels_used = human_used;
-  result.machine_labels_added = machine_added;
-  if (true_labels != nullptr && machine_added > 0) {
+  ActiveLearningResult result;
+  result.iterations = std::move(state.stats);
+  result.collected = BuildDataset(pool, state.labeled);
+  result.is_machine_label.reserve(state.labeled.size());
+  for (const auto& r : state.labeled) {
+    result.is_machine_label.push_back(r.machine);
+  }
+  result.human_labels_used = state.human_used;
+  result.machine_labels_added = state.machine_added;
+  if (true_labels != nullptr && state.machine_added > 0) {
     result.machine_label_accuracy =
-        static_cast<double>(machine_correct) /
-        static_cast<double>(machine_added);
+        static_cast<double>(state.machine_correct) /
+        static_cast<double>(state.machine_added);
   }
 
   // ---- Algorithm 1, line 13: AutoML-EM on the collected labels ----

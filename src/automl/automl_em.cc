@@ -8,6 +8,10 @@ namespace autoem {
 
 namespace {
 
+/// Share of the labeled pairs held out for validation when the caller
+/// passes no validation set (paper: 1/5 of train).
+constexpr double kValidFraction = 0.2;
+
 Dataset ConcatDatasets(const Dataset& a, const Dataset& b) {
   Dataset out;
   out.feature_names = a.feature_names;
@@ -56,22 +60,17 @@ Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train, const Dataset& valid,
   HoldoutEvaluator evaluator(train, valid);
   evaluator.SetParallelism(options.parallelism);
 
-  SearchOptions search_options;
-  search_options.max_evaluations = options.max_evaluations;
-  search_options.max_seconds = options.max_seconds;
-  search_options.seed = options.seed;
-  search_options.max_trial_seconds = options.max_trial_seconds;
-  search_options.checkpoint = options.checkpoint;
-
-  Result<SearchOutcome> searched = [&]() -> Result<SearchOutcome> {
-    if (options.algorithm == SearchAlgorithm::kSmac) {
-      SmacOptions smac;
-      smac.base = search_options;
-      smac.initial_configs = options.warm_start_configs;
-      return SmacSearch(space, &evaluator, smac);
-    }
-    return RandomSearch(space, &evaluator, search_options);
-  }();
+  SmacOptions smac;
+  smac.base.max_evaluations = options.max_evaluations;
+  smac.base.max_seconds = options.max_seconds;
+  smac.base.seed = options.seed;
+  smac.base.max_trial_seconds = options.max_trial_seconds;
+  smac.base.checkpoint = options.checkpoint;
+  smac.initial_configs = options.warm_start_configs;
+  if (options.algorithm == SearchAlgorithm::kRandom) {
+    smac.n_init = kRandomSearchInit;
+  }
+  Result<SearchOutcome> searched = SmacSearch(space, &evaluator, smac);
   if (!searched.ok()) return searched.status();
   SearchOutcome outcome = std::move(*searched);
   if (outcome.trajectory.empty()) {
@@ -120,9 +119,8 @@ Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train, const Dataset& valid,
 Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train_all,
                                    const AutoMlEmOptions& options) {
   Rng rng(options.seed ^ 0x9e3779b97f4a7c15ull);
-  SplitResult split =
-      TrainTestSplit(train_all, options.valid_fraction, &rng,
-                     /*stratified=*/true);
+  SplitResult split = TrainTestSplit(train_all, kValidFraction, &rng,
+                                     /*stratified=*/true);
   return RunAutoMlEm(split.train, split.test, options);
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "automl/pipeline.h"
-#include "automl/random_search.h"
 #include "automl/search_space.h"
 #include "automl/smac.h"
 #include "common/status.h"
@@ -29,14 +28,12 @@ struct AutoMlEmOptions {
   int max_evaluations = 30;
   double max_seconds = 0.0;
   uint64_t seed = 1;
-  /// Fraction of the training split held out for validation when the caller
-  /// does not pass an explicit validation set (paper: 1/5 of train).
-  double valid_fraction = 0.2;
   /// Refit the winning pipeline on train+valid before returning (standard
   /// AutoML practice; disable to keep the exact searched model).
   bool refit_on_train_plus_valid = true;
-  /// Warm-start configurations evaluated before the search proper (simple
-  /// meta-learning: carry over winners from similar past datasets).
+  /// Warm-start configurations evaluated before the search proper, by both
+  /// algorithms (simple meta-learning: carry over winners from similar past
+  /// datasets).
   std::vector<Configuration> warm_start_configs;
   /// Per-trial deadline; <= 0 disables. Runaway candidate pipelines are
   /// cooperatively cancelled at the deadline and quarantined as timeouts
@@ -69,7 +66,8 @@ struct AutoMlEmResult {
 Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train, const Dataset& valid,
                                    const AutoMlEmOptions& options);
 
-/// Convenience overload: splits `train_all` into train/valid internally.
+/// Convenience overload: holds out a stratified 1/5 of `train_all` for
+/// validation (the paper's split) and searches on the rest.
 Result<AutoMlEmResult> RunAutoMlEm(const Dataset& train_all,
                                    const AutoMlEmOptions& options);
 

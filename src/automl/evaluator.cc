@@ -8,6 +8,7 @@
 #include "automl/config_io.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "fault/failpoint.h"
 #include "ml/metrics.h"
 #include "obs/obs.h"
@@ -83,9 +84,8 @@ Status HoldoutEvaluator::FitAndScore(const Configuration& config,
     pipeline.SetParallelism(parallelism_);
 
     fault::CancelToken cancel;
-    if (trial_options_.max_trial_seconds > 0.0) {
-      cancel =
-          fault::CancelToken::WithDeadline(trial_options_.max_trial_seconds);
+    if (max_trial_seconds_ > 0.0) {
+      cancel = fault::CancelToken::WithDeadline(max_trial_seconds_);
       pipeline.SetCancelToken(cancel);
     }
 
@@ -114,7 +114,8 @@ Status HoldoutEvaluator::FitAndScore(const Configuration& config,
   return Status::OK();
 }
 
-EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
+EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config,
+                                      int trial) {
   static obs::Counter* trials =
       obs::MetricsRegistry::Global().GetCounter("automl.trials");
   static obs::Counter* failed_error =
@@ -144,7 +145,7 @@ EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
 
   EvalRecord record;
   record.config = config;
-  record.trial = static_cast<int>(trajectory_.size());
+  record.trial = trial;
 
   Stopwatch timer;
   Status st = FitAndScore(config, &record);
@@ -175,7 +176,6 @@ EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
                      << "): " << record.failure_message;
   }
   record.fit_seconds = timer.ElapsedSeconds();
-  record.elapsed_seconds = lifetime_.ElapsedSeconds() + elapsed_offset_;
   TrialTelemetry& telemetry = record.telemetry;
   if (probed) {
     obs::ResourceUsage used = probe.Take();
@@ -212,30 +212,7 @@ EvalRecord HoldoutEvaluator::Evaluate(const Configuration& config) {
   }
   AUTOEM_LOG(DEBUG) << "trial " << record.trial << " valid_f1="
                     << record.valid_f1 << " fit_s=" << record.fit_seconds;
-
-  if (trajectory_.empty() ||
-      record.valid_f1 > trajectory_[best_index_].valid_f1) {
-    best_index_ = trajectory_.size();
-  }
-  trajectory_.push_back(record);
   return record;
-}
-
-void HoldoutEvaluator::RestoreTrajectory(std::vector<EvalRecord> history,
-                                         double elapsed_offset) {
-  trajectory_ = std::move(history);
-  elapsed_offset_ = elapsed_offset;
-  best_index_ = 0;
-  for (size_t i = 1; i < trajectory_.size(); ++i) {
-    if (trajectory_[i].valid_f1 > trajectory_[best_index_].valid_f1) {
-      best_index_ = i;
-    }
-  }
-}
-
-const EvalRecord& HoldoutEvaluator::best() const {
-  AUTOEM_CHECK(!trajectory_.empty());
-  return trajectory_[best_index_];
 }
 
 Result<double> CrossValidatedF1(const Configuration& config,

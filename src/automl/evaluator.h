@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "automl/pipeline.h"
-#include "common/timer.h"
 #include "fault/cancel.h"
 #include "ml/dataset.h"
 
@@ -53,7 +52,7 @@ struct TrialTelemetry {
 enum class TrialFailure : uint8_t {
   kNone = 0,       // trial completed with a finite score
   kError = 1,      // compile/fit/score returned an error or threw
-  kTimeout = 2,    // per-trial deadline (TrialOptions::max_trial_seconds)
+  kTimeout = 2,    // per-trial deadline (SetMaxTrialSeconds)
   kNonFinite = 3,  // score came back NaN/Inf
 };
 
@@ -67,12 +66,13 @@ struct EvalRecord {
   double valid_f1 = 0.0;
   double test_f1 = -1.0;  // -1 when no test set was supplied
   double fit_seconds = 0.0;
-  /// 0-based index of this evaluation in the evaluator's trajectory.
+  /// 0-based index of this evaluation in the search's trajectory.
   int trial = 0;
-  /// Wall clock from evaluator construction to the end of this evaluation.
-  /// Together with `trial` this makes a trajectory a complete Fig. 3-style
-  /// tuning curve (best F1 vs time) that SaveTrajectory/FormatTuningCurve
-  /// can serialize without re-running the search.
+  /// Search clock at the end of this evaluation, stamped by the search
+  /// driver (0 for a standalone Evaluate). Together with `trial` this makes
+  /// a trajectory a complete Fig. 3-style tuning curve (best F1 vs time)
+  /// that SaveTrajectory/FormatTuningCurve can serialize without re-running
+  /// the search.
   double elapsed_seconds = 0.0;
   /// kNone for a clean trial. Anything else means valid_f1 is the imputed
   /// worst score (0.0), not a measurement, and the search must quarantine
@@ -86,14 +86,6 @@ struct EvalRecord {
   TrialTelemetry telemetry;
 };
 
-/// Per-trial resource limits applied by the evaluator.
-struct TrialOptions {
-  /// Cooperative wall-clock deadline per evaluation; <= 0 disables. A trial
-  /// past its deadline is cancelled (forest fits bail at the next tree/node
-  /// boundary) and recorded as TrialFailure::kTimeout.
-  double max_trial_seconds = 0.0;
-};
-
 /// Satellite guard against silent NaN propagation into the surrogate mean:
 /// OK for finite scores, Status::Internal naming the offending config hash
 /// otherwise.
@@ -102,6 +94,8 @@ Status ValidateTrialScore(double score, const Configuration& config);
 /// One-hold-out evaluation (the paper's validation protocol, §V-A): fit the
 /// candidate pipeline on `train`, score F1 on `valid`. A `test` set may be
 /// attached for trajectory reporting (Fig. 10); it never influences search.
+/// The evaluator keeps nothing between trials: the search driver numbers
+/// them, stamps their clock and keeps the trajectory.
 class HoldoutEvaluator {
  public:
   HoldoutEvaluator(Dataset train, Dataset valid);
@@ -116,32 +110,19 @@ class HoldoutEvaluator {
     parallelism_ = parallelism;
   }
 
-  /// Per-trial limits (deadline). Applies to subsequent Evaluate calls.
-  void SetTrialOptions(const TrialOptions& options) {
-    trial_options_ = options;
-  }
+  /// Cooperative wall-clock deadline per evaluation; <= 0 (the default)
+  /// disables it. A trial past its deadline is cancelled (forest fits bail
+  /// at the next tree/node boundary) and recorded as TrialFailure::kTimeout.
+  /// Applies to subsequent Evaluate calls.
+  void SetMaxTrialSeconds(double seconds) { max_trial_seconds_ = seconds; }
 
   /// Fits and scores one configuration. Never throws and never aborts the
   /// search: a trial that errors, exceeds its deadline, or produces a
   /// non-finite score comes back with the worst score imputed (0.0) and
   /// `failure` set, so callers can quarantine the config and continue.
-  EvalRecord Evaluate(const Configuration& config);
-
-  size_t num_evaluations() const { return trajectory_.size(); }
-  const std::vector<EvalRecord>& trajectory() const { return trajectory_; }
-
-  /// Best record so far by validation F1 (ties: earliest wins).
-  const EvalRecord& best() const;
-
-  /// Checkpoint resume: seeds the trajectory with `history` (recomputing the
-  /// best index) and offsets future elapsed_seconds by `elapsed_offset` so a
-  /// resumed run's tuning curve continues the killed run's clock instead of
-  /// restarting at zero. Must be called before the first Evaluate.
-  void RestoreTrajectory(std::vector<EvalRecord> history,
-                         double elapsed_offset);
-
-  const Dataset& train() const { return train_; }
-  const Dataset& valid() const { return valid_; }
+  /// `trial` is the caller's index for this evaluation; the record, the
+  /// `automl.pipeline_eval` span and the log lines carry it.
+  EvalRecord Evaluate(const Configuration& config, int trial = 0);
 
  private:
   /// The fallible core of Evaluate: compile, fit under the trial deadline,
@@ -153,12 +134,8 @@ class HoldoutEvaluator {
   Dataset valid_;
   Dataset test_;
   Parallelism parallelism_;
-  TrialOptions trial_options_;
+  double max_trial_seconds_ = 0.0;
   bool has_test_ = false;
-  std::vector<EvalRecord> trajectory_;
-  size_t best_index_ = 0;
-  double elapsed_offset_ = 0.0;  // prior run's clock, from RestoreTrajectory
-  Stopwatch lifetime_;  // feeds EvalRecord::elapsed_seconds
 };
 
 /// Stratified k-fold cross-validated F1 of one configuration — the

@@ -16,9 +16,7 @@ SearchDriver::SearchDriver(const ConfigurationSpace& space,
       rng_(options.seed) {}
 
 Status SearchDriver::Init() {
-  TrialOptions trial;
-  trial.max_trial_seconds = options_.max_trial_seconds;
-  evaluator_->SetTrialOptions(trial);
+  evaluator_->SetMaxTrialSeconds(options_.max_trial_seconds);
 
   const CheckpointOptions& ckpt = options_.checkpoint;
   if (ckpt.path.empty() || !ckpt.resume) return Status::OK();
@@ -50,17 +48,7 @@ Status SearchDriver::Init() {
   interleave_random_ = state.interleave_random;
   elapsed_offset_ = state.elapsed_seconds;
   failed_.insert(state.failed_hashes.begin(), state.failed_hashes.end());
-  outcome_.trajectory = std::move(state.history);
-  for (const EvalRecord& record : outcome_.trajectory) {
-    if (record.failure == TrialFailure::kNone &&
-        (outcome_.best_config.empty() ||
-         record.valid_f1 > outcome_.best_valid_f1)) {
-      outcome_.best_valid_f1 = record.valid_f1;
-      outcome_.best_config = record.config;
-    }
-    if (record.failure != TrialFailure::kNone) ++outcome_.trials_failed;
-  }
-  evaluator_->RestoreTrajectory(outcome_.trajectory, elapsed_offset_);
+  for (EvalRecord& record : state.history) Admit(std::move(record));
   AUTOEM_LOG(INFO) << name_ << ": resumed " << outcome_.trajectory.size()
                    << " trials from " << ckpt.path
                    << " (best valid_f1=" << outcome_.best_valid_f1 << ")";
@@ -94,30 +82,36 @@ Configuration SearchDriver::Propose(Configuration candidate) {
   return candidate;
 }
 
-EvalRecord SearchDriver::Evaluate(const Configuration& config) {
-  static obs::Gauge* best_gauge =
-      obs::MetricsRegistry::Global().GetGauge("automl.best_valid_f1");
-  EvalRecord record = evaluator_->Evaluate(config);
-  if (record.failure != TrialFailure::kNone) {
+bool SearchDriver::Admit(EvalRecord record) {
+  const bool failed = record.failure != TrialFailure::kNone;
+  if (failed) {
     failed_.insert(ConfigurationHash(record.config));
     ++outcome_.trials_failed;
   }
-  // Failed trials carry an imputed worst score and must never become the
-  // incumbent — an all-failed search keeps best_config empty so the caller
-  // can tell "no usable configuration" from "best config scored 0".
-  if (record.failure == TrialFailure::kNone &&
-      (outcome_.best_config.empty() ||
-       record.valid_f1 > outcome_.best_valid_f1)) {
+  const bool best = !failed && (outcome_.best_config.empty() ||
+                                record.valid_f1 > outcome_.best_valid_f1);
+  if (best) {
     outcome_.best_valid_f1 = record.valid_f1;
     outcome_.best_config = record.config;
-    AUTOEM_LOG(INFO) << name_ << ": new best valid_f1=" << record.valid_f1
-                     << " at trial " << record.trial;
+  }
+  outcome_.trajectory.push_back(std::move(record));
+  return best;
+}
+
+void SearchDriver::Evaluate(const Configuration& config) {
+  static obs::Gauge* best_gauge =
+      obs::MetricsRegistry::Global().GetGauge("automl.best_valid_f1");
+  EvalRecord record =
+      evaluator_->Evaluate(config, static_cast<int>(trials_done()));
+  record.elapsed_seconds = elapsed_offset_ + timer_.ElapsedSeconds();
+  if (Admit(std::move(record))) {
+    AUTOEM_LOG(INFO) << name_ << ": new best valid_f1="
+                     << outcome_.best_valid_f1 << " at trial "
+                     << outcome_.trajectory.back().trial;
   }
   best_gauge->Set(outcome_.best_valid_f1);
-  outcome_.trajectory.push_back(record);
   ++trials_since_checkpoint_;
   MaybeCheckpoint(/*force=*/false);
-  return record;
 }
 
 void SearchDriver::MaybeCheckpoint(bool force) {

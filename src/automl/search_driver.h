@@ -4,17 +4,18 @@
 #include <set>
 #include <string>
 
-#include "automl/random_search.h"
+#include "automl/smac.h"
 #include "common/rng.h"
 #include "common/timer.h"
 
 namespace autoem {
 
-/// Shared fault-tolerance chassis of RandomSearch and SmacSearch: trial
-/// bookkeeping, quarantine of failed configurations, per-trial deadlines,
-/// and checkpoint/resume. The searchers own their proposal logic; the
-/// driver owns everything that must behave identically for a resumed run to
-/// be bit-identical to an uninterrupted one.
+/// Fault-tolerance chassis of SmacSearch (and so of random search) and the
+/// only holder of a search's state: it numbers trials, stamps their clock,
+/// and keeps the trajectory, the incumbent and the quarantine, and it
+/// checkpoints and resumes them. The proposal logic reads that state and
+/// keeps none of its own, so a resumed run is bit-identical to an
+/// uninterrupted one.
 ///
 /// Usage:
 ///   SearchDriver driver(space, evaluator, options, "smac");
@@ -29,8 +30,8 @@ class SearchDriver {
   SearchDriver(const ConfigurationSpace& space, HoldoutEvaluator* evaluator,
                const SearchOptions& options, const char* name);
 
-  /// Applies trial options and, when requested, resumes from the
-  /// checkpoint: restores the RNG stream, trajectory, best-so-far,
+  /// Sets the evaluator's per-trial deadline and, when requested, resumes
+  /// from the checkpoint: restores the RNG stream, trajectory, best-so-far,
   /// quarantine set, phase flag, and elapsed clock. A missing checkpoint
   /// file starts fresh; a corrupt one or a seed mismatch is an error.
   Status Init();
@@ -53,14 +54,17 @@ class SearchDriver {
   /// failed candidates without consuming proposal retries).
   bool IsQuarantined(const Configuration& config) const;
 
-  /// Runs one trial: evaluate, quarantine on failure, update best, advance
-  /// the checkpoint cadence. Returns the (possibly imputed) record.
-  EvalRecord Evaluate(const Configuration& config);
+  /// Runs one trial: evaluate under the next trial index, stamp the search
+  /// clock, quarantine on failure, update best, advance the checkpoint
+  /// cadence. The record lands at the back of outcome().trajectory.
+  void Evaluate(const Configuration& config);
 
   /// Writes a final checkpoint (when enabled) and releases the outcome.
   SearchOutcome Finish();
 
   Rng* rng() { return &rng_; }
+  /// Trajectory (every trial, restored ones included), incumbent and
+  /// failure count so far.
   const SearchOutcome& outcome() const { return outcome_; }
 
   /// SMAC's random-interleave phase flag, checkpointed with the rest of the
@@ -70,6 +74,12 @@ class SearchDriver {
   void set_interleave_random(bool v) { interleave_random_ = v; }
 
  private:
+  /// Appends one trial, restored or new, to the outcome: quarantines and
+  /// counts a failure, and promotes a clean trial that beats the incumbent.
+  /// Failed trials carry an imputed worst score and never become the
+  /// incumbent, so an all-failed search keeps best_config empty. Returns
+  /// true when the trial became the incumbent.
+  bool Admit(EvalRecord record);
   void MaybeCheckpoint(bool force);
 
   const ConfigurationSpace& space_;

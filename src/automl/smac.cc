@@ -12,6 +12,33 @@
 
 namespace autoem {
 
+namespace {
+
+/// Fraction of each candidate pool drawn as neighbors of the incumbent; the
+/// rest are uniform random samples, SMAC's random interleaving.
+constexpr double kNeighborFraction = 0.5;
+
+/// Fits `surrogate` on the driver's trajectory: each trial's encoded
+/// configuration against its validation F1. Quarantined trials keep their
+/// imputed worst score, so the surrogate learns to avoid their region
+/// rather than forget it.
+Status FitSurrogate(const ConfigurationSpace& space,
+                    const std::vector<EvalRecord>& trajectory,
+                    SurrogateForest* surrogate) {
+  Matrix X;
+  std::vector<double> scores;
+  scores.reserve(trajectory.size());
+  for (size_t r = 0; r < trajectory.size(); ++r) {
+    std::vector<double> encoded = space.Encode(trajectory[r].config);
+    if (r == 0) X = Matrix(trajectory.size(), encoded.size());
+    std::copy(encoded.begin(), encoded.end(), X.RowPtr(r));
+    scores.push_back(trajectory[r].valid_f1);
+  }
+  return surrogate->Fit(X, scores);
+}
+
+}  // namespace
+
 Result<SearchOutcome> SmacSearch(const ConfigurationSpace& space,
                                  HoldoutEvaluator* evaluator,
                                  const SmacOptions& options) {
@@ -20,34 +47,14 @@ Result<SearchOutcome> SmacSearch(const ConfigurationSpace& space,
     return Status::InvalidArgument(
         "search needs an evaluation or time budget");
   }
-  SearchDriver driver(space, evaluator, base, "smac");
+  SearchDriver driver(
+      space, evaluator, base,
+      options.n_init == kRandomSearchInit ? "random_search" : "smac");
   AUTOEM_RETURN_IF_ERROR(driver.Init());
   Rng& rng = *driver.rng();
 
-  // Observed history for the surrogate. Quarantined trials stay in with
-  // their imputed worst score — the surrogate should learn to avoid that
-  // region, not forget it. On resume the history is rebuilt from the
-  // checkpointed trajectory.
-  std::vector<std::vector<double>> encoded;
-  std::vector<double> scores;
-  for (const EvalRecord& record : driver.outcome().trajectory) {
-    encoded.push_back(space.Encode(record.config));
-    scores.push_back(record.valid_f1);
-  }
-
-  auto evaluate = [&](const Configuration& config) {
-    EvalRecord record = driver.Evaluate(config);
-    encoded.push_back(space.Encode(record.config));
-    scores.push_back(record.valid_f1);
-  };
-
   const size_t n_warm = options.initial_configs.size();
   const size_t n_init = static_cast<size_t>(std::max(options.n_init, 2));
-
-  static obs::Histogram* surrogate_fit_ms =
-      obs::MetricsRegistry::Global().GetHistogram("automl.surrogate_fit_ms");
-  static obs::Histogram* ei_rank_ms =
-      obs::MetricsRegistry::Global().GetHistogram("automl.ei_rank_ms");
 
   // The loop is positional in trials_done() so a resumed run re-enters the
   // correct phase directly: skipped phases' RNG draws are already reflected
@@ -57,7 +64,7 @@ Result<SearchOutcome> SmacSearch(const ConfigurationSpace& space,
 
     // ---- warm start: caller-provided configurations first ----
     if (t < n_warm) {
-      evaluate(
+      driver.Evaluate(
           driver.Propose(space.Complete(options.initial_configs[t], &rng)));
       continue;
     }
@@ -65,12 +72,11 @@ Result<SearchOutcome> SmacSearch(const ConfigurationSpace& space,
     // ---- initial design: default + random samples ----
     if (t < n_warm + n_init) {
       const size_t i = t - n_warm;
-      Configuration config =
+      driver.Evaluate(
           (i == 0 && base.include_default)
               ? space.Complete(DefaultEmConfiguration(ModelSpace::kAllModels),
                                &rng)
-              : driver.Propose(space.Sample(&rng));
-      evaluate(config);
+              : driver.Propose(space.Sample(&rng)));
       continue;
     }
 
@@ -80,34 +86,32 @@ Result<SearchOutcome> SmacSearch(const ConfigurationSpace& space,
       // onto the surrogate's blind spots.
       obs::Span span("smac.random_interleave");
       driver.set_interleave_random(false);
-      evaluate(driver.Propose(space.Sample(&rng)));
+      driver.Evaluate(driver.Propose(space.Sample(&rng)));
       continue;
     }
     driver.set_interleave_random(true);
 
+    // Registered here, not at entry: random search never fits a surrogate
+    // and so never allocates these instruments.
+    static obs::Histogram* surrogate_fit_ms =
+        obs::MetricsRegistry::Global().GetHistogram("automl.surrogate_fit_ms");
+    static obs::Histogram* ei_rank_ms =
+        obs::MetricsRegistry::Global().GetHistogram("automl.ei_rank_ms");
     obs::Span trial_span("smac.trial");
 
-    // Fit surrogate on the history so far.
     Stopwatch fit_timer;
-    Matrix X(encoded.size(), encoded.empty() ? 0 : encoded[0].size());
-    for (size_t r = 0; r < encoded.size(); ++r) {
-      for (size_t c = 0; c < encoded[r].size(); ++c) {
-        X.At(r, c) = encoded[r][c];
-      }
-    }
-    SurrogateForest::Options surrogate_opt;
-    surrogate_opt.seed = rng.engine()();
-    SurrogateForest surrogate(surrogate_opt);
+    SurrogateForest surrogate(rng.engine()());
     bool surrogate_ok;
     {
       obs::Span fit_span("smac.surrogate_fit");
-      if (fit_span.active()) fit_span.Arg("history", encoded.size());
-      surrogate_ok = surrogate.Fit(X, scores).ok();
+      if (fit_span.active()) fit_span.Arg("history", driver.trials_done());
+      surrogate_ok =
+          FitSurrogate(space, driver.outcome().trajectory, &surrogate).ok();
     }
     double fit_ms = fit_timer.ElapsedMillis();
     surrogate_fit_ms->Observe(fit_ms);
     if (!surrogate_ok) {
-      evaluate(driver.Propose(space.Sample(&rng)));
+      driver.Evaluate(driver.Propose(space.Sample(&rng)));
       continue;
     }
 
@@ -122,8 +126,8 @@ Result<SearchOutcome> SmacSearch(const ConfigurationSpace& space,
       if (rank_span.active()) {
         rank_span.Arg("candidates", options.n_candidates);
       }
-      int n_neighbors = static_cast<int>(options.n_candidates *
-                                         options.neighbor_fraction);
+      int n_neighbors =
+          static_cast<int>(options.n_candidates * kNeighborFraction);
       const Configuration& incumbent = driver.outcome().best_config;
       for (int k = 0; k < options.n_candidates; ++k) {
         Configuration candidate = k < n_neighbors
@@ -152,9 +156,18 @@ Result<SearchOutcome> SmacSearch(const ConfigurationSpace& space,
       trial_span.Arg("best_ei", best_ei);
       trial_span.Arg("config_hash", ConfigurationHash(best_candidate));
     }
-    evaluate(best_candidate);
+    driver.Evaluate(best_candidate);
   }
   return driver.Finish();
+}
+
+Result<SearchOutcome> RandomSearch(const ConfigurationSpace& space,
+                                   HoldoutEvaluator* evaluator,
+                                   const SearchOptions& options) {
+  SmacOptions random;
+  random.base = options;
+  random.n_init = kRandomSearchInit;
+  return SmacSearch(space, evaluator, random);
 }
 
 }  // namespace autoem

@@ -7,9 +7,16 @@
 
 namespace autoem {
 
-SurrogateForest::SurrogateForest() : SurrogateForest(Options()) {}
+namespace {
 
-SurrogateForest::SurrogateForest(Options options) : options_(options) {}
+// Shape of every surrogate forest.
+constexpr int kTrees = 24;
+constexpr int kMinSamplesLeaf = 2;
+constexpr double kMaxFeatures = 0.8;
+
+}  // namespace
+
+SurrogateForest::SurrogateForest(uint64_t seed) : seed_(seed) {}
 
 Status SurrogateForest::Fit(const Matrix& X, const std::vector<double>& y) {
   if (X.rows() != y.size() || X.rows() == 0) {
@@ -17,14 +24,14 @@ Status SurrogateForest::Fit(const Matrix& X, const std::vector<double>& y) {
   }
   trees_.clear();
   flat_.Clear();
-  trees_.reserve(options_.n_trees);
-  Rng rng(options_.seed);
+  trees_.reserve(kTrees);
+  Rng rng(seed_);
   const size_t n = X.rows();
-  for (int t = 0; t < options_.n_trees; ++t) {
+  for (int t = 0; t < kTrees; ++t) {
     TreeOptions opt;
-    opt.min_samples_leaf = options_.min_samples_leaf;
-    opt.min_samples_split = 2 * options_.min_samples_leaf;
-    opt.max_features = options_.max_features;
+    opt.min_samples_leaf = kMinSamplesLeaf;
+    opt.min_samples_split = 2 * kMinSamplesLeaf;
+    opt.max_features = kMaxFeatures;
     opt.seed = rng.engine()();
     RegressionTree tree(opt);
     // Bootstrap as integer weights.

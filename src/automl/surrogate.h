@@ -12,18 +12,11 @@ namespace autoem {
 /// Random-forest *regression* surrogate, the SMAC ingredient (paper §III-A):
 /// fit on (encoded configuration, observed validation F1) pairs; the
 /// per-tree prediction spread provides the uncertainty needed by expected
-/// improvement.
+/// improvement. `seed` fixes the bootstrap draws and each tree's feature
+/// sampling.
 class SurrogateForest {
  public:
-  struct Options {
-    int n_trees = 24;
-    int min_samples_leaf = 2;
-    double max_features = 0.8;
-    uint64_t seed = 101;
-  };
-
-  SurrogateForest();
-  explicit SurrogateForest(Options options);
+  explicit SurrogateForest(uint64_t seed = 101);
 
   Status Fit(const Matrix& X, const std::vector<double>& y);
 
@@ -34,7 +27,7 @@ class SurrogateForest {
   bool fitted() const { return !trees_.empty(); }
 
  private:
-  Options options_;
+  uint64_t seed_;
   std::vector<RegressionTree> trees_;
   /// Flattened inference layout rebuilt after Fit; PredictMeanVar walks it
   /// tree by tree (EI ranking evaluates hundreds of candidate configs per

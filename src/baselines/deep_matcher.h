@@ -25,7 +25,6 @@ class DeepMatcherModel {
     int epochs = 150;  // upper bound; early stopping picks the best round
     double learning_rate = 1e-3;
     double l2 = 2e-3;  // memorization control; the stand-in has no dropout
-    double valid_fraction = 0.0;  // reserved (no early stopping yet)
     uint64_t seed = 17;
   };
 

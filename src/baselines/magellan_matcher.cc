@@ -5,6 +5,13 @@
 
 namespace autoem {
 
+namespace {
+
+/// Share of the labeled pairs the developer holds out to pick a model.
+constexpr double kValidFraction = 0.2;
+
+}  // namespace
+
 Result<MagellanMatcher> MagellanMatcher::Train(const PairSet& labeled_pairs,
                                                const Options& options) {
   if (labeled_pairs.pairs.empty()) {
@@ -20,7 +27,7 @@ Result<MagellanMatcher> MagellanMatcher::Train(const PairSet& labeled_pairs,
   Dataset all = matcher.generator_.Generate(labeled_pairs);
 
   Rng rng(options.seed);
-  SplitResult split = TrainTestSplit(all, options.valid_fraction, &rng);
+  SplitResult split = TrainTestSplit(all, kValidFraction, &rng);
 
   AUTOEM_RETURN_IF_ERROR(matcher.imputer_.Fit(split.train.X, split.train.y));
   Matrix train_x = matcher.imputer_.Apply(split.train.X);

@@ -25,7 +25,6 @@ class MagellanMatcher {
     std::vector<std::string> models = {"decision_tree", "random_forest",
                                        "linear_svm", "logistic_regression",
                                        "gaussian_nb"};
-    double valid_fraction = 0.2;
     uint64_t seed = 3;
   };
 

@@ -2,28 +2,18 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
-
-#include "obs/log.h"
 
 namespace autoem {
 namespace internal {
 
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
                               const char* msg) {
-  // stderr first: the structured sink may itself be the thing that broke.
   if (msg != nullptr) {
     std::fprintf(stderr, "AUTOEM_CHECK failed at %s:%d: %s (%s)\n", file,
                  line, expr, msg);
   } else {
     std::fprintf(stderr, "AUTOEM_CHECK failed at %s:%d: %s\n", file, line,
                  expr);
-  }
-  if (obs::LogFileOpen()) {
-    std::string record = std::string("AUTOEM_CHECK failed: ") + expr;
-    if (msg != nullptr) record += std::string(" (") + msg + ")";
-    obs::LogLine(obs::LogLevel::kError, file, line, record);
-    obs::CloseLogFile();  // flush before the abort tears the process down
   }
   std::abort();
 }

@@ -4,10 +4,8 @@
 namespace autoem {
 namespace internal {
 
-/// Reports a failed invariant on stderr — and through the structured log
-/// sink when one is installed (see obs/log.h), so JSONL logs capture the
-/// failure reason — then aborts. Out of line to keep the macro expansion
-/// small and the header dependency-free.
+/// Reports a failed invariant on stderr, then aborts. Out of line to keep
+/// the macro expansion small and the header dependency-free.
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
                               const char* msg);
 

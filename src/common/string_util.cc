@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 namespace autoem {
 
@@ -87,6 +88,16 @@ Result<T> ParseNumber(std::string_view s, T lo, T hi) {
 template Result<int> ParseNumber(std::string_view, int, int);
 template Result<uint64_t> ParseNumber(std::string_view, uint64_t, uint64_t);
 template Result<double> ParseNumber(std::string_view, double, double);
+
+bool ParseCellNumber(std::string_view s, double* value) {
+  if (s.empty()) return false;
+  std::string buf(s);  // strtod needs a terminator
+  char* end = nullptr;
+  double parsed = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size()) return false;
+  *value = parsed;
+  return true;
+}
 
 std::string StrFormat(const char* fmt, ...) {
   va_list args;

@@ -32,6 +32,12 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 template <typename T>
 Result<T> ParseNumber(std::string_view s, T lo, T hi);
 
+/// The rule for "this table cell is a number": strtod reads all of `s`, so
+/// leading spaces, a sign, hex, inf and nan are accepted, while an empty
+/// text or one with anything left over (an embedded NUL included) is not.
+/// Sets *value only on success.
+bool ParseCellNumber(std::string_view s, double* value);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -119,8 +119,8 @@ Result<std::vector<RecordPair>> SortedNeighborhoodBlocker::Block(
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.key < b.key; });
 
-  // Slide the window; emit cross-side pairs only, deduplicated.
-  std::unordered_set<uint64_t> seen;
+  // Slide the window; emit cross-side pairs only. Each row is one entry and
+  // each pair of positions is visited once, so no pair repeats.
   std::vector<RecordPair> out;
   for (size_t i = 0; i < entries.size(); ++i) {
     size_t end = std::min(entries.size(), i + window_);
@@ -128,11 +128,8 @@ Result<std::vector<RecordPair>> SortedNeighborhoodBlocker::Block(
       const Entry& a = entries[i];
       const Entry& b = entries[j];
       if (a.from_left == b.from_left) continue;
-      size_t l = a.from_left ? a.row : b.row;
-      size_t r = a.from_left ? b.row : a.row;
-      uint64_t key = (static_cast<uint64_t>(l) << 32) |
-                     static_cast<uint64_t>(r);
-      if (seen.insert(key).second) out.push_back({l, r, -1});
+      out.push_back({a.from_left ? a.row : b.row, a.from_left ? b.row : a.row,
+                     -1});
     }
   }
   return out;

@@ -14,8 +14,8 @@ namespace autoem {
 namespace obs {
 
 /// JSON for the observability artifacts. Emission (`JsonQuote`,
-/// `JsonNumber`) is header-only and shared by the log, metrics, and trace
-/// sinks. Reading is `ParseJson` (json.cc, in autoem_obs_export), the one
+/// `JsonNumber`) is header-only and shared by the metrics and trace
+/// writers. Reading is `ParseJson` (json.cc, in autoem_obs_export), the one
 /// strict reader behind every consumer of those files once written:
 /// `trace-analyze` and the run report (traces, metrics) and
 /// `bench_compare` (bench JSON).

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <mutex>
 
-#include "obs/json.h"
-
 namespace autoem {
 namespace obs {
 
@@ -15,13 +13,11 @@ std::atomic<int> g_min_log_level{static_cast<int>(LogLevel::kWarn)};
 
 namespace {
 
+// Serializes records so concurrent lines never interleave.
 std::mutex& SinkMutex() {
   static std::mutex* mu = new std::mutex;
   return *mu;
 }
-
-// JSONL sink; nullptr = stderr human sink. Guarded by SinkMutex().
-std::FILE* g_log_file = nullptr;
 
 double ProcessSeconds() {
   using Clock = std::chrono::steady_clock;
@@ -89,28 +85,6 @@ LogLevel MinLogLevel() {
       internal::g_min_log_level.load(std::memory_order_relaxed));
 }
 
-bool OpenLogFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  std::lock_guard<std::mutex> lock(SinkMutex());
-  if (g_log_file != nullptr) std::fclose(g_log_file);
-  g_log_file = f;
-  return true;
-}
-
-void CloseLogFile() {
-  std::lock_guard<std::mutex> lock(SinkMutex());
-  if (g_log_file != nullptr) {
-    std::fclose(g_log_file);
-    g_log_file = nullptr;
-  }
-}
-
-bool LogFileOpen() {
-  std::lock_guard<std::mutex> lock(SinkMutex());
-  return g_log_file != nullptr;
-}
-
 void LogLine(LogLevel level, const char* file, int line,
              const std::string& msg) {
   // Strip the directory part so records stay compact.
@@ -122,26 +96,8 @@ void LogLine(LogLevel level, const char* file, int line,
   unsigned tid = LogThreadId();
 
   std::lock_guard<std::mutex> lock(SinkMutex());
-  if (g_log_file != nullptr) {
-    std::string record = "{\"ts_s\":";
-    record += JsonNumber(ts);
-    record += ",\"level\":\"";
-    record += LogLevelName(level);
-    record += "\",\"thread\":";
-    record += std::to_string(tid);
-    record += ",\"src\":\"";
-    AppendJsonEscaped(&record, base);
-    record += ':';
-    record += std::to_string(line);
-    record += "\",\"msg\":";
-    record += JsonQuote(msg);
-    record += "}\n";
-    std::fwrite(record.data(), 1, record.size(), g_log_file);
-    std::fflush(g_log_file);
-  } else {
-    std::fprintf(stderr, "[%.3fs] [%s] [t%u] %s:%d: %s\n", ts,
-                 LogLevelName(level), tid, base, line, msg.c_str());
-  }
+  std::fprintf(stderr, "[%.3fs] [%s] [t%u] %s:%d: %s\n", ts,
+               LogLevelName(level), tid, base, line, msg.c_str());
 }
 
 }  // namespace obs

@@ -2,7 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/string_util.h"
 
 namespace autoem {
 
@@ -27,13 +28,9 @@ Value Value::Parse(std::string_view raw) {
   if (raw.empty()) return Value::Null();
   if (raw == "true" || raw == "True" || raw == "TRUE") return Value(true);
   if (raw == "false" || raw == "False" || raw == "FALSE") return Value(false);
-  std::string buf(raw);
-  char* end = nullptr;
-  double d = std::strtod(buf.c_str(), &end);
-  // Compare against buf.size(), not '\0': a cell like "1\0junk" must stay a
-  // string, not silently truncate to the number 1.
-  if (end == buf.c_str() + buf.size() && end != buf.c_str()) return Value(d);
-  return Value(std::move(buf));
+  double d;
+  if (ParseCellNumber(raw, &d)) return Value(d);
+  return Value(std::string(raw));
 }
 
 }  // namespace autoem

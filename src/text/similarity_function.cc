@@ -1,28 +1,12 @@
 #include "text/similarity_function.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
+#include "common/string_util.h"
 #include "text/similarity.h"
 
 namespace autoem {
-
-namespace {
-
-double ParseNumber(std::string_view s, bool* ok) {
-  if (s.empty()) {
-    *ok = false;
-    return 0.0;
-  }
-  char* end = nullptr;
-  std::string buf(s);
-  double v = std::strtod(buf.c_str(), &end);
-  *ok = (end != nullptr && *end == '\0');
-  return v;
-}
-
-}  // namespace
 
 const char* MeasureName(Measure m) {
   switch (m) {
@@ -139,11 +123,11 @@ double SimFunction::Apply(std::string_view a, std::string_view b) const {
     case Measure::kJaccard:
       return ApplyTokens(Tokenize(tokenizer, a), Tokenize(tokenizer, b));
     case Measure::kAbsoluteNorm: {
-      bool ok_a = false;
-      bool ok_b = false;
-      double va = ParseNumber(a, &ok_a);
-      double vb = ParseNumber(b, &ok_b);
-      if (!ok_a || !ok_b) return std::numeric_limits<double>::quiet_NaN();
+      double va;
+      double vb;
+      if (!ParseCellNumber(a, &va) || !ParseCellNumber(b, &vb)) {
+        return std::numeric_limits<double>::quiet_NaN();
+      }
       return AbsoluteNorm(va, vb);
     }
   }

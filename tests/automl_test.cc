@@ -7,7 +7,6 @@
 #include "automl/evaluator.h"
 #include "automl/param_space.h"
 #include "automl/pipeline.h"
-#include "automl/random_search.h"
 #include "automl/search_space.h"
 #include "automl/smac.h"
 #include "automl/surrogate.h"
@@ -287,18 +286,21 @@ TEST(PipelineTest, OversamplingPipelineFits) {
 
 // ---- evaluator ---------------------------------------------------------------------
 
-TEST(EvaluatorTest, TracksBestAndTrajectory) {
+TEST(EvaluatorTest, ReturnsEachTrialWithFailuresImputed) {
   Dataset train = MakeEmLikeData(150, 17);
   Dataset valid = MakeEmLikeData(80, 18);
   HoldoutEvaluator evaluator(train, valid);
   Configuration good = DefaultEmConfiguration(ModelSpace::kAllModels);
   Configuration bad = good;
   bad["classifier:__choice__"] = "bogus";  // compiles to score 0
-  evaluator.Evaluate(good);
-  evaluator.Evaluate(bad);
-  EXPECT_EQ(evaluator.num_evaluations(), 2u);
-  EXPECT_GT(evaluator.best().valid_f1, 0.0);
-  EXPECT_DOUBLE_EQ(evaluator.trajectory()[1].valid_f1, 0.0);
+  EvalRecord first = evaluator.Evaluate(good, 0);
+  EvalRecord second = evaluator.Evaluate(bad, 1);
+  EXPECT_EQ(first.trial, 0);
+  EXPECT_EQ(first.failure, TrialFailure::kNone);
+  EXPECT_GT(first.valid_f1, 0.0);
+  EXPECT_EQ(second.trial, 1);
+  EXPECT_EQ(second.failure, TrialFailure::kError);
+  EXPECT_DOUBLE_EQ(second.valid_f1, 0.0);
 }
 
 TEST(EvaluatorTest, FailedPipelineScoresZeroNotCrash) {
@@ -372,7 +374,6 @@ TEST(RandomSearchTest, RespectsEvaluationBudget) {
   ASSERT_TRUE(searched.ok()) << searched.status().ToString();
   SearchOutcome outcome = std::move(*searched);
   EXPECT_EQ(outcome.trajectory.size(), 7u);
-  EXPECT_EQ(evaluator.num_evaluations(), 7u);
   EXPECT_TRUE(space.Validate(outcome.best_config).ok());
 }
 

@@ -9,7 +9,6 @@
 #include "active/oracle.h"
 #include "automl/checkpoint.h"
 #include "automl/config_io.h"
-#include "automl/random_search.h"
 #include "automl/search_space.h"
 #include "automl/smac.h"
 #include "common/rng.h"
@@ -17,6 +16,7 @@
 #include "fuzz/corpus.h"
 #include "io/atomic_file.h"
 #include "io/serialize.h"
+#include "obs/metrics.h"
 
 namespace autoem {
 namespace {
@@ -442,6 +442,12 @@ Dataset MakeEmLikeData(size_t n, uint64_t seed) {
   return d;
 }
 
+// Trials evaluated in this process so far; a resumed leg's delta counts the
+// trials it ran itself, not the ones it restored.
+uint64_t TrialsRun() {
+  return obs::MetricsRegistry::Global().GetCounter("automl.trials")->Total();
+}
+
 void ExpectSameTrajectory(const SearchOutcome& a, const SearchOutcome& b) {
   ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
   for (size_t i = 0; i < a.trajectory.size(); ++i) {
@@ -481,12 +487,14 @@ TEST(ResumeDeterminismTest, RandomSearchResumeMatchesUninterrupted) {
   options.max_evaluations = 9;
   options.checkpoint.resume = true;
   HoldoutEvaluator resumed_eval(train, valid);
+  const uint64_t trials_before = TrialsRun();
   auto resumed = RandomSearch(space, &resumed_eval, options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
   ExpectSameTrajectory(*control, *resumed);
-  // The resumed evaluator only ran the remaining trials.
-  EXPECT_EQ(resumed_eval.num_evaluations(), 9u);
+  // The resumed leg ran only the 5 remaining trials; a resume that ignored
+  // its checkpoint would rerun all 9 and still match the control.
+  EXPECT_EQ(TrialsRun() - trials_before, 5u);
   std::remove(path.c_str());
 }
 
@@ -516,10 +524,14 @@ TEST(ResumeDeterminismTest, SmacResumeMatchesUninterrupted) {
   options.base.max_evaluations = 10;
   options.base.checkpoint.resume = true;
   HoldoutEvaluator resumed_eval(train, valid);
+  const uint64_t trials_before = TrialsRun();
   auto resumed = SmacSearch(space, &resumed_eval, options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
   ExpectSameTrajectory(*control, *resumed);
+  // Only the 4 remaining trials ran; their surrogate fits read the 6
+  // restored trials.
+  EXPECT_EQ(TrialsRun() - trials_before, 4u);
   std::remove(path.c_str());
 }
 

@@ -8,7 +8,6 @@
 
 #include "automl/config_io.h"
 #include "automl/evaluator.h"
-#include "automl/random_search.h"
 #include "automl/search_space.h"
 #include "automl/smac.h"
 #include "common/rng.h"
@@ -246,9 +245,7 @@ TEST_F(EvaluatorFaultTest, BadAllocTrialIsQuarantinedNotFatal) {
 
 TEST_F(EvaluatorFaultTest, DeadlineProducesTimeoutFailure) {
   HoldoutEvaluator evaluator(MakeEmLikeData(80, 7), MakeEmLikeData(40, 8));
-  TrialOptions trial;
-  trial.max_trial_seconds = 0.05;
-  evaluator.SetTrialOptions(trial);
+  evaluator.SetMaxTrialSeconds(0.05);
   ConfigurationSpace space = BuildEmSearchSpace(ModelSpace::kRandomForestOnly);
   Rng rng(9);
   // The sleep sits between pipeline fit and the deadline check, so the trial
@@ -269,9 +266,7 @@ TEST_F(EvaluatorFaultTest, FailureCountersTrackReasons) {
   uint64_t timeouts_before = timeouts->Total();
 
   HoldoutEvaluator evaluator(MakeEmLikeData(80, 10), MakeEmLikeData(40, 11));
-  TrialOptions trial;
-  trial.max_trial_seconds = 0.05;
-  evaluator.SetTrialOptions(trial);
+  evaluator.SetMaxTrialSeconds(0.05);
   ConfigurationSpace space = BuildEmSearchSpace(ModelSpace::kRandomForestOnly);
   Rng rng(12);
 

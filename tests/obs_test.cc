@@ -254,35 +254,6 @@ TEST(LogTest, DisabledLevelSkipsArgumentEvaluation) {
   obs::SetMinLogLevel(saved);
 }
 
-TEST(LogTest, JsonlSinkEmitsParseableLines) {
-  std::string path = TempPath("obs_test_log.jsonl");
-  obs::LogLevel saved = obs::MinLogLevel();
-  obs::SetMinLogLevel(obs::LogLevel::kInfo);
-  ASSERT_TRUE(obs::OpenLogFile(path));
-  AUTOEM_LOG(INFO) << "hello \"quoted\" and \\ backslash";
-  AUTOEM_LOG(DEBUG) << "must be filtered out";
-  AUTOEM_LOG(ERROR) << "numbered " << 7;
-  obs::CloseLogFile();
-  obs::SetMinLogLevel(saved);
-
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 2u);  // debug filtered
-  for (const std::string& l : lines) {
-    EXPECT_TRUE(IsValidJson(l)) << l;
-    EXPECT_NE(l.find("\"level\""), std::string::npos);
-    EXPECT_NE(l.find("\"msg\""), std::string::npos);
-    EXPECT_NE(l.find("\"src\""), std::string::npos);
-  }
-  EXPECT_NE(lines[0].find("quoted"), std::string::npos);
-  EXPECT_NE(lines[1].find("numbered 7"), std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(LogDeathTest, CheckFailureAborts) {
   EXPECT_DEATH({ AUTOEM_CHECK_MSG(1 == 2, "intentional failure"); },
                "intentional failure");

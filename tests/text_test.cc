@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "common/rng.h"
+#include "table/value.h"
 #include "text/similarity.h"
 #include "text/similarity_function.h"
 #include "text/tokenizer.h"
@@ -270,6 +272,12 @@ TEST(SimFunctionRegistryTest, AbsoluteNormParsesNumbers) {
   EXPECT_NEAR(f.Apply("10", "5"), 0.5, 1e-12);
   EXPECT_TRUE(std::isnan(f.Apply("abc", "5")));
   EXPECT_TRUE(std::isnan(f.Apply("", "5")));
+  // A cell that only starts with a number is text, as Value::Parse reads
+  // it, even when the rest hides behind an embedded NUL.
+  const std::string_view nul_cell("1\0junk", 6);
+  EXPECT_TRUE(std::isnan(f.Apply(nul_cell, "2")));
+  EXPECT_TRUE(std::isnan(f.Apply("2", nul_cell)));
+  EXPECT_TRUE(Value::Parse(nul_cell).is_string());
 }
 
 }  // namespace

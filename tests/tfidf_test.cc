@@ -2,8 +2,15 @@
 // and the sorted-neighborhood blocker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "datagen/benchmark_gen.h"
 #include "em/blocking.h"
 #include "features/feature_gen.h"
@@ -260,6 +267,55 @@ TEST(SortedNeighborhoodTest, ErrorsOnBadInputs) {
                    .Block(left, right)
                    .ok());
   EXPECT_FALSE(SortedNeighborhoodBlocker("k", 0).Block(left, right).ok());
+}
+
+// The blocker's candidates equal a brute-force walk of the merged key list:
+// every cross-side pair of entries fewer than `window` positions apart, in
+// (first, second) position order, each pair once. Keys are distinct, so
+// both sides agree on the sorted order; blank keys join no window.
+TEST(SortedNeighborhoodTest, EqualsBruteForceWindowPairs) {
+  Rng rng(11);
+  std::vector<std::string> keys;
+  for (int k = 0; k < 60; ++k) keys.push_back(StrFormat("key%02d", k));
+  rng.Shuffle(&keys);
+  Table left("A", Schema({"k"}));
+  Table right("B", Schema({"k"}));
+  struct Entry {
+    std::string key;
+    bool from_left;
+    size_t row;
+  };
+  std::vector<Entry> entries;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    Table& table = k % 3 == 0 ? right : left;
+    const size_t row = table.num_rows();
+    // Every seventh row is blank after trimming.
+    const std::string cell = k % 7 == 0 ? "  " : keys[k];
+    ASSERT_TRUE(table.Append(Record({Value(cell)})).ok());
+    if (k % 7 != 0) entries.push_back({keys[k], &table == &left, row});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+
+  for (size_t window : {1, 2, 3, 7, 100}) {
+    std::vector<std::pair<size_t, size_t>> expected;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      for (size_t j = i + 1; j < entries.size() && j - i < window; ++j) {
+        const Entry& a = entries[i];
+        const Entry& b = entries[j];
+        if (a.from_left == b.from_left) continue;
+        expected.emplace_back(a.from_left ? a.row : b.row,
+                              a.from_left ? b.row : a.row);
+      }
+    }
+    auto pairs = SortedNeighborhoodBlocker("k", window).Block(left, right);
+    ASSERT_TRUE(pairs.ok());
+    std::vector<std::pair<size_t, size_t>> got;
+    for (const RecordPair& p : *pairs) got.emplace_back(p.left_id, p.right_id);
+    EXPECT_EQ(got, expected) << "window " << window;
+    std::set<std::pair<size_t, size_t>> distinct(got.begin(), got.end());
+    EXPECT_EQ(distinct.size(), got.size()) << "window " << window;
+  }
 }
 
 TEST(SortedNeighborhoodTest, HighRecallOnGeneratedRestaurants) {
