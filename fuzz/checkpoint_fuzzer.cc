@@ -1,7 +1,7 @@
 // Fuzzes the AEMK checkpoint container (src/automl/checkpoint.cc and
 // src/active/active_checkpoint.cc): both payload kinds are parsed from the
-// same bytes, covering the envelope (magic/version/kind/size/CRC) and the
-// two payload codecs. Accepted parses must be stable under one
+// same bytes, covering the container (magic, version, section table, CRC,
+// kind) and the two payload codecs. Accepted parses must be stable under one
 // serialize/reparse round: re-encoding the parsed state and parsing it
 // again yields byte-identical re-encodings (the canonical-form fixpoint).
 #include "fuzz/fuzzer_util.h"

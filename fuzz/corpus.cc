@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "datagen/benchmark_gen.h"
 #include "em/matcher.h"
+#include "io/container.h"
 #include "io/model_io.h"
 #include "io/serialize.h"
 #include "text/tfidf.h"
@@ -185,7 +186,6 @@ SearchCheckpoint MakeRichSearchCheckpoint() {
   SearchCheckpoint state;
   state.seed = 42;
   state.rng_state = "13 17 19 23 29";
-  state.interleave_random = true;
   state.elapsed_seconds = 12.75;
   for (int trial = 0; trial < 2; ++trial) {
     EvalRecord record;
@@ -201,7 +201,6 @@ SearchCheckpoint MakeRichSearchCheckpoint() {
     record.failure_message = trial == 1 ? "deadline exceeded" : "";
     state.history.push_back(std::move(record));
   }
-  state.failed_hashes = {0x1111111111111111ull, 0xFEDCBA9876543210ull};
   return state;
 }
 
@@ -210,8 +209,9 @@ std::vector<Seed> CheckpointSeeds() {
   seeds.push_back(
       {"search", SerializeSearchCheckpoint(MakeRichSearchCheckpoint())});
 
-  // Hand-assembled v1 container: readers accept only the current version,
-  // so this must be rejected.
+  // A search checkpoint in the v1 layout (magic | u32 version | u8 kind |
+  // u64 size | u32 crc | payload), assembled by hand: readers accept only
+  // the current version, so this must be rejected.
   io::Writer payload;
   payload.U64(7);          // seed
   payload.Str("13 17 19");  // rng_state
@@ -221,31 +221,24 @@ std::vector<Seed> CheckpointSeeds() {
   payload.U64(1);          // one quarantined hash
   payload.U64(0xABCDEF0123456789ull);
   io::Writer v1;
-  for (char c : kCheckpointMagic) v1.U8(static_cast<uint8_t>(c));
+  v1.Raw(std::string_view(kCheckpointFormat.magic, 4));
   v1.U32(1);  // version 1
-  v1.U8(kSearchCheckpointKind);
+  v1.U8(1);   // search kind
   v1.U64(payload.size());
   v1.U32(io::Crc32(payload.data()));
   v1.Raw(payload.data());
   seeds.push_back({"search_v1", v1.data()});
 
+  // A labeling session after iteration 1: two initial human labels (one
+  // positive, so alpha = 0.5), then one human and one machine label.
   ActiveCheckpoint active;
   active.seed = 5;
   active.rng_state = "rng stream state";
   active.model_seed = 777;
-  active.iteration = 3;
-  active.alpha = 0.21;
-  active.human_used = 80;
-  active.machine_added = 120;
-  active.machine_correct = 117;
-  active.labeled = {{10, 1, false}, {4, 0, true}};
+  active.alpha = 0.5;
+  active.labeled = {{10, 1, false}, {3, 0, false}, {8, 1, false}, {4, 0, true}};
   active.unlabeled = {7, 2, 9};
-  ActiveIterationStats stats;
-  stats.iteration = 3;
-  stats.human_labels = 80;
-  stats.machine_labels = 120;
-  stats.iteration_model_test_f1 = 0.66;
-  active.stats = {stats};
+  active.stats = {{0, 2, 0, 0.5}, {1, 3, 1, 0.66}};
   seeds.push_back({"active", SerializeActiveCheckpoint(active)});
 
   std::string truncated = seeds[0].bytes.substr(0, seeds[0].bytes.size() / 2);
@@ -253,80 +246,28 @@ std::vector<Seed> CheckpointSeeds() {
   return seeds;
 }
 
-namespace {
-
-void AppendSection(uint32_t id, const std::string& payload, io::Writer* out,
-                   uint32_t* count) {
-  out->U32(id);
-  out->U64(payload.size());
-  out->U32(io::Crc32(payload));
-  out->Raw(payload);
-  ++*count;
-}
-
-std::string BuildEnvelope(const std::vector<std::pair<uint32_t, std::string>>&
-                              sections) {
-  io::Writer body;
-  uint32_t count = 0;
-  for (const auto& [id, payload] : sections) {
-    AppendSection(id, payload, &body, &count);
-  }
-  io::Writer file;
-  for (char c : io::kModelMagic) file.U8(static_cast<uint8_t>(c));
-  file.U32(io::kModelFormatVersion);
-  file.U32(count);
-  return file.data() + body.data();
-}
-
-}  // namespace
-
 std::vector<Seed> ModelEnvelopeSeeds() {
   std::vector<Seed> seeds;
   // A valid meta section; generator/pipeline payloads are synthetic, so the
-  // deep parse rejects them after the envelope passes — the seed still walks
-  // the whole section table with correct CRCs.
+  // deep parse rejects them after the container passes — the seed still
+  // walks the whole section table with correct CRCs.
   io::Writer meta;
   meta.Str("autoem");
   meta.F64(0.875);
   io::Writer generator;
   generator.Str("automl_em");  // real registry name; plan state missing
+  seeds.push_back({"three_sections",
+                   io::WriteContainer(io::kModelFormat,
+                                      {{1, meta.data()},
+                                       {2, generator.data()},
+                                       {3, "synthetic pipeline payload"}})});
+  seeds.push_back({"empty_sections", io::WriteContainer(io::kModelFormat, {})});
   seeds.push_back(
-      {"three_sections",
-       BuildEnvelope({{1, meta.data()},
-                      {2, generator.data()},
-                      {3, std::string("synthetic pipeline payload")}})});
-  seeds.push_back({"empty_sections", BuildEnvelope({})});
-  seeds.push_back({"unknown_section_id",
-                   BuildEnvelope({{1, meta.data()}, {99, "junk"}})});
-  seeds.push_back({"meta_only", BuildEnvelope({{1, meta.data()}})});
+      {"unknown_section_id",
+       io::WriteContainer(io::kModelFormat, {{1, meta.data()}, {99, "junk"}})});
+  seeds.push_back(
+      {"meta_only", io::WriteContainer(io::kModelFormat, {{1, meta.data()}})});
   return seeds;
-}
-
-Result<std::vector<SectionRef>> ListModelSections(const std::string& bytes) {
-  io::Reader r(bytes);
-  AUTOEM_RETURN_IF_ERROR(r.Skip(sizeof(io::kModelMagic)));
-  uint32_t version;
-  AUTOEM_RETURN_IF_ERROR(r.U32(&version));
-  uint32_t count;
-  AUTOEM_RETURN_IF_ERROR(r.U32(&count));
-  std::vector<SectionRef> sections;
-  for (uint32_t i = 0; i < count; ++i) {
-    SectionRef ref;
-    ref.header_pos = r.pos();
-    AUTOEM_RETURN_IF_ERROR(r.U32(&ref.id));
-    ref.size_pos = r.pos();
-    AUTOEM_RETURN_IF_ERROR(r.U64(&ref.size));
-    ref.crc_pos = r.pos();
-    uint32_t crc;
-    AUTOEM_RETURN_IF_ERROR(r.U32(&crc));
-    ref.payload_pos = r.pos();
-    if (ref.size > r.remaining()) {
-      return Status::InvalidArgument("section table: payload cut off");
-    }
-    AUTOEM_RETURN_IF_ERROR(r.Skip(static_cast<size_t>(ref.size)));
-    sections.push_back(ref);
-  }
-  return sections;
 }
 
 void FlipBytes(std::string* bytes, size_t offset, size_t count,
@@ -344,13 +285,13 @@ void OverwriteLe(std::string* bytes, size_t offset, uint64_t value,
 }
 
 Status SwapSectionPayloads(std::string* bytes, size_t a, size_t b) {
-  auto sections = ListModelSections(*bytes);
+  auto sections = io::ListSections(*bytes);
   AUTOEM_RETURN_IF_ERROR(sections.status());
   if (a >= sections->size() || b >= sections->size()) {
     return Status::InvalidArgument("section index out of range");
   }
-  const SectionRef& sa = (*sections)[a];
-  const SectionRef& sb = (*sections)[b];
+  const io::SectionRef& sa = (*sections)[a];
+  const io::SectionRef& sb = (*sections)[b];
   std::string pa = bytes->substr(sa.payload_pos,
                                  static_cast<size_t>(sa.size));
   std::string pb = bytes->substr(sb.payload_pos,
@@ -360,7 +301,7 @@ Status SwapSectionPayloads(std::string* bytes, size_t a, size_t b) {
   std::string out;
   size_t prev_end = 0;
   for (size_t i = 0; i < sections->size(); ++i) {
-    const SectionRef& ref = (*sections)[i];
+    const io::SectionRef& ref = (*sections)[i];
     out.append(*bytes, prev_end, ref.payload_pos - prev_end);
     if (i == a) {
       out += pb;
@@ -377,20 +318,20 @@ Status SwapSectionPayloads(std::string* bytes, size_t a, size_t b) {
 }
 
 Status SwapSectionIds(std::string* bytes, size_t a, size_t b) {
-  auto sections = ListModelSections(*bytes);
+  auto sections = io::ListSections(*bytes);
   AUTOEM_RETURN_IF_ERROR(sections.status());
   if (a >= sections->size() || b >= sections->size()) {
     return Status::InvalidArgument("section index out of range");
   }
   uint32_t id_a = (*sections)[a].id;
   uint32_t id_b = (*sections)[b].id;
-  OverwriteLe(bytes, (*sections)[a].header_pos, id_b, 4);
-  OverwriteLe(bytes, (*sections)[b].header_pos, id_a, 4);
+  OverwriteLe(bytes, (*sections)[a].id_pos, id_b, 4);
+  OverwriteLe(bytes, (*sections)[b].id_pos, id_a, 4);
   return Status::OK();
 }
 
 Status SetSectionLength(std::string* bytes, size_t idx, uint64_t value) {
-  auto sections = ListModelSections(*bytes);
+  auto sections = io::ListSections(*bytes);
   AUTOEM_RETURN_IF_ERROR(sections.status());
   if (idx >= sections->size()) {
     return Status::InvalidArgument("section index out of range");
@@ -401,15 +342,12 @@ Status SetSectionLength(std::string* bytes, size_t idx, uint64_t value) {
 
 Status SetSectionPayload(std::string* bytes, size_t idx,
                          const std::string& payload) {
-  auto sections = ListModelSections(*bytes);
+  auto sections = io::ListSections(*bytes);
   AUTOEM_RETURN_IF_ERROR(sections.status());
   if (idx >= sections->size()) {
     return Status::InvalidArgument("section index out of range");
   }
-  const SectionRef& s = (*sections)[idx];
-  if (s.size > bytes->size() - s.payload_pos) {
-    return Status::InvalidArgument("section payload cut off");
-  }
+  const io::SectionRef& s = (*sections)[idx];
   bytes->replace(s.payload_pos, static_cast<size_t>(s.size), payload);
   OverwriteLe(bytes, s.size_pos, payload.size(), 8);
   OverwriteLe(bytes, s.crc_pos, io::Crc32(payload), 4);

@@ -45,11 +45,12 @@ std::vector<Seed> ConfigSeeds();
 std::vector<Seed> SerializeSeeds();
 
 /// Valid AEMK containers of both kinds, built through the real save
-/// codecs, plus must-reject ones: a hand-assembled v1 container and a
+/// codecs, plus must-reject ones: a hand-assembled container in the v1
+/// layout (the one container not written by io/container.h) and a
 /// truncation.
 std::vector<Seed> CheckpointSeeds();
 
-/// Structurally valid AEMM envelopes whose sections carry synthetic
+/// Structurally valid AEMM containers whose sections carry synthetic
 /// payloads (the deep parse rejects them cleanly); these exercise the
 /// section-table reader without requiring a trained model.
 std::vector<Seed> ModelEnvelopeSeeds();
@@ -78,35 +79,19 @@ std::vector<Seed> KernelSeeds();
 /// midpoints, raw denormal cells, all-zero weights, and random thresholds.
 std::vector<Seed> TreeSeeds();
 
-/// A populated two-trial checkpoint with a failed trial and quarantine
-/// hashes — the "rich" fixture behind CheckpointSeeds and the
-/// corruption-matrix tests.
+/// A populated two-trial checkpoint whose second trial failed — the "rich"
+/// fixture behind CheckpointSeeds and the corruption-matrix tests.
 SearchCheckpoint MakeRichSearchCheckpoint();
 
 // ---- container surgery ----------------------------------------------------
 //
-// The helpers below understand the AEMM section table
-// (magic | u32 version | u32 count | {u32 id, u64 size, u32 crc, payload}*)
-// well enough to corrupt it *surgically*: swap payloads while leaving the
-// headers alone (CRC must catch it), swap ids while leaving payloads
-// attached to their CRCs (structure stays valid, deep parse must reject),
-// or overwrite a length field with an overflow value. The corruption-matrix
-// tests and the structure-aware fuzzer share them.
-
-/// Location of one section inside an AEMM container.
-struct SectionRef {
-  size_t header_pos = 0;   // offset of the u32 id field
-  uint32_t id = 0;
-  size_t size_pos = 0;     // offset of the u64 payload-size field
-  size_t crc_pos = 0;      // offset of the u32 crc field
-  size_t payload_pos = 0;  // offset of the payload bytes
-  uint64_t size = 0;       // declared payload size
-};
-
-/// Walks the section table of a well-formed container (no CRC validation —
-/// the point is to locate fields in files we are about to damage). Fails on
-/// structural truncation only.
-Result<std::vector<SectionRef>> ListModelSections(const std::string& bytes);
+// The helpers below locate the fields of a well-formed container (models
+// and checkpoints alike) with io::ListSections and corrupt them
+// *surgically*: swap payloads while leaving the headers alone (CRC must
+// catch it), swap ids while leaving payloads attached to their CRCs
+// (structure stays valid, deep parse must reject), or overwrite a length
+// field with an overflow value. The corruption-matrix tests and the
+// structure-aware fuzzer share them.
 
 /// XORs `count` bytes starting at `offset` with `mask` (clamped to the
 /// buffer). The multi-byte generalization of the single-byte flip tests.
@@ -140,7 +125,7 @@ Status SetSectionPayload(std::string* bytes, size_t idx,
 /// Writes every seed list into `dir`/<harness>/<name>. Creates
 /// directories as needed. `with_model` additionally trains a tiny matcher
 /// (deterministic seed) and writes the serialized container into
-/// model_io/ — slow (~seconds), so the cheap envelope seeds are separate.
+/// model_io/ — slow (~seconds), so the cheap synthetic seeds are separate.
 Status WriteSeedCorpus(const std::string& dir, bool with_model);
 
 }  // namespace fuzz

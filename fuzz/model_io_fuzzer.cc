@@ -5,7 +5,7 @@
 // clean Status or a valid matcher is a finding, and every accepted matcher
 // must score rows of its generator's width: three all-NaN rows go through
 // every transform's Apply and the forest walk. Seeded with both synthetic
-// envelopes and a real trained container (fuzz/corpus/model_io/), so the
+// containers and a real trained container (fuzz/corpus/model_io/), so the
 // deep parse gets genuine coverage, not just header rejections.
 #include "fuzz/fuzzer_util.h"
 

@@ -10,7 +10,7 @@
 //            fuzz-chosen mutations (byte flips, little-endian integer
 //            overwrites on length/CRC fields, truncation); the parse must
 //            never crash, and with zero mutations it must succeed.
-//   mode 3 — AEMM surgery: assemble an envelope from fuzz-chosen sections,
+//   mode 3 — AEMM surgery: write a container of fuzz-chosen sections,
 //            then mutate it section-by-section with the corpus helpers
 //            (id swaps, payload swaps, length-field overflow) before
 //            DeserializeModel sees it.
@@ -26,6 +26,7 @@
 
 #include "automl/checkpoint.h"
 #include "fuzz/corpus.h"
+#include "io/container.h"
 #include "io/model_io.h"
 #include "io/serialize.h"
 #include "text/tfidf.h"
@@ -178,46 +179,36 @@ void CheckpointSurgery(FuzzInput* in) {
 }
 
 void ModelEnvelopeSurgery(FuzzInput* in) {
-  // Assemble a CRC-correct envelope out of fuzz-chosen sections.
-  autoem::io::Writer body;
-  uint32_t count = 0;
-  size_t n_sections = in->Index(5);
-  for (size_t i = 0; i < n_sections; ++i) {
+  // A CRC-correct container of fuzz-chosen sections.
+  std::vector<std::string> payloads(in->Index(5));
+  std::vector<autoem::io::Section> sections;
+  for (std::string& payload : payloads) {
     uint32_t id = in->Byte() % 6;  // hits real ids (1..3) and strangers
-    std::string payload = in->Bytes(in->Index(48));
-    body.U32(id);
-    body.U64(payload.size());
-    body.U32(autoem::io::Crc32(payload));
-    body.Raw(payload);
-    ++count;
+    payload = in->Bytes(in->Index(48));
+    sections.push_back({id, payload});
   }
-  autoem::io::Writer file;
-  for (char c : autoem::io::kModelMagic) {
-    file.U8(static_cast<uint8_t>(c));
-  }
-  file.U32(autoem::io::kModelFormatVersion);
-  file.U32(count);
-  std::string bytes = file.data() + body.data();
+  std::string bytes =
+      autoem::io::WriteContainer(autoem::io::kModelFormat, sections);
 
   // Section-by-section surgery with the shared helpers.
-  auto sections = autoem::fuzz::ListModelSections(bytes);
-  if (sections.ok() && sections->size() >= 2) {
+  auto refs = autoem::io::ListSections(bytes);
+  if (refs.ok() && refs->size() >= 2) {
     switch (in->Byte() % 3) {
       case 0: {
-        size_t a = in->Index(sections->size());
-        size_t b = in->Index(sections->size());
+        size_t a = in->Index(refs->size());
+        size_t b = in->Index(refs->size());
         (void)autoem::fuzz::SwapSectionIds(&bytes, a, b);
         break;
       }
       case 1: {
-        size_t a = in->Index(sections->size());
-        size_t b = in->Index(sections->size());
+        size_t a = in->Index(refs->size());
+        size_t b = in->Index(refs->size());
         (void)autoem::fuzz::SwapSectionPayloads(&bytes, a, b);
         break;
       }
       case 2:
-        (void)autoem::fuzz::SetSectionLength(
-            &bytes, in->Index(sections->size()), in->U64());
+        (void)autoem::fuzz::SetSectionLength(&bytes, in->Index(refs->size()),
+                                             in->U64());
         break;
     }
   }

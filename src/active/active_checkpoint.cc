@@ -1,6 +1,8 @@
 #include "active/active_checkpoint.h"
 
 #include "automl/checkpoint.h"
+#include "fault/failpoint.h"
+#include "io/atomic_file.h"
 #include "io/serialize.h"
 #include "obs/obs.h"
 
@@ -8,44 +10,25 @@ namespace autoem {
 
 namespace {
 
-void WriteActivePayload(const ActiveCheckpoint& state, io::Writer* payload);
+// The labeling session's section id (see automl/checkpoint.h).
+constexpr uint32_t kActiveKind = 2;
+
+// Reads one u64 count or index into a size_t field.
+Status ReadSize(io::Reader* r, size_t* out) {
+  uint64_t value;
+  AUTOEM_RETURN_IF_ERROR(r->U64(&value));
+  *out = static_cast<size_t>(value);
+  return Status::OK();
+}
 
 }  // namespace
 
 std::string SerializeActiveCheckpoint(const ActiveCheckpoint& state) {
   io::Writer payload;
-  WriteActivePayload(state, &payload);
-  return SerializeCheckpointBytes(kActiveCheckpointKind, payload);
-}
-
-Status SaveActiveCheckpoint(const ActiveCheckpoint& state,
-                            const std::string& path) {
-  obs::Span span("active_checkpoint.save");
-  if (span.active()) {
-    span.Arg("path", path);
-    span.Arg("iteration", state.iteration);
-  }
-  io::Writer payload;
-  WriteActivePayload(state, &payload);
-  AUTOEM_RETURN_IF_ERROR(
-      WriteCheckpointFile(kActiveCheckpointKind, payload, path));
-  AUTOEM_LOG(DEBUG) << "active_checkpoint: saved iteration "
-                    << state.iteration << " to " << path;
-  return Status::OK();
-}
-
-namespace {
-
-void WriteActivePayload(const ActiveCheckpoint& state, io::Writer* w) {
-  io::Writer& payload = *w;
   payload.U64(state.seed);
   payload.Str(state.rng_state);
   payload.U64(state.model_seed);
-  payload.U64(state.iteration);
   payload.F64(state.alpha);
-  payload.U64(state.human_used);
-  payload.U64(state.machine_added);
-  payload.U64(state.machine_correct);
   payload.U64(state.labeled.size());
   for (const ActiveLabeledRow& row : state.labeled) {
     payload.U64(row.pool_index);
@@ -60,27 +43,18 @@ void WriteActivePayload(const ActiveCheckpoint& state, io::Writer* w) {
     payload.U64(s.machine_labels);
     payload.F64(s.iteration_model_test_f1);
   }
+  return io::WriteContainer(kCheckpointFormat, {{kActiveKind, payload.data()}});
 }
 
-// Reads one u64 count or index into a size_t field.
-Status ReadSize(io::Reader* r, size_t* out) {
-  uint64_t value;
-  AUTOEM_RETURN_IF_ERROR(r->U64(&value));
-  *out = static_cast<size_t>(value);
-  return Status::OK();
-}
-
-Result<ActiveCheckpoint> ParseActivePayload(const std::string& payload) {
-  io::Reader r(payload);
+Result<ActiveCheckpoint> DeserializeActiveCheckpoint(const std::string& bytes) {
+  auto sections = io::ReadContainer(kCheckpointFormat, bytes, {kActiveKind});
+  AUTOEM_RETURN_IF_ERROR(sections.status());
+  io::Reader r(sections->front());
   ActiveCheckpoint state;
   AUTOEM_RETURN_IF_ERROR(r.U64(&state.seed));
   AUTOEM_RETURN_IF_ERROR(r.Str(&state.rng_state));
   AUTOEM_RETURN_IF_ERROR(r.U64(&state.model_seed));
-  AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &state.iteration));
   AUTOEM_RETURN_IF_ERROR(r.F64(&state.alpha));
-  AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &state.human_used));
-  AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &state.machine_added));
-  AUTOEM_RETURN_IF_ERROR(ReadSize(&r, &state.machine_correct));
   uint64_t n_labeled;
   AUTOEM_RETURN_IF_ERROR(r.Len(&n_labeled, 13));  // u64 + i32 + u8
   state.labeled.resize(static_cast<size_t>(n_labeled));
@@ -107,18 +81,26 @@ Result<ActiveCheckpoint> ParseActivePayload(const std::string& payload) {
   return state;
 }
 
-}  // namespace
-
-Result<ActiveCheckpoint> LoadActiveCheckpoint(const std::string& path) {
-  auto payload = ReadCheckpointFile(kActiveCheckpointKind, path);
-  if (!payload.ok()) return payload.status();
-  return ParseActivePayload(*payload);
+Status SaveActiveCheckpoint(const ActiveCheckpoint& state,
+                            const std::string& path) {
+  obs::Span span("active_checkpoint.save");
+  if (span.active()) {
+    span.Arg("path", path);
+    span.Arg("iterations", state.stats.size());
+  }
+  AUTOEM_FAILPOINT("checkpoint.write");
+  AUTOEM_RETURN_IF_ERROR(
+      io::AtomicWriteFile(path, SerializeActiveCheckpoint(state)));
+  AUTOEM_LOG(DEBUG) << "active_checkpoint: saved " << state.stats.size()
+                    << " iterations to " << path;
+  return Status::OK();
 }
 
-Result<ActiveCheckpoint> DeserializeActiveCheckpoint(const std::string& bytes) {
-  auto payload = ParseCheckpointBytes(kActiveCheckpointKind, bytes);
-  if (!payload.ok()) return payload.status();
-  return ParseActivePayload(*payload);
+Result<ActiveCheckpoint> LoadActiveCheckpoint(const std::string& path) {
+  AUTOEM_FAILPOINT("checkpoint.read");
+  std::string bytes;
+  AUTOEM_RETURN_IF_ERROR(io::ReadFileToString(path, &bytes));
+  return DeserializeActiveCheckpoint(bytes);
 }
 
 }  // namespace autoem

@@ -21,12 +21,14 @@ struct ActiveLabeledRow {
 /// RNG stream, the collected labels (so a resume never re-spends oracle
 /// budget), the remaining pool order, the Remark-2 class ratio, and the
 /// per-iteration stats. RunAutoMlEmActive works on one of these and saves
-/// it at each iteration boundary. The iteration model itself is NOT
-/// serialized: refitting the same forest seed on the restored labels
+/// it at each iteration boundary. Nothing derivable is stored: the last
+/// completed iteration is the last `stats` entry, the human and machine
+/// label counts are counts over `labeled`, and the iteration model itself
+/// is refitted from the same forest seed on the restored labels, which
 /// reproduces it bit-identically. Counts and indices are written as u64.
 ///
 /// Shares the AEMK container with search checkpoints (automl/checkpoint.h)
-/// under kActiveCheckpointKind, so the two flavors can never be confused.
+/// under its own kind, so the two flavors can never be confused.
 struct ActiveCheckpoint {
   /// Seed of the checkpointed run; resuming under a different seed is
   /// refused.
@@ -34,21 +36,16 @@ struct ActiveCheckpoint {
   /// mt19937_64 stream state (operator<< form) after the last completed
   /// iteration's draws.
   std::string rng_state;
-  /// The per-iteration forest's seed (drawn once, before the loop).
+  /// The per-iteration forest's seed (drawn once, before the loop and
+  /// before the saved RNG state).
   uint64_t model_seed = 0;
-  /// Last completed iteration (0 = only the initial sample is done); the
-  /// resumed loop starts at iteration + 1.
-  size_t iteration = 0;
   /// α, the positive ratio of the initial sample (Remark 2).
   double alpha = 0.0;
-  size_t human_used = 0;
-  size_t machine_added = 0;
-  /// Machine labels that agree with the caller's `true_labels` (0 without).
-  size_t machine_correct = 0;
   std::vector<ActiveLabeledRow> labeled;
   /// Remaining unlabeled pool indices, in draw order.
   std::vector<size_t> unlabeled;
-  /// ActiveLearningResult::iterations so far.
+  /// ActiveLearningResult::iterations so far, numbered 0..n-1 (0 = only
+  /// the initial sample is done).
   std::vector<ActiveIterationStats> stats;
 };
 

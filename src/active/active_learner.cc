@@ -31,6 +31,13 @@ std::ostream& operator<<(std::ostream& os, QueryStrategy strategy) {
 
 namespace {
 
+// Human labels among `labeled`; the others are machine labels.
+size_t HumanLabels(const std::vector<ActiveLabeledRow>& labeled) {
+  return static_cast<size_t>(
+      std::count_if(labeled.begin(), labeled.end(),
+                    [](const ActiveLabeledRow& r) { return !r.machine; }));
+}
+
 std::vector<size_t> PoolIndices(const std::vector<ActiveLabeledRow>& rows) {
   std::vector<size_t> idx;
   idx.reserve(rows.size());
@@ -62,8 +69,9 @@ Status FitIterationModel(RandomForestClassifier* model, const Dataset& pool,
 }
 
 // Checks a loaded checkpoint against this run before the session adopts
-// it: the seed must match, the RNG text must parse (into `rng`), and every
-// pool index must lie inside `pool_size`.
+// it: the seed must match, the RNG text must parse (into `rng`), the stats
+// must number the completed iterations 0..n-1 (the last one is where the
+// loop resumes), and every pool index must lie inside `pool_size`.
 Status ValidateCheckpoint(const ActiveCheckpoint& state, uint64_t seed,
                           size_t pool_size, Rng* rng) {
   if (state.seed != seed) {
@@ -76,6 +84,16 @@ Status ValidateCheckpoint(const ActiveCheckpoint& state, uint64_t seed,
   in >> rng->engine();
   if (in.fail()) {
     return Status::InvalidArgument("checkpoint: unreadable RNG state");
+  }
+  if (state.stats.empty()) {
+    return Status::InvalidArgument("checkpoint: no completed iteration");
+  }
+  for (size_t i = 0; i < state.stats.size(); ++i) {
+    if (state.stats[i].iteration != i) {
+      return Status::InvalidArgument(
+          "checkpoint: iteration stats not numbered 0.." +
+          std::to_string(state.stats.size() - 1));
+    }
   }
   for (const ActiveLabeledRow& row : state.labeled) {
     if (row.pool_index >= pool_size) {
@@ -147,7 +165,8 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
           ValidateCheckpoint(*loaded, options.seed, pool.size(), &rng));
       state = std::move(*loaded);
       resumed = true;
-      AUTOEM_LOG(INFO) << "active: resumed iteration " << state.iteration
+      AUTOEM_LOG(INFO) << "active: resumed iteration "
+                       << state.stats.back().iteration
                        << " from " << ckpt.path << " ("
                        << state.labeled.size() << " labels, "
                        << state.unlabeled.size() << " pool rows left)";
@@ -175,7 +194,6 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
       state.unlabeled.pop_back();
       state.labeled.push_back({idx, oracle->Label(idx), /*machine=*/false});
     }
-    state.human_used = n_init;
     oracle_labels->Add(n_init);
 
     // α: positive ratio of the initial training data (Remark 2).
@@ -207,8 +225,8 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   auto record_iteration = [&](size_t iter) {
     ActiveIterationStats stats;
     stats.iteration = iter;
-    stats.human_labels = state.human_used;
-    stats.machine_labels = state.machine_added;
+    stats.human_labels = HumanLabels(state.labeled);
+    stats.machine_labels = state.labeled.size() - stats.human_labels;
     if (test != nullptr) {
       stats.iteration_model_test_f1 =
           F1Score(test->y, model.Predict(test->X));
@@ -219,12 +237,11 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   // Checkpoint after every iteration: human labels are too expensive to
   // lose, so there is no every-N cadence here. A failed write degrades
   // resume granularity but never kills a healthy run.
-  auto save_checkpoint = [&](size_t iter) {
+  auto save_checkpoint = [&] {
     if (ckpt.path.empty()) return;
     std::ostringstream rng_text;
     rng_text << rng.engine();
     state.rng_state = rng_text.str();
-    state.iteration = iter;
     Status st = SaveActiveCheckpoint(state, ckpt.path);
     if (!st.ok()) {
       AUTOEM_LOG(WARN) << "active: checkpoint write to " << ckpt.path
@@ -234,20 +251,20 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
 
   if (!resumed) {
     record_iteration(0);
-    save_checkpoint(0);
+    save_checkpoint();
   }
 
   // ---- Algorithm 1, lines 5-12: the labeling loop ----
-  for (int iter = static_cast<int>(state.iteration) + 1;
+  for (int iter = static_cast<int>(state.stats.size());
        iter <= options.max_iterations; ++iter) {
-    if (state.unlabeled.empty() || state.human_used >= options.label_budget) {
+    const size_t human_used = HumanLabels(state.labeled);
+    if (state.unlabeled.empty() || human_used >= options.label_budget) {
       break;
     }
 
     obs::Span iter_span("active.iteration");
     if (iter_span.active()) iter_span.Arg("iteration", iter);
     obs::ResourceProbe iter_probe;
-    size_t machine_before = state.machine_added;
 
     // Confidence of every unlabeled pair under the current model.
     Dataset u_data = pool.SelectRows(state.unlabeled);
@@ -290,25 +307,24 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
 
     // Active learning: lowest-confidence pairs go to the human.
     size_t ac_take = std::min({options.ac_batch, state.unlabeled.size(),
-                               options.label_budget - state.human_used});
+                               options.label_budget - human_used});
     for (size_t k = 0; k < ac_take; ++k) {
       size_t pos = order[k];
       taken[pos] = true;
       size_t idx = state.unlabeled[pos];
       state.labeled.push_back({idx, oracle->Label(idx), /*machine=*/false});
     }
-    state.human_used += ac_take;
 
     // Self-training: highest-confidence pairs keep their predicted labels,
     // with the class mix pinned to α (Remark 2) unless disabled.
+    size_t got_pos = 0;
+    size_t got_neg = 0;
     if (options.st_batch > 0) {
       size_t st_take = std::min(options.st_batch,
                                 state.unlabeled.size() - ac_take);
       size_t want_pos = options.preserve_class_ratio
                             ? static_cast<size_t>(state.alpha * st_take + 0.5)
                             : st_take;  // naive mode: no quota
-      size_t got_pos = 0;
-      size_t got_neg = 0;
       for (size_t k = st_order.size();
            k-- > 0 && got_pos + got_neg < st_take;) {
         size_t pos = st_order[k];
@@ -321,11 +337,6 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
         taken[pos] = true;
         size_t idx = state.unlabeled[pos];
         state.labeled.push_back({idx, pred, /*machine=*/true});
-        ++state.machine_added;
-        if (true_labels != nullptr &&
-            ((*true_labels)[idx] == 1) == (pred == 1)) {
-          ++state.machine_correct;
-        }
         (pred == 1 ? got_pos : got_neg) += 1;
       }
     }
@@ -341,10 +352,10 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
     AUTOEM_RETURN_IF_ERROR(
         FitIterationModel(&model, pool, ranks, state.labeled));
     record_iteration(static_cast<size_t>(iter));
-    save_checkpoint(static_cast<size_t>(iter));
+    save_checkpoint();
 
     oracle_labels->Add(ac_take);
-    self_train_labels->Add(state.machine_added - machine_before);
+    self_train_labels->Add(got_pos + got_neg);
     pool_remaining->Set(static_cast<double>(state.unlabeled.size()));
     if (iter_probe.active()) {
       static obs::Histogram* iter_cpu_ms =
@@ -358,15 +369,16 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
         iter_span.Arg("allocs", used.allocs);
       }
     }
+    const ActiveIterationStats& done = state.stats.back();
     if (iter_span.active()) {
-      iter_span.Arg("human_labels", state.human_used);
-      iter_span.Arg("machine_labels", state.machine_added);
+      iter_span.Arg("human_labels", done.human_labels);
+      iter_span.Arg("machine_labels", done.machine_labels);
       iter_span.Arg("pool_remaining", state.unlabeled.size());
-      iter_span.Arg("test_f1", state.stats.back().iteration_model_test_f1);
+      iter_span.Arg("test_f1", done.iteration_model_test_f1);
     }
     AUTOEM_LOG(DEBUG) << "active: iteration " << iter
-                      << " human=" << state.human_used
-                      << " machine=" << state.machine_added
+                      << " human=" << done.human_labels
+                      << " machine=" << done.machine_labels
                       << " pool=" << state.unlabeled.size();
   }
 
@@ -374,15 +386,22 @@ Result<ActiveLearningResult> RunAutoMlEmActive(
   result.iterations = std::move(state.stats);
   result.collected = BuildDataset(pool, state.labeled);
   result.is_machine_label.reserve(state.labeled.size());
+  size_t machine_correct = 0;
   for (const auto& r : state.labeled) {
     result.is_machine_label.push_back(r.machine);
+    if (r.machine) {
+      result.machine_labels_added += 1;
+      if (true_labels != nullptr &&
+          ((*true_labels)[r.pool_index] == 1) == (r.label == 1)) {
+        ++machine_correct;
+      }
+    }
   }
-  result.human_labels_used = state.human_used;
-  result.machine_labels_added = state.machine_added;
-  if (true_labels != nullptr && state.machine_added > 0) {
+  result.human_labels_used = state.labeled.size() - result.machine_labels_added;
+  if (true_labels != nullptr && result.machine_labels_added > 0) {
     result.machine_label_accuracy =
-        static_cast<double>(state.machine_correct) /
-        static_cast<double>(state.machine_added);
+        static_cast<double>(machine_correct) /
+        static_cast<double>(result.machine_labels_added);
   }
 
   // ---- Algorithm 1, line 13: AutoML-EM on the collected labels ----

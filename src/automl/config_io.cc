@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "common/string_util.h"
 #include "io/atomic_file.h"
@@ -133,11 +131,9 @@ Status SaveConfiguration(const Configuration& config,
 }
 
 Result<Configuration> LoadConfiguration(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseConfiguration(buf.str());
+  std::string text;
+  AUTOEM_RETURN_IF_ERROR(io::ReadFileToString(path, &text));
+  return ParseConfiguration(text);
 }
 
 namespace {

@@ -30,7 +30,7 @@ std::string SerializeConfiguration(const Configuration& config);
 /// ignored.
 Result<Configuration> ParseConfiguration(const std::string& text);
 
-/// File convenience wrappers.
+/// File convenience wrappers; loading a missing file is NotFound.
 Status SaveConfiguration(const Configuration& config,
                          const std::string& path);
 Result<Configuration> LoadConfiguration(const std::string& path);

@@ -45,9 +45,7 @@ Status SearchDriver::Init() {
       return Status::InvalidArgument("checkpoint: unreadable RNG state");
     }
   }
-  interleave_random_ = state.interleave_random;
   elapsed_offset_ = state.elapsed_seconds;
-  failed_.insert(state.failed_hashes.begin(), state.failed_hashes.end());
   for (EvalRecord& record : state.history) Admit(std::move(record));
   AUTOEM_LOG(INFO) << name_ << ": resumed " << outcome_.trajectory.size()
                    << " trials from " << ckpt.path
@@ -127,10 +125,8 @@ void SearchDriver::MaybeCheckpoint(bool force) {
     out << rng_.engine();
     state.rng_state = out.str();
   }
-  state.interleave_random = interleave_random_;
   state.elapsed_seconds = elapsed_offset_ + timer_.ElapsedSeconds();
   state.history = outcome_.trajectory;
-  state.failed_hashes.assign(failed_.begin(), failed_.end());
   Status st = SaveSearchCheckpoint(state, ckpt.path);
   if (st.ok()) {
     trials_since_checkpoint_ = 0;

@@ -21,7 +21,6 @@ namespace autoem {
 ///   SearchDriver driver(space, evaluator, options, "smac");
 ///   AUTOEM_RETURN_IF_ERROR(driver.Init());
 ///   while (driver.BudgetLeft()) {
-///     driver.set_interleave_random(...);     // phase flags BEFORE Evaluate
 ///     driver.Evaluate(driver.Propose(candidate));
 ///   }
 ///   return driver.Finish();
@@ -32,8 +31,9 @@ class SearchDriver {
 
   /// Sets the evaluator's per-trial deadline and, when requested, resumes
   /// from the checkpoint: restores the RNG stream, trajectory, best-so-far,
-  /// quarantine set, phase flag, and elapsed clock. A missing checkpoint
-  /// file starts fresh; a corrupt one or a seed mismatch is an error.
+  /// quarantine set (the restored trials that failed), and elapsed clock.
+  /// A missing checkpoint file starts fresh; a corrupt one or a seed
+  /// mismatch is an error.
   Status Init();
 
   /// False once the evaluation count or the time budget (including time
@@ -67,12 +67,6 @@ class SearchDriver {
   /// failure count so far.
   const SearchOutcome& outcome() const { return outcome_; }
 
-  /// SMAC's random-interleave phase flag, checkpointed with the rest of the
-  /// state. Must be set to the *next* step's value before Evaluate so a
-  /// resume continues the phase pattern correctly.
-  bool interleave_random() const { return interleave_random_; }
-  void set_interleave_random(bool v) { interleave_random_ = v; }
-
  private:
   /// Appends one trial, restored or new, to the outcome: quarantines and
   /// counts a failure, and promotes a clean trial that beats the incumbent.
@@ -90,8 +84,7 @@ class SearchDriver {
   Rng rng_;
   Stopwatch timer_;
   SearchOutcome outcome_;
-  std::set<uint64_t> failed_;  // sorted => deterministic checkpoint bytes
-  bool interleave_random_ = false;
+  std::set<uint64_t> failed_;  // config hashes of the failed trials
   double elapsed_offset_ = 0.0;  // clock consumed before resume
   int trials_since_checkpoint_ = 0;
 };

@@ -81,15 +81,13 @@ Result<SearchOutcome> SmacSearch(const ConfigurationSpace& space,
     }
 
     // ---- surrogate-guided loop ----
-    if (driver.interleave_random()) {
-      // SMAC's random interleaving step keeps the search from collapsing
-      // onto the surrogate's blind spots.
+    if ((t - n_warm - n_init) % 2 == 1) {
+      // SMAC's random interleaving step, every other trial, keeps the
+      // search from collapsing onto the surrogate's blind spots.
       obs::Span span("smac.random_interleave");
-      driver.set_interleave_random(false);
       driver.Evaluate(driver.Propose(space.Sample(&rng)));
       continue;
     }
-    driver.set_interleave_random(true);
 
     // Registered here, not at entry: random search never fits a surrogate
     // and so never allocates these instruments.

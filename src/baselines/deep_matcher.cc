@@ -105,6 +105,7 @@ Result<DeepMatcherModel> DeepMatcherModel::Train(const PairSet& labeled_pairs,
   if (labeled_pairs.pairs.empty()) {
     return Status::InvalidArgument("no training pairs");
   }
+  AUTOEM_RETURN_IF_ERROR(CheckScorable(labeled_pairs, /*min_attributes=*/1));
   DeepMatcherModel model;
   model.options_ = options;
   model.num_attributes_ = labeled_pairs.left.schema().num_attributes();
@@ -180,6 +181,7 @@ Result<DeepMatcherModel> DeepMatcherModel::Train(const PairSet& labeled_pairs,
 Result<std::vector<double>> DeepMatcherModel::ScorePairs(
     const PairSet& pairs) const {
   if (num_attributes_ == 0) return Status::FailedPrecondition("not trained");
+  AUTOEM_RETURN_IF_ERROR(CheckScorable(pairs, num_attributes_));
   return mlp_.PredictProba(EmbedAll(pairs));
 }
 

@@ -20,6 +20,7 @@ Result<MagellanMatcher> MagellanMatcher::Train(const PairSet& labeled_pairs,
   if (options.models.empty()) {
     return Status::InvalidArgument("no candidate models");
   }
+  AUTOEM_RETURN_IF_ERROR(CheckPairIds(labeled_pairs));
 
   MagellanMatcher matcher;
   AUTOEM_RETURN_IF_ERROR(
@@ -66,6 +67,7 @@ Result<MagellanMatcher> MagellanMatcher::Train(const PairSet& labeled_pairs,
 Result<std::vector<double>> MagellanMatcher::ScorePairs(
     const PairSet& pairs) const {
   if (model_ == nullptr) return Status::FailedPrecondition("not trained");
+  AUTOEM_RETURN_IF_ERROR(CheckScorable(pairs, generator_));
   Dataset features = generator_.Generate(pairs);
   return model_->PredictProba(imputer_.Apply(features.X));
 }

@@ -9,9 +9,6 @@
 
 namespace autoem {
 
-namespace {
-
-// Featurization reads cells by pair id without bounds checks.
 Status CheckPairIds(const PairSet& pairs) {
   for (const RecordPair& pair : pairs.pairs) {
     if (pair.left_id >= pairs.left.num_rows() ||
@@ -25,26 +22,28 @@ Status CheckPairIds(const PairSet& pairs) {
   return Status::OK();
 }
 
-// The token caches index both tables by the plan's attribute indices.
+Status CheckScorable(const PairSet& pairs, size_t min_attributes) {
+  min_attributes = std::max<size_t>(min_attributes, 1);
+  if (!(pairs.left.schema() == pairs.right.schema()) ||
+      pairs.left.schema().num_attributes() < min_attributes) {
+    return Status::InvalidArgument(StrFormat(
+        "tables must share a schema of at least %zu attributes",
+        min_attributes));
+  }
+  return CheckPairIds(pairs);
+}
+
 Status CheckScorable(const PairSet& pairs, const FeatureGenerator& generator) {
-  size_t needed = 1;  // an empty schema is never scorable
+  // The token caches index both tables by the plan's attribute indices.
+  size_t needed = 0;
   for (const FeaturePlan& p : generator.plan()) {
     needed = std::max(needed, p.attr_index + 1);
   }
   for (const TfIdfPlan& p : generator.tfidf_plans()) {
     needed = std::max(needed, p.attr_index + 1);
   }
-  if (!(pairs.left.schema() == pairs.right.schema()) ||
-      pairs.left.schema().num_attributes() < needed) {
-    return Status::InvalidArgument(StrFormat(
-        "tables must share a schema of at least the %zu attributes the "
-        "feature plan reads",
-        needed));
-  }
-  return CheckPairIds(pairs);
+  return CheckScorable(pairs, needed);
 }
-
-}  // namespace
 
 MatchReport ReportAtThreshold(const PairSet& labeled_pairs,
                               const std::vector<double>& scores,

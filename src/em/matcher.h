@@ -27,6 +27,19 @@ MatchReport ReportAtThreshold(const PairSet& labeled_pairs,
                               const std::vector<double>& scores,
                               double threshold);
 
+/// InvalidArgument when a pair id is out of range for its table. Every
+/// matcher featurizes or embeds cells by pair id without bounds checks, so
+/// each entry point that takes pairs checks them first.
+Status CheckPairIds(const PairSet& pairs);
+
+/// InvalidArgument unless both tables share one schema of at least
+/// `min_attributes` attributes (and at least one), then CheckPairIds: what
+/// scoring needs before it reads a cell.
+Status CheckScorable(const PairSet& pairs, size_t min_attributes);
+
+/// CheckScorable for the attributes `generator`'s feature plan reads.
+Status CheckScorable(const PairSet& pairs, const FeatureGenerator& generator);
+
 /// End-to-end entity matcher: wraps feature generation + an AutoML-EM
 /// searched pipeline behind a train-once / predict-pairs API. This is the
 /// object a downstream application holds.

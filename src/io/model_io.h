@@ -5,27 +5,25 @@
 
 #include "common/status.h"
 #include "em/matcher.h"
+#include "io/container.h"
 
 namespace autoem {
 namespace io {
 
-/// Versioned binary container for a *fitted* end-to-end matcher
-/// (feature plan + preprocessing state + trained classifier). Layout:
-///
-///   magic "AEMM" | u32 format version | u32 section count
-///   per section:  u32 id | u64 payload size | u32 crc32(payload) | payload
-///
-/// All integers little-endian; doubles stored by IEEE-754 bit pattern (see
-/// serialize.h). Sections carry their own CRC so a flipped byte anywhere in
-/// a payload is detected before any of it is interpreted. Readers reject
-/// unknown magic, unknown format versions, duplicate/missing sections, and
-/// truncation at any offset with a non-OK Status — never UB. The format
-/// version covers the *payload encodings* too: any change to a section's
-/// internal layout bumps kFormatVersion (no in-place compatibility shims;
-/// old binaries refuse new files and vice versa, Cache-style versioning as
-/// in CalicoDB). See DESIGN.md §8 for the full policy.
-inline constexpr char kModelMagic[4] = {'A', 'E', 'M', 'M'};
+/// Versioned binary container for a *fitted* end-to-end matcher (feature
+/// plan + preprocessing state + trained classifier): the io/container.h
+/// layout under magic "AEMM", three sections. Doubles are stored by
+/// IEEE-754 bit pattern (see serialize.h). Readers reject an unknown magic
+/// or format version, a CRC mismatch, a duplicate, missing or unknown
+/// section, and truncation at any offset with a non-OK Status — never UB.
+/// The format version covers the *payload encodings* too: any change to a
+/// section's internal layout bumps kModelFormatVersion (no in-place
+/// compatibility shims; old binaries refuse new files and vice versa,
+/// Cache-style versioning as in CalicoDB). See DESIGN.md §8 for the full
+/// policy.
 inline constexpr uint32_t kModelFormatVersion = 1;
+inline constexpr ContainerFormat kModelFormat = {
+    {'A', 'E', 'M', 'M'}, kModelFormatVersion, "model", "section"};
 
 /// Section ids of format version 1.
 enum class ModelSection : uint32_t {
@@ -42,7 +40,8 @@ Status SaveModel(const EntityMatcher& matcher, const std::string& path);
 
 /// Loads a matcher saved by SaveModel. The returned matcher scores pairs
 /// bit-identically to the instance that was saved, at any thread count.
-/// Corrupted, truncated, or version-mismatched files yield a non-OK Status.
+/// NotFound when `path` does not exist; corrupted, truncated, or
+/// version-mismatched files yield InvalidArgument.
 Result<EntityMatcher> LoadModel(const std::string& path);
 
 /// In-memory variants (the file API is a thin wrapper; tests use these to

@@ -12,7 +12,8 @@ namespace autoem {
 namespace io {
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant). Used as the
-/// per-section integrity check of the model file format (see model_io.h).
+/// per-section integrity check of the one container that models and
+/// checkpoints share (see container.h).
 uint32_t Crc32(const void* data, size_t len);
 inline uint32_t Crc32(std::string_view s) { return Crc32(s.data(), s.size()); }
 

@@ -1,9 +1,9 @@
 #include "table/csv.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "common/string_util.h"
+#include "io/atomic_file.h"
 
 namespace autoem {
 
@@ -115,11 +115,9 @@ Result<Table> ParseCsv(const std::string& text,
 }
 
 Result<Table> ReadCsv(const std::string& path, const std::string& table_name) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str(), table_name);
+  std::string text;
+  AUTOEM_RETURN_IF_ERROR(io::ReadFileToString(path, &text));
+  return ParseCsv(text, table_name);
 }
 
 std::string ToCsvString(const Table& table) {

@@ -11,7 +11,8 @@ namespace autoem {
 
 /// Reads an RFC-4180-style CSV (double-quote quoting, embedded commas,
 /// quotes, and newlines inside quoted fields) into a Table. The first line
-/// is the header; cells are typed via Value::Parse.
+/// is the header; cells are typed via Value::Parse. NotFound when `path`
+/// does not exist.
 Result<Table> ReadCsv(const std::string& path, const std::string& table_name);
 
 /// Parses CSV text directly (same dialect as ReadCsv); useful for tests.

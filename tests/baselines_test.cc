@@ -63,6 +63,40 @@ TEST(MagellanMatcherTest, EmptyInputsRejected) {
   EXPECT_FALSE(MagellanMatcher::Train(data->train, options).ok());
 }
 
+// Copies of `pairs` with one pair's left or right id past its table, by
+// one and by a million rows: every baseline entry point must reject them
+// with InvalidArgument, as EntityMatcher's do, instead of reading past a
+// table.
+std::vector<PairSet> OutOfRangePairs(const PairSet& pairs) {
+  std::vector<PairSet> out;
+  for (size_t past : {size_t{0}, size_t{1000000}}) {
+    PairSet left = pairs;
+    left.pairs.back().left_id = left.left.num_rows() + past;
+    out.push_back(std::move(left));
+    PairSet right = pairs;
+    right.pairs.back().right_id = right.right.num_rows() + past;
+    out.push_back(std::move(right));
+  }
+  return out;
+}
+
+TEST(MagellanMatcherTest, OutOfRangePairIdsRejected) {
+  auto data = GenerateBenchmarkByName("Fodors-Zagats", 9, 0.1);
+  ASSERT_TRUE(data.ok());
+  MagellanMatcher::Options options;
+  options.models = {"decision_tree"};
+  auto matcher = MagellanMatcher::Train(data->train, options);
+  ASSERT_TRUE(matcher.ok()) << matcher.status().ToString();
+  for (const PairSet& bad : OutOfRangePairs(data->train)) {
+    EXPECT_EQ(MagellanMatcher::Train(bad, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const PairSet& bad : OutOfRangePairs(data->test)) {
+    EXPECT_EQ(matcher->ScorePairs(bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 // ---- DeepMatcher stand-in ----------------------------------------------------------
 
 TEST(DeepMatcherTest, RepresentationDimMatchesFormula) {
@@ -105,6 +139,23 @@ TEST(DeepMatcherTest, ScoresAreProbabilities) {
   for (double s : *scores) {
     EXPECT_GE(s, 0.0);
     EXPECT_LE(s, 1.0);
+  }
+}
+
+TEST(DeepMatcherTest, OutOfRangePairIdsRejected) {
+  auto data = GenerateBenchmarkByName("Fodors-Zagats", 10, 0.1);
+  ASSERT_TRUE(data.ok());
+  DeepMatcherModel::Options options;
+  options.epochs = 5;
+  auto model = DeepMatcherModel::Train(data->train, options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  for (const PairSet& bad : OutOfRangePairs(data->train)) {
+    EXPECT_EQ(DeepMatcherModel::Train(bad, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const PairSet& bad : OutOfRangePairs(data->test)) {
+    EXPECT_EQ(model->ScorePairs(bad).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "fault/failpoint.h"
 #include "fuzz/corpus.h"
 #include "io/atomic_file.h"
+#include "io/container.h"
 #include "io/serialize.h"
 #include "obs/metrics.h"
 
@@ -105,7 +106,6 @@ SearchCheckpoint MakeCheckpoint() {
     out << rng.engine();
     state.rng_state = out.str();
   }
-  state.interleave_random = true;
   state.elapsed_seconds = 12.5;
 
   EvalRecord ok_record;
@@ -122,7 +122,6 @@ SearchCheckpoint MakeCheckpoint() {
   failed_record.failure = TrialFailure::kTimeout;
   failed_record.failure_message = "deadline exceeded";
   state.history = {ok_record, failed_record};
-  state.failed_hashes = {ConfigurationHash(failed_record.config)};
   return state;
 }
 
@@ -135,14 +134,12 @@ TEST(SearchCheckpointTest, RoundTripsAllFields) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->seed, state.seed);
   EXPECT_EQ(loaded->rng_state, state.rng_state);
-  EXPECT_EQ(loaded->interleave_random, state.interleave_random);
   EXPECT_DOUBLE_EQ(loaded->elapsed_seconds, state.elapsed_seconds);
   ASSERT_EQ(loaded->history.size(), 2u);
   EXPECT_EQ(loaded->history[0].config, state.history[0].config);
   EXPECT_DOUBLE_EQ(loaded->history[0].valid_f1, 0.75);
   EXPECT_EQ(loaded->history[1].failure, TrialFailure::kTimeout);
   EXPECT_EQ(loaded->history[1].failure_message, "deadline exceeded");
-  EXPECT_EQ(loaded->failed_hashes, state.failed_hashes);
   std::remove(path.c_str());
 }
 
@@ -166,12 +163,12 @@ TEST(SearchCheckpointTest, TelemetryIsNotCheckpointed) {
 }
 
 TEST(SearchCheckpointTest, OlderVersionsRejected) {
-  // Today's layout stamped v4, the last version that carried telemetry
-  // (the version is the u32 after the magic; the CRC covers only the
-  // payload), and the fuzz corpus's hand-assembled v1 container.
-  std::string v4 = SerializeSearchCheckpoint(MakeCheckpoint());
-  fuzz::OverwriteLe(&v4, 4, 4, 4);
-  std::vector<std::string> containers = {v4};
+  // Today's layout stamped v5, the last version that stored derived state
+  // (the version is the u32 after the magic; the CRCs cover only the
+  // payloads), and the fuzz corpus's hand-assembled v1 container.
+  std::string v5 = SerializeSearchCheckpoint(MakeCheckpoint());
+  fuzz::OverwriteLe(&v5, 4, 5, 4);
+  std::vector<std::string> containers = {v5};
   for (const fuzz::Seed& seed : fuzz::CheckpointSeeds()) {
     if (seed.name == "search_v1") containers.push_back(seed.bytes);
   }
@@ -182,6 +179,9 @@ TEST(SearchCheckpointTest, OlderVersionsRejected) {
     EXPECT_NE(loaded.status().message().find("version"), std::string::npos)
         << loaded.status().ToString();
   }
+  EXPECT_NE(DeserializeSearchCheckpoint(v5).status().message().find(
+                "version 5"),
+            std::string::npos);
 }
 
 TEST(SearchCheckpointTest, HistoryCountBoundedByMinimumRecordSize) {
@@ -191,13 +191,13 @@ TEST(SearchCheckpointTest, HistoryCountBoundedByMinimumRecordSize) {
   io::Writer payload;
   payload.U64(7);           // seed
   payload.Str("13 17 19");  // rng_state
-  payload.U8(0);            // interleave_random
   payload.F64(3.25);        // elapsed_seconds
   const std::string rest(8 * 53, '\0');
   payload.U64(rest.size() / 8);
   payload.Raw(rest);
-  auto loaded = DeserializeSearchCheckpoint(
-      SerializeCheckpointBytes(kSearchCheckpointKind, payload));
+  std::string bytes = SerializeSearchCheckpoint(MakeCheckpoint());
+  ASSERT_TRUE(fuzz::SetSectionPayload(&bytes, 0, payload.data()).ok());
+  auto loaded = DeserializeSearchCheckpoint(bytes);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("declared length"),
             std::string::npos)
@@ -287,11 +287,20 @@ TEST(SearchCheckpointTest, KindMismatchRejected) {
 
 TEST(CheckpointCorruptionTest, RoundTripsInMemory) {
   SearchCheckpoint state = fuzz::MakeRichSearchCheckpoint();
-  auto loaded = DeserializeSearchCheckpoint(SerializeSearchCheckpoint(state));
+  const std::string bytes = SerializeSearchCheckpoint(state);
+  auto loaded = DeserializeSearchCheckpoint(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->seed, state.seed);
   EXPECT_EQ(loaded->history.size(), state.history.size());
-  EXPECT_EQ(loaded->failed_hashes, state.failed_hashes);
+  EXPECT_EQ(SerializeSearchCheckpoint(*loaded), bytes);
+}
+
+// The one section of a search checkpoint: where the corruption matrix below
+// finds the header fields it damages.
+io::SectionRef SearchSection(const std::string& bytes) {
+  auto sections = io::ListSections(bytes);
+  AUTOEM_CHECK(sections.ok() && sections->size() == 1);
+  return sections->front();
 }
 
 TEST(CheckpointCorruptionTest, MultiByteFlipRunsNeverCrashAndMostlyReject) {
@@ -301,7 +310,7 @@ TEST(CheckpointCorruptionTest, MultiByteFlipRunsNeverCrashAndMostlyReject) {
   // header we only require no-crash + no-UB.
   std::string good =
       SerializeSearchCheckpoint(fuzz::MakeRichSearchCheckpoint());
-  const size_t header = 4 + 4 + 1 + 8 + 4;  // magic|version|kind|size|crc
+  const size_t header = SearchSection(good).payload_pos;
   for (size_t run : {2u, 4u, 9u, 32u}) {
     for (size_t start = 0; start + run <= good.size(); start += 13) {
       std::string bad = good;
@@ -327,7 +336,7 @@ TEST(CheckpointCorruptionTest, EveryTruncationPointRejected) {
 TEST(CheckpointCorruptionTest, LengthFieldOverflowRejected) {
   std::string good =
       SerializeSearchCheckpoint(fuzz::MakeRichSearchCheckpoint());
-  const size_t size_pos = 4 + 4 + 1;  // u64 payload size after magic|ver|kind
+  const size_t size_pos = SearchSection(good).size_pos;
   for (uint64_t evil :
        {std::numeric_limits<uint64_t>::max(),
         std::numeric_limits<uint64_t>::max() / 2,
@@ -343,7 +352,7 @@ TEST(CheckpointCorruptionTest, LengthFieldOverflowRejected) {
 TEST(CheckpointCorruptionTest, CrcFieldDamageRejected) {
   std::string good =
       SerializeSearchCheckpoint(fuzz::MakeRichSearchCheckpoint());
-  const size_t crc_pos = 4 + 4 + 1 + 8;
+  const size_t crc_pos = SearchSection(good).crc_pos;
   for (uint64_t evil : {0ull, 0xFFFFFFFFull, 0xDEADBEEFull}) {
     std::string bad = good;
     fuzz::OverwriteLe(&bad, crc_pos, evil, 4);
@@ -379,24 +388,20 @@ TEST(CheckpointCorruptionTest, CheckpointSeedsReplayCleanly) {
 }
 
 TEST(ActiveCheckpointTest, RoundTripsAllFields) {
+  // A session after iteration 2: three initial human labels (one
+  // positive, so alpha = 1/3), then per iteration one human and one machine
+  // label. The stats count what `labeled` holds.
   std::string path = TempPath("autoem_active_ckpt_rt.aemk");
   ActiveCheckpoint state;
   state.seed = 5;
   state.rng_state = "some rng stream";
   state.model_seed = 777;
-  state.iteration = 3;
-  state.alpha = 0.21;
-  state.human_used = 80;
-  state.machine_added = 120;
-  state.machine_correct = 117;
-  state.labeled = {{10, 1, false}, {4, 0, true}};
+  state.alpha = 1.0 / 3.0;
+  state.labeled = {{10, 1, false}, {3, 0, false}, {6, 0, false},
+                   {8, 1, false},  {4, 0, true},  {1, 0, false},
+                   {5, 1, true}};
   state.unlabeled = {7, 2, 9};
-  ActiveIterationStats stats;
-  stats.iteration = 3;
-  stats.human_labels = 80;
-  stats.machine_labels = 120;
-  stats.iteration_model_test_f1 = 0.66;
-  state.stats = {stats};
+  state.stats = {{0, 3, 0, 0.5}, {1, 4, 1, 0.6}, {2, 5, 2, 0.66}};
 
   ASSERT_TRUE(SaveActiveCheckpoint(state, path).ok());
   auto loaded = LoadActiveCheckpoint(path);
@@ -404,19 +409,22 @@ TEST(ActiveCheckpointTest, RoundTripsAllFields) {
   EXPECT_EQ(loaded->seed, 5u);
   EXPECT_EQ(loaded->rng_state, "some rng stream");
   EXPECT_EQ(loaded->model_seed, 777u);
-  EXPECT_EQ(loaded->iteration, 3u);
-  EXPECT_DOUBLE_EQ(loaded->alpha, 0.21);
-  EXPECT_EQ(loaded->human_used, 80u);
-  EXPECT_EQ(loaded->machine_added, 120u);
-  EXPECT_EQ(loaded->machine_correct, 117u);
-  ASSERT_EQ(loaded->labeled.size(), 2u);
-  EXPECT_EQ(loaded->labeled[0].pool_index, 10u);
-  EXPECT_EQ(loaded->labeled[0].label, 1);
-  EXPECT_FALSE(loaded->labeled[0].machine);
-  EXPECT_TRUE(loaded->labeled[1].machine);
+  EXPECT_DOUBLE_EQ(loaded->alpha, 1.0 / 3.0);
+  ASSERT_EQ(loaded->labeled.size(), state.labeled.size());
+  for (size_t i = 0; i < state.labeled.size(); ++i) {
+    EXPECT_EQ(loaded->labeled[i].pool_index, state.labeled[i].pool_index);
+    EXPECT_EQ(loaded->labeled[i].label, state.labeled[i].label);
+    EXPECT_EQ(loaded->labeled[i].machine, state.labeled[i].machine);
+  }
   EXPECT_EQ(loaded->unlabeled, (std::vector<uint64_t>{7, 2, 9}));
-  ASSERT_EQ(loaded->stats.size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded->stats[0].iteration_model_test_f1, 0.66);
+  ASSERT_EQ(loaded->stats.size(), 3u);
+  for (size_t i = 0; i < state.stats.size(); ++i) {
+    EXPECT_EQ(loaded->stats[i].iteration, i);
+    EXPECT_EQ(loaded->stats[i].human_labels, state.stats[i].human_labels);
+    EXPECT_EQ(loaded->stats[i].machine_labels, state.stats[i].machine_labels);
+    EXPECT_DOUBLE_EQ(loaded->stats[i].iteration_model_test_f1,
+                     state.stats[i].iteration_model_test_f1);
+  }
   std::remove(path.c_str());
 }
 
@@ -505,33 +513,41 @@ TEST(ResumeDeterminismTest, SmacResumeMatchesUninterrupted) {
   std::string path = TempPath("autoem_resume_smac.aemk");
   std::remove(path.c_str());
 
-  SmacOptions options;
-  options.base.seed = 7;
-  options.base.max_evaluations = 10;
-  options.n_init = 3;
-  options.n_candidates = 20;
+  SmacOptions control_options;
+  control_options.base.seed = 7;
+  control_options.base.max_evaluations = 10;
+  control_options.n_init = 3;
+  control_options.n_candidates = 20;
   HoldoutEvaluator control_eval(train, valid);
-  auto control = SmacSearch(space, &control_eval, options);
+  auto control = SmacSearch(space, &control_eval, control_options);
   ASSERT_TRUE(control.ok());
 
-  // Kill inside the surrogate phase (after trial 6 of 10).
-  options.base.max_evaluations = 6;
-  options.base.checkpoint.path = path;
-  options.base.checkpoint.every_n_trials = 1;
-  HoldoutEvaluator first_eval(train, valid);
-  ASSERT_TRUE(SmacSearch(space, &first_eval, options).ok());
+  // Kill inside the surrogate phase, after trial 5 and after trial 6 of 10:
+  // with n_init = 3 the next trial is a surrogate step after 5 and a random
+  // interleave after 6, so the resumed leg re-enters both phases.
+  for (int killed_after : {5, 6}) {
+    SCOPED_TRACE("killed after trial " + std::to_string(killed_after));
+    std::remove(path.c_str());
+    SmacOptions options = control_options;
+    options.base.max_evaluations = killed_after;
+    options.base.checkpoint.path = path;
+    options.base.checkpoint.every_n_trials = 1;
+    HoldoutEvaluator first_eval(train, valid);
+    ASSERT_TRUE(SmacSearch(space, &first_eval, options).ok());
 
-  options.base.max_evaluations = 10;
-  options.base.checkpoint.resume = true;
-  HoldoutEvaluator resumed_eval(train, valid);
-  const uint64_t trials_before = TrialsRun();
-  auto resumed = SmacSearch(space, &resumed_eval, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    options.base.max_evaluations = 10;
+    options.base.checkpoint.resume = true;
+    HoldoutEvaluator resumed_eval(train, valid);
+    const uint64_t trials_before = TrialsRun();
+    auto resumed = SmacSearch(space, &resumed_eval, options);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
-  ExpectSameTrajectory(*control, *resumed);
-  // Only the 4 remaining trials ran; their surrogate fits read the 6
-  // restored trials.
-  EXPECT_EQ(TrialsRun() - trials_before, 4u);
+    ExpectSameTrajectory(*control, *resumed);
+    // Only the remaining trials ran; their surrogate fits read the restored
+    // ones.
+    EXPECT_EQ(TrialsRun() - trials_before,
+              static_cast<uint64_t>(10 - killed_after));
+  }
   std::remove(path.c_str());
 }
 
@@ -636,7 +652,7 @@ TEST(ResumeDeterminismTest, CorruptCheckpointIsAHardError) {
   std::remove(path.c_str());
 }
 
-TEST(ResumeDeterminismTest, ActiveLearningResumeMatchesUninterrupted) {
+Dataset MakeActivePool() {
   Rng pool_rng(60);
   Dataset pool;
   const size_t dims = 6;
@@ -654,7 +670,10 @@ TEST(ResumeDeterminismTest, ActiveLearningResumeMatchesUninterrupted) {
   for (size_t c = 0; c < dims; ++c) {
     pool.feature_names.push_back("f" + std::to_string(c));
   }
+  return pool;
+}
 
+ActiveLearningOptions ActiveResumeOptions() {
   ActiveLearningOptions options;
   options.init_size = 40;
   options.ac_batch = 8;
@@ -664,6 +683,12 @@ TEST(ResumeDeterminismTest, ActiveLearningResumeMatchesUninterrupted) {
   options.model.n_estimators = 10;
   options.run_automl_at_end = false;
   options.seed = 61;
+  return options;
+}
+
+TEST(ResumeDeterminismTest, ActiveLearningResumeMatchesUninterrupted) {
+  const Dataset pool = MakeActivePool();
+  ActiveLearningOptions options = ActiveResumeOptions();
 
   GroundTruthOracle control_oracle(pool.y);
   auto control = RunAutoMlEmActive(pool, &control_oracle, options);
@@ -697,6 +722,40 @@ TEST(ResumeDeterminismTest, ActiveLearningResumeMatchesUninterrupted) {
   }
   // The resumed oracle never re-paid for the first leg's labels.
   EXPECT_LT(resumed_oracle.num_queries(), control_oracle.num_queries());
+  std::remove(path.c_str());
+}
+
+TEST(ResumeDeterminismTest, ActiveResumeRejectsMisnumberedStats) {
+  // The last stats entry is the iteration a resume continues after, so the
+  // stats must number the completed iterations 0..n-1.
+  const Dataset pool = MakeActivePool();
+  ActiveLearningOptions options = ActiveResumeOptions();
+  std::string path = TempPath("autoem_resume_active_stats.aemk");
+  std::remove(path.c_str());
+  options.max_iterations = 2;
+  options.checkpoint.path = path;
+  GroundTruthOracle first_oracle(pool.y);
+  ASSERT_TRUE(RunAutoMlEmActive(pool, &first_oracle, options).ok());
+  auto saved = LoadActiveCheckpoint(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  ASSERT_EQ(saved->stats.size(), 3u);
+
+  ActiveCheckpoint empty = *saved;
+  empty.stats.clear();
+  ActiveCheckpoint repeated = *saved;
+  repeated.stats[1].iteration = 2;  // 0, 2, 2
+  ActiveCheckpoint shifted = *saved;
+  for (ActiveIterationStats& s : shifted.stats) ++s.iteration;  // 1, 2, 3
+  options.max_iterations = 6;
+  options.checkpoint.resume = true;
+  for (const ActiveCheckpoint* bad : {&empty, &repeated, &shifted}) {
+    ASSERT_TRUE(SaveActiveCheckpoint(*bad, path).ok());
+    GroundTruthOracle resumed_oracle(pool.y);
+    auto resumed = RunAutoMlEmActive(pool, &resumed_oracle, options);
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << resumed.status().ToString();
+    EXPECT_EQ(resumed_oracle.num_queries(), 0u);
+  }
   std::remove(path.c_str());
 }
 

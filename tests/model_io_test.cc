@@ -24,6 +24,7 @@
 #include "em/matcher.h"
 #include "features/feature_gen.h"
 #include "fuzz/corpus.h"
+#include "io/container.h"
 #include "io/model_io.h"
 #include "io/serialize.h"
 #include "ml/models/decision_tree.h"
@@ -473,10 +474,10 @@ TEST(ModelIoTest, FileRoundTripThroughDisk) {
   std::remove(path.c_str());
 }
 
-TEST(ModelIoTest, LoadMissingFileIsIOError) {
+TEST(ModelIoTest, LoadMissingFileIsNotFound) {
   auto loaded = io::LoadModel("/nonexistent/dir/model.aem");
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 // ---- corruption / truncation / version safety -----------------------------------
@@ -549,6 +550,28 @@ TEST_F(ModelCorruptionTest, TrailingGarbageRejected) {
   EXPECT_FALSE(loaded.ok());
 }
 
+TEST_F(ModelCorruptionTest, UnknownSectionRejected) {
+  // A CRC-valid fourth section with an id no version-1 reader knows: within
+  // one version the section set is fixed, so it is corruption, not an
+  // extension to skip.
+  auto sections = io::ListSections(*bytes_);
+  ASSERT_TRUE(sections.ok());
+  std::vector<io::Section> with_extra;
+  for (const io::SectionRef& ref : *sections) {
+    with_extra.push_back(
+        {ref.id, std::string_view(*bytes_).substr(
+                     ref.payload_pos, static_cast<size_t>(ref.size))});
+  }
+  with_extra.push_back({99, "appended"});
+  auto loaded =
+      io::DeserializeModel(io::WriteContainer(io::kModelFormat, with_extra));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unknown section 99"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST_F(ModelCorruptionTest, EmptyAndTinyInputsRejected) {
   EXPECT_FALSE(io::DeserializeModel("").ok());
   EXPECT_FALSE(io::DeserializeModel("AEMM").ok());
@@ -579,7 +602,7 @@ TEST_F(ModelCorruptionTest, DoubleFlipThatRestoresOneByteRejected) {
   // Flip two separate bytes of the same section: CRC32 is not fooled by
   // paired damage the way a checksum-by-sum would be.
   const std::string& good = *bytes_;
-  auto sections = fuzz::ListModelSections(good);
+  auto sections = io::ListSections(good);
   ASSERT_TRUE(sections.ok());
   ASSERT_FALSE(sections->empty());
   const auto& sec = sections->front();
@@ -591,7 +614,7 @@ TEST_F(ModelCorruptionTest, DoubleFlipThatRestoresOneByteRejected) {
 }
 
 TEST_F(ModelCorruptionTest, SwappedSectionPayloadsRejected) {
-  auto sections = fuzz::ListModelSections(*bytes_);
+  auto sections = io::ListSections(*bytes_);
   ASSERT_TRUE(sections.ok());
   ASSERT_GE(sections->size(), 2u);
   for (size_t a = 0; a < sections->size(); ++a) {
@@ -608,7 +631,7 @@ TEST_F(ModelCorruptionTest, SwappedSectionIdsRejected) {
   // Ids swapped, payloads still attached to their own sizes and CRCs: the
   // container is structurally valid and every CRC passes, so only the deep
   // parse (section consumers) can catch it. It must.
-  auto sections = fuzz::ListModelSections(*bytes_);
+  auto sections = io::ListSections(*bytes_);
   ASSERT_TRUE(sections.ok());
   ASSERT_GE(sections->size(), 2u);
   for (size_t a = 0; a < sections->size(); ++a) {
@@ -622,7 +645,7 @@ TEST_F(ModelCorruptionTest, SwappedSectionIdsRejected) {
 }
 
 TEST_F(ModelCorruptionTest, LengthFieldOverflowRejected) {
-  auto sections = fuzz::ListModelSections(*bytes_);
+  auto sections = io::ListSections(*bytes_);
   ASSERT_TRUE(sections.ok());
   for (size_t idx = 0; idx < sections->size(); ++idx) {
     for (uint64_t evil :
@@ -642,7 +665,7 @@ TEST_F(ModelCorruptionTest, SyntheticEnvelopeSeedsParseStructurally) {
   // The checked-in envelope seeds must at least walk the section table
   // without UB; deep parse may reject them (payloads are synthetic).
   for (const auto& seed : fuzz::ModelEnvelopeSeeds()) {
-    auto sections = fuzz::ListModelSections(seed.bytes);
+    auto sections = io::ListSections(seed.bytes);
     auto parsed = io::DeserializeModel(seed.bytes);
     (void)sections;
     (void)parsed;  // any Status is fine; this guards against crashes
@@ -723,7 +746,7 @@ class CraftedModelTest : public ModelCorruptionTest {
       }
     }
     std::string bytes = *bytes_;
-    auto sections = fuzz::ListModelSections(bytes);
+    auto sections = io::ListSections(bytes);
     AUTOEM_CHECK(sections.ok());
     for (size_t i = 0; i < sections->size(); ++i) {
       if ((*sections)[i].id ==

@@ -247,7 +247,7 @@ TEST(CsvTest, FileRoundTrip) {
 TEST(CsvTest, ReadMissingFileFails) {
   auto t = ReadCsv("/nonexistent/path.csv", "t");
   EXPECT_FALSE(t.ok());
-  EXPECT_EQ(t.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(t.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

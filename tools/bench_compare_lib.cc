@@ -4,10 +4,9 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
+#include "io/atomic_file.h"
 #include "obs/json.h"
 
 namespace autoem {
@@ -100,11 +99,9 @@ Result<BenchFile> LoadBenchFiles(const std::vector<std::string>& paths) {
   BenchFile merged;
   bool first = true;
   for (const std::string& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IOError("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    auto file = ParseBenchJson(buf.str());
+    std::string text;
+    AUTOEM_RETURN_IF_ERROR(io::ReadFileToString(path, &text));
+    auto file = ParseBenchJson(text);
     if (!file.ok()) {
       return Status::InvalidArgument(path + ": " +
                                      file.status().ToString());

@@ -43,7 +43,8 @@ struct BenchFile {
 Result<BenchFile> ParseBenchJson(const std::string& text);
 
 /// Loads and min-merges several run files into one BenchFile (meta is taken
-/// from the first file; a per-case `runs` counts contributions).
+/// from the first file; a per-case `runs` counts contributions). NotFound
+/// when a path does not exist.
 Result<BenchFile> LoadBenchFiles(const std::vector<std::string>& paths);
 
 /// Serializes a merged BenchFile back into the standard artifact schema, so
