@@ -123,6 +123,21 @@ void BM_SmithWatermanReference(benchmark::State& state) {
 }
 BENCHMARK(BM_SmithWatermanReference)->Arg(2)->Arg(8)->Arg(24)->Arg(64);
 
+// Both alignment scores from one pass, as pair featurization takes them:
+// the denominator is BM_NeedlemanWunsch plus BM_SmithWaterman.
+void BM_NeedlemanWunschAndSmithWaterman(benchmark::State& state) {
+  std::string a = MakeString(state.range(0), 12);
+  std::string b = MakeString(state.range(0), 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(NeedlemanWunschAndSmithWaterman(a, b));
+  }
+}
+BENCHMARK(BM_NeedlemanWunschAndSmithWaterman)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(24)
+    ->Arg(64);
+
 void BM_JaroWinkler(benchmark::State& state) {
   std::string a = MakeString(state.range(0), 3);
   std::string b = MakeString(state.range(0), 4);

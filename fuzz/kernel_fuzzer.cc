@@ -1,8 +1,9 @@
 // Differential fuzzing of the string kernels (src/text/similarity.h): the
 // input is split into two strings, and every fast kernel must equal its
-// `reference::` twin bit for bit. Each string is copied into its own
-// exactly sized heap block, so under ASan a load one byte past either end
-// fails the run.
+// `reference::` twin bit for bit, as must both scores of the one-pass
+// Needleman-Wunsch and Smith-Waterman kernel. Each string is copied into
+// its own exactly sized heap block, so under ASan a load one byte past
+// either end fails the run.
 //
 // A second leg fuzzes pair featurization: each string is split at '|' into
 // up to three cells of a one-attribute table, and for both generators every
@@ -103,6 +104,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       SameBits(NeedlemanWunsch(a, b), reference::NeedlemanWunsch(a, b)));
   AUTOEM_FUZZ_ASSERT(
       SameBits(SmithWaterman(a, b), reference::SmithWaterman(a, b)));
+  const AlignmentScores both = NeedlemanWunschAndSmithWaterman(a, b);
+  AUTOEM_FUZZ_ASSERT(
+      SameBits(both.needleman_wunsch, reference::NeedlemanWunsch(a, b)));
+  AUTOEM_FUZZ_ASSERT(
+      SameBits(both.smith_waterman, reference::SmithWaterman(a, b)));
   AUTOEM_FUZZ_ASSERT(SameBits(MongeElkan(a, b), reference::MongeElkan(a, b)));
   CheckFeaturization(a, b);
   return 0;

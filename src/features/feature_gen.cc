@@ -111,13 +111,15 @@ std::vector<SimFunction> MagellanStringFunctions(AttributeClass cls) {
 
 // The intermediates several Table II functions share on one (pair,
 // attribute), each computed on first use: one Levenshtein distance, one
-// Jaro similarity and one intersection size per tokenizer.
+// Jaro similarity, one alignment pass (Needleman-Wunsch and Smith-Waterman)
+// and one intersection size per tokenizer.
 struct SharedCores {
   explicit SharedCores(size_t attr_index) : attr(attr_index) {}
 
   size_t attr;
   std::optional<int> levenshtein;
   std::optional<double> jaro;
+  std::optional<AlignmentScores> alignment;
   std::optional<size_t> space_common;
   std::optional<size_t> qgram_common;
 };
@@ -163,6 +165,12 @@ double CachedFeature(const SimFunction& func, const CachedCell& left,
     if (!cores->jaro) cores->jaro = JaroSimilarity(left.text, right.text);
     return *cores->jaro;
   };
+  auto alignment = [&] {
+    if (!cores->alignment) {
+      cores->alignment = NeedlemanWunschAndSmithWaterman(left.text, right.text);
+    }
+    return *cores->alignment;
+  };
   switch (func.measure) {
     case Measure::kLevenshteinDistance:
       return static_cast<double>(levenshtein());
@@ -173,6 +181,10 @@ double CachedFeature(const SimFunction& func, const CachedCell& left,
       return jaro();
     case Measure::kJaroWinkler:
       return JaroWinklerFromJaro(jaro(), left.text, right.text);
+    case Measure::kNeedlemanWunsch:
+      return alignment().needleman_wunsch;
+    case Measure::kSmithWaterman:
+      return alignment().smith_waterman;
     case Measure::kMongeElkan:
       return CachedMongeElkan(left, right, generation);
     default:

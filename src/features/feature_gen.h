@@ -132,7 +132,8 @@ class FeatureGenerator {
   /// Writes the feature row for (left_row, right_row) into `row` (length
   /// num_features()) using the prepared caches; bit-identical to GenerateRow
   /// on the raw records. Features of one attribute share one Levenshtein
-  /// distance, one Jaro similarity and one intersection per tokenizer.
+  /// distance, one Jaro similarity, one alignment pass (Needleman-Wunsch
+  /// and Smith-Waterman) and one intersection per tokenizer.
   void GenerateRowCached(const PreparedTables& prepared, size_t left_row,
                          size_t right_row, double* row) const;
 };

@@ -398,8 +398,10 @@ namespace {
 // H[i][j] depends on H[i-1][j-1], H[i-1][j] and H[i][j-1], which lie on the
 // two previous anti-diagonals d-1 and d-2 (d = i + j). Indexed by i, a
 // diagonal's cells read a[i-1] and b[d-i-1]; both are contiguous in i once b
-// is reversed, so eight consecutive cells are one vector step. The lanes use
-// only the vector-extension operations GCC and Clang share.
+// is reversed, so eight consecutive cells are one vector step. The global
+// (NW) and local (SW) DPs read the same bytes, so one pass can run both:
+// each step then loads a and b and builds the substitution scores once.
+// The lanes use only the vector-extension operations GCC and Clang share.
 
 typedef int16_t Lanes __attribute__((vector_size(16)));
 constexpr size_t kLaneCount = sizeof(Lanes) / sizeof(int16_t);
@@ -414,9 +416,12 @@ Lanes Load(const int16_t* p) {
 
 void Store(int16_t* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
 
+// A lane loop, not a mask select: GCC compiles it to one pmaxsw at -O2,
+// where (x & (x > y)) | (y & ~(x > y)) took four instructions.
 Lanes Max(Lanes x, Lanes y) {
-  const Lanes x_greater = x > y;
-  return (x & x_greater) | (y & ~x_greater);
+  Lanes r;
+  for (size_t k = 0; k < kLaneCount; ++k) r[k] = x[k] > y[k] ? x[k] : y[k];
+  return r;
 }
 
 // Per-thread buffers, grown on demand and never shrunk. Slots start at zero
@@ -424,23 +429,80 @@ Lanes Max(Lanes x, Lanes y) {
 // lane reading stale slots still sees values in [-limit, limit] and its
 // int16 arithmetic cannot overflow.
 struct AlignScratch {
-  std::vector<int16_t> a;        // a's bytes, widened
-  std::vector<int16_t> b;        // b's bytes reversed, widened
-  std::vector<int16_t> diag[3];  // three rotating diagonals, indexed by i
+  std::vector<int16_t> a;          // a's bytes, widened
+  std::vector<int16_t> b;          // b's bytes reversed, widened
+  std::vector<int16_t> global[3];  // the NW DP's diagonals
+  std::vector<int16_t> local[3];   // the SW DP's diagonals
 };
 
-// Whether NW/SW run in lanes. Cells must fit in int16, and the shorter
-// string must span two lane steps: on shorter diagonals every step waits
-// on the previous diagonal's store, and the scalar row DP is faster.
+// One DP's three rotating diagonals, indexed by i, in a scratch's buffers.
+// `gap` is each border cell's step from H[0][0]: kGapScore for the global
+// DP, 0 for the local one, whose borders are all zero.
+struct Diagonals {
+  Diagonals() = default;  // a DP the pass does not track
+  Diagonals(std::vector<int16_t>* buffers, int16_t gap_score)
+      : h2(buffers[0].data()),
+        h1(buffers[1].data()),
+        h0(buffers[2].data()),
+        gap(gap_score) {
+    h2[0] = 0;            // H[0][0]
+    h1[0] = h1[1] = gap;  // H[0][1], H[1][0]
+  }
+
+  // Cells i .. i + kLaneCount - 1 of diagonal d, from `substitution` (the
+  // diagonal move's score per lane) and the two diagonals before d.
+  template <bool kLocal>
+  Lanes Step(size_t i, Lanes substitution) const {
+    Lanes cell = Load(h2 + i - 1) + substitution;
+    if constexpr (kLocal) cell = Max(cell, Splat(0));
+    // On a diagonal starting where the previous one did, Load(h1 + i - 1)
+    // straddles two of its stores and waits longest, so it comes last.
+    cell = Max(cell, Load(h1 + i) + Splat(kGapScore));
+    return Max(cell, Load(h1 + i - 1) + Splat(kGapScore));
+  }
+
+  // Writes diagonal d's border cells H[0][d] and H[d][0], then moves on.
+  void Advance(size_t d, size_t n, size_t m) {
+    const int16_t border = static_cast<int16_t>(gap * static_cast<int>(d));
+    if (d <= m) h0[0] = border;
+    if (d <= n) h0[d] = border;
+    int16_t* const oldest = h2;
+    h2 = h1;
+    h1 = h0;
+    h0 = oldest;
+  }
+
+  int16_t* h2 = nullptr;  // diagonal d - 2
+  int16_t* h1 = nullptr;  // diagonal d - 1
+  int16_t* h0 = nullptr;  // diagonal d
+  int16_t gap = 0;
+};
+
+// The integer scores of one pass: H[n][m] of the global DP and the best
+// cell of the local one.
+struct AlignmentRaw {
+  int global = 0;
+  int local = 0;
+};
+
+// Whether a pass tracking the kGlobal and kLocal scores runs (n, m) in
+// lanes. Cells must fit in int16. On diagonals one or two lane steps long,
+// each step waits on the previous diagonal's store, which one of its loads
+// straddles: for one score the scalar row DP stays faster until the
+// shorter string spans two lane steps. A pass tracking both runs two
+// independent DPs whose waits overlap; it beats the two row DPs from a
+// shorter string of 3 bytes (DESIGN.md §13 has the measurements).
+template <bool kGlobal, bool kLocal>
 bool AlignsInLanes(size_t n, size_t m) {
-  return std::min(n, m) >= 2 * kLaneCount &&
-         std::max(n, m) <= kAlignmentLaneLimit;
+  constexpr size_t kShortest = kGlobal && kLocal ? 3 : 2 * kLaneCount;
+  return std::min(n, m) >= kShortest && std::max(n, m) <= kAlignmentLaneLimit;
 }
 
-// Returns H[n][m] (global, NW) or the best cell (local, SW) when
-// AlignsInLanes(|a|, |b|), equal to the reference's integer.
-template <bool kLocal>
-int AlignAntiDiagonal(std::string_view a, std::string_view b) {
+// The scores that kGlobal and kLocal ask for, equal to the references'
+// integers when AlignsInLanes<kGlobal, kLocal>(|a|, |b|); the other stays 0.
+template <bool kGlobal, bool kLocal>
+AlignmentRaw AlignAntiDiagonal(std::string_view a, std::string_view b) {
+  static_assert(kGlobal || kLocal);
   // Both scores are symmetric. With i over the shorter string, at least
   // half the diagonals start at i = 1, like the one before them.
   if (a.size() > b.size()) std::swap(a, b);
@@ -448,10 +510,14 @@ int AlignAntiDiagonal(std::string_view a, std::string_view b) {
   const size_t m = b.size();
   thread_local AlignScratch scratch;
   // A lane step reads up to kLaneCount - 1 slots past the last cell.
-  scratch.a.resize(std::max(scratch.a.size(), n + kLaneCount));
-  scratch.b.resize(std::max(scratch.b.size(), m + kLaneCount));
-  for (std::vector<int16_t>& d : scratch.diag) {
-    d.resize(std::max(d.size(), n + 1 + kLaneCount));
+  auto grow = [](std::vector<int16_t>* v, size_t size) {
+    if (v->size() < size) v->resize(size);
+  };
+  grow(&scratch.a, n + kLaneCount);
+  grow(&scratch.b, m + kLaneCount);
+  for (size_t k = 0; k < 3; ++k) {
+    if constexpr (kGlobal) grow(&scratch.global[k], n + 1 + kLaneCount);
+    if constexpr (kLocal) grow(&scratch.local[k], n + 1 + kLaneCount);
   }
   for (size_t i = 0; i < n; ++i) {
     scratch.a[i] = static_cast<unsigned char>(a[i]);
@@ -461,14 +527,10 @@ int AlignAntiDiagonal(std::string_view a, std::string_view b) {
   }
   const int16_t* a16 = scratch.a.data();
   const int16_t* rb16 = scratch.b.data();
-  int16_t* h2 = scratch.diag[0].data();  // diagonal d - 2
-  int16_t* h1 = scratch.diag[1].data();  // diagonal d - 1
-  int16_t* h0 = scratch.diag[2].data();  // diagonal d
-  auto border = [](size_t d) {
-    return static_cast<int16_t>(kLocal ? 0 : kGapScore * static_cast<int>(d));
-  };
-  h2[0] = 0;                  // H[0][0]
-  h1[0] = h1[1] = border(1);  // H[0][1], H[1][0]
+  Diagonals global;
+  Diagonals local;
+  if constexpr (kGlobal) global = Diagonals(scratch.global, kGapScore);
+  if constexpr (kLocal) local = Diagonals(scratch.local, 0);
   const Lanes lane_ids = {0, 1, 2, 3, 4, 5, 6, 7};
   const Lanes substitution_step = Splat(kMatchScore - kMismatchScore);
   Lanes best = Splat(0);
@@ -478,37 +540,47 @@ int AlignAntiDiagonal(std::string_view a, std::string_view b) {
     for (size_t i = lo; i <= hi; i += kLaneCount) {
       // All-ones where a[i-1] == b[d-i-1] (reversed b at m + i - d).
       const Lanes equal = Load(a16 + i - 1) == Load(rb16 + (m + i - d));
-      const Lanes diagonal = Load(h2 + i - 1) + (equal & substitution_step) +
-                             Splat(kMismatchScore);
-      Lanes cell = diagonal;
-      if constexpr (kLocal) cell = Max(cell, Splat(0));
-      // On a diagonal starting where the previous one did, Load(h1 + i - 1)
-      // straddles two of its stores and waits longest, so it comes last.
-      cell = Max(cell, Load(h1 + i) + Splat(kGapScore));
-      cell = Max(cell, Load(h1 + i - 1) + Splat(kGapScore));
+      const Lanes substitution =
+          (equal & substitution_step) + Splat(kMismatchScore);
+      Lanes global_cells = Splat(0);
+      Lanes local_cells = Splat(0);
+      if constexpr (kGlobal) global_cells = global.Step<false>(i, substitution);
+      if constexpr (kLocal) local_cells = local.Step<true>(i, substitution);
       // Lanes past the diagonal's end hold junk: zero them, so no later
       // read can see a value outside [-limit, limit].
       if (hi - i + 1 < kLaneCount) {
-        cell &= lane_ids < Splat(static_cast<int16_t>(hi - i + 1));
+        const Lanes live = lane_ids < Splat(static_cast<int16_t>(hi - i + 1));
+        global_cells &= live;
+        local_cells &= live;
       }
-      if constexpr (kLocal) best = Max(best, cell);
-      Store(h0 + i, cell);
+      if constexpr (kGlobal) Store(global.h0 + i, global_cells);
+      if constexpr (kLocal) {
+        best = Max(best, local_cells);
+        Store(local.h0 + i, local_cells);
+      }
     }
-    if (d <= m) h0[0] = border(d);  // H[0][d]
-    if (d <= n) h0[d] = border(d);  // H[d][0]
-    int16_t* const oldest = h2;
-    h2 = h1;
-    h1 = h0;
-    h0 = oldest;
+    if constexpr (kGlobal) global.Advance(d, n, m);
+    if constexpr (kLocal) local.Advance(d, n, m);
   }
+  AlignmentRaw raw;
+  if constexpr (kGlobal) raw.global = global.h1[n];  // H[n][m]
   if constexpr (kLocal) {
-    int result = 0;
     for (size_t k = 0; k < kLaneCount; ++k) {
-      result = std::max<int>(result, best[k]);
+      raw.local = std::max<int>(raw.local, best[k]);
     }
-    return result;
   }
-  return h1[n];  // H[n][m], on the last diagonal
+  return raw;
+}
+
+// The references' normalizations, on the same integer scores.
+double NeedlemanWunschFromScore(int score, size_t n, size_t m) {
+  const double normalized =
+      static_cast<double>(score) / static_cast<double>(std::max(n, m));
+  return (normalized + 1.0) / 2.0;
+}
+
+double SmithWatermanFromScore(int score, size_t n, size_t m) {
+  return static_cast<double>(score) / static_cast<double>(std::min(n, m));
 }
 
 }  // namespace
@@ -516,20 +588,31 @@ int AlignAntiDiagonal(std::string_view a, std::string_view b) {
 double NeedlemanWunsch(std::string_view a, std::string_view b) {
   const size_t n = a.size();
   const size_t m = b.size();
-  if (!AlignsInLanes(n, m)) return reference::NeedlemanWunsch(a, b);
-  // The reference's normalization, on the same integer score.
-  const double normalized =
-      static_cast<double>(AlignAntiDiagonal<false>(a, b)) /
-      static_cast<double>(std::max(n, m));
-  return (normalized + 1.0) / 2.0;
+  if (!AlignsInLanes<true, false>(n, m)) {
+    return reference::NeedlemanWunsch(a, b);
+  }
+  return NeedlemanWunschFromScore(AlignAntiDiagonal<true, false>(a, b).global,
+                                  n, m);
 }
 
 double SmithWaterman(std::string_view a, std::string_view b) {
   const size_t n = a.size();
   const size_t m = b.size();
-  if (!AlignsInLanes(n, m)) return reference::SmithWaterman(a, b);
-  return static_cast<double>(AlignAntiDiagonal<true>(a, b)) /
-         static_cast<double>(std::min(n, m));
+  if (!AlignsInLanes<false, true>(n, m)) return reference::SmithWaterman(a, b);
+  return SmithWatermanFromScore(AlignAntiDiagonal<false, true>(a, b).local, n,
+                                m);
+}
+
+AlignmentScores NeedlemanWunschAndSmithWaterman(std::string_view a,
+                                                std::string_view b) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  if (!AlignsInLanes<true, true>(n, m)) {
+    return {reference::NeedlemanWunsch(a, b), reference::SmithWaterman(a, b)};
+  }
+  const AlignmentRaw raw = AlignAntiDiagonal<true, true>(a, b);
+  return {NeedlemanWunschFromScore(raw.global, n, m),
+          SmithWatermanFromScore(raw.local, n, m)};
 }
 
 double MongeElkan(std::string_view a, std::string_view b) {

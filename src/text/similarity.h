@@ -48,9 +48,11 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 double ExactMatch(std::string_view a, std::string_view b);
 
 /// Longest string, in bytes, the alignment kernels below run in 16-bit
-/// lanes: every DP cell then lies in [-limit, limit]. Longer inputs, and
-/// pairs whose shorter string is under 16 bytes (too short for the lanes
-/// to pay off), go to the scalar reference.
+/// lanes: every DP cell then lies in [-limit, limit]. Longer inputs go to
+/// the scalar reference, as do pairs whose shorter string is too short for
+/// the lanes to pay off: under 16 bytes for NeedlemanWunsch or
+/// SmithWaterman alone, under 3 for NeedlemanWunschAndSmithWaterman, whose
+/// one pass runs both DPs.
 inline constexpr size_t kAlignmentLaneLimit = 30000;
 
 /// Needleman-Wunsch global alignment score (match +1, mismatch -1, gap -1),
@@ -64,9 +66,22 @@ inline constexpr size_t kAlignmentLaneLimit = 30000;
 double NeedlemanWunsch(std::string_view a, std::string_view b);
 
 /// Smith-Waterman local alignment score (match +1, mismatch -1, gap -1)
-/// normalized by min(|a|, |b|), in [0, 1]. Same anti-diagonal DP as
+/// normalized by min(|a|, |b|), in [0, 1]. Same anti-diagonal kernel as
 /// NeedlemanWunsch; bit-identical to `reference::SmithWaterman`.
 double SmithWaterman(std::string_view a, std::string_view b);
+
+/// Both alignment scores of one pair.
+struct AlignmentScores {
+  double needleman_wunsch = 0.0;
+  double smith_waterman = 0.0;
+};
+
+/// NeedlemanWunsch(a, b) and SmithWaterman(a, b), bit for bit, from one
+/// anti-diagonal pass: the two DPs read the same bytes, so each lane step
+/// loads them and builds their substitution scores once, and the two
+/// independent DPs overlap each other's waits.
+AlignmentScores NeedlemanWunschAndSmithWaterman(std::string_view a,
+                                                std::string_view b);
 
 /// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
 /// `b`'s tokens (whitespace tokenization), the standard hybrid measure.

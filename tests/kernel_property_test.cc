@@ -184,7 +184,9 @@ const KernelWithReference kReferencedKernels[] = {
     {"MongeElkan", &MongeElkan, &reference::MongeElkan},
 };
 
-// Bit-identical doubles, not merely equal ones.
+// Bit-identical doubles, not merely equal ones. The one-pass alignment
+// kernel's two scores are checked against the same references as the
+// kernels that compute one score each.
 void ExpectAllMatchReference(const std::string& a, const std::string& b) {
   for (const auto& k : kReferencedKernels) {
     EXPECT_EQ(std::bit_cast<uint64_t>(k.fast(a, b)),
@@ -192,6 +194,17 @@ void ExpectAllMatchReference(const std::string& a, const std::string& b) {
         << k.name << ": " << k.fast(a, b) << " vs " << k.reference(a, b)
         << " (len a=" << a.size() << " len b=" << b.size() << ")";
   }
+  const AlignmentScores both = NeedlemanWunschAndSmithWaterman(a, b);
+  const double nw = reference::NeedlemanWunsch(a, b);
+  const double sw = reference::SmithWaterman(a, b);
+  EXPECT_EQ(std::bit_cast<uint64_t>(both.needleman_wunsch),
+            std::bit_cast<uint64_t>(nw))
+      << "one-pass NeedlemanWunsch: " << both.needleman_wunsch << " vs " << nw
+      << " (len a=" << a.size() << " len b=" << b.size() << ")";
+  EXPECT_EQ(std::bit_cast<uint64_t>(both.smith_waterman),
+            std::bit_cast<uint64_t>(sw))
+      << "one-pass SmithWaterman: " << both.smith_waterman << " vs " << sw
+      << " (len a=" << a.size() << " len b=" << b.size() << ")";
 }
 
 TEST(KernelPropertySequence, MatchesReferenceOnRandomStrings) {
@@ -217,13 +230,16 @@ TEST(KernelPropertySequence, MatchesReferenceOnRandomBytes) {
 }
 
 TEST(KernelPropertySequence, MatchesReferenceOnLengthGrid) {
-  // Every length pair around the 8-lane step, the 16-byte cutoff below
-  // which NW/SW stay scalar, and the 64-bit word edges of the bitset Jaro,
-  // plus lengths many words and many lane steps long.
+  // Every length from 0 to 17 on either side, so each length below, at
+  // and past the cutoffs where the alignment kernels leave the scalar
+  // reference (3 bytes for the one-pass kernel, two lane steps for one
+  // score) meets every other; the 64-bit word edges of the bitset Jaro;
+  // and lengths many words and many lane steps long.
   Rng rng(97);
-  const size_t lens[] = {0,   1,   2,   7,   8,   9,   15,  16,
-                         17,  31,  62,  63,  64,  65,  66,  126,
-                         127, 128, 129, 130, 192, 200, 300, 513};
+  const size_t lens[] = {0,   1,   2,   3,   4,   5,   6,   7,   8,
+                         9,   10,  11,  12,  13,  14,  15,  16,  17,
+                         31,  62,  63,  64,  65,  66,  126, 127, 128,
+                         129, 130, 192, 200, 300, 513};
   for (size_t la : lens) {
     for (size_t lb : lens) {
       ExpectAllMatchReference(RandomText(&rng, la, "abc "),
@@ -240,8 +256,9 @@ TEST(KernelPropertySequence, MatchesReferenceOnHostileInputs) {
 }
 
 TEST(KernelPropertySequence, MatchesReferenceAtAndPastLaneLimit) {
-  // At the limit NW and SW still run in int16 lanes, with border cells at
-  // -limit; one byte past it they hand over to the reference.
+  // At the limit NW and SW, alone or in one pass, still run in int16
+  // lanes, with border cells at -limit; one byte past it they hand over to
+  // the reference.
   Rng rng(101);
   const std::string b = RandomText(&rng, 40, "abcd ");
   for (size_t len : {kAlignmentLaneLimit, kAlignmentLaneLimit + 1}) {

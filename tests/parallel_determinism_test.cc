@@ -119,10 +119,11 @@ TEST(ParallelDeterminismTest, MagellanFeatureMatrixBitIdentical) {
 
 // ---- cached featurization vs the per-function path -------------------------
 //
-// GenerateRowCached shares one Levenshtein, one Jaro and one intersection
-// per tokenizer across an attribute's features, and scores Monge-Elkan from
-// interned tokens through a per-thread Jaro-Winkler memo. GenerateRow calls
-// each SimFunction on freshly rendered strings, so it is the oracle.
+// GenerateRowCached shares one Levenshtein, one Jaro, one alignment pass and
+// one intersection per tokenizer across an attribute's features, and scores
+// Monge-Elkan from interned tokens through a per-thread Jaro-Winkler memo.
+// GenerateRow calls each SimFunction on freshly rendered strings, so it is
+// the oracle.
 
 // GenerateRow's row for every pair of `set`.
 std::vector<std::vector<double>> UncachedRows(const FeatureGenerator& gen,
@@ -355,6 +356,28 @@ TEST(ParallelDeterminismTest, InterleavedLoadedPlanMatchesGenerateRow) {
   AutoMlEmFeatureGenerator loaded;
   LoadPlan(order, &loaded);
   ExpectGenerateMatchesGenerateRow(&loaded, data.train, "interleaved plan");
+}
+
+// One alignment pass serves both Needleman-Wunsch and Smith-Waterman of a
+// (pair, attribute). A plan may hold only one of them, or hold them on
+// different attributes; a score must never come from another attribute's
+// pass. Attributes 0 and 1 (name, address) are strings that differ.
+TEST(ParallelDeterminismTest, AlignmentPlanShapesMatchGenerateRow) {
+  BenchmarkData data = MakeBenchmark();
+  const FeaturePlan nw = {0, {Measure::kNeedlemanWunsch}, "a0_nw"};
+  const FeaturePlan sw = {0, {Measure::kSmithWaterman}, "a0_sw"};
+  const FeaturePlan other_sw = {1, {Measure::kSmithWaterman}, "a1_sw"};
+  const std::pair<const char*, std::vector<FeaturePlan>> shapes[] = {
+      {"Needleman-Wunsch only", {nw}},
+      {"Smith-Waterman only", {sw}},
+      {"Needleman-Wunsch, then another attribute's Smith-Waterman",
+       {nw, other_sw}},
+  };
+  for (const auto& [what, plan] : shapes) {
+    AutoMlEmFeatureGenerator gen;
+    LoadPlan(plan, &gen);
+    ExpectGenerateMatchesGenerateRow(&gen, data.train, what);
+  }
 }
 
 TEST(ParallelDeterminismTest, ForestFitAndPredictBitIdentical) {
